@@ -2,106 +2,20 @@
 
 Pure integer arithmetic throughout: the direct definition, the classical
 product recurrence, and the alternating binomial sieve all live here,
-together with verifiers for every identity the sieve rests on and a small
-benchmarking harness.  The command-line entry point is ``symex``.
+together with verifiers for every identity the sieve rests on.  The
+command-line entry point is ``symex``; the submodules hold the rest of the
+library.
 """
 
-from .bigcomb import (
-    binomial_first,
-    binomial_second,
-    falling_factorial,
-    multinomial,
-    stirling_first_signed,
-)
-from .coeffs import (
-    CoefficientSequence,
-    coeff_closed,
-    coeff_closed_sequence,
-    coeff_recurrence,
-    vandermonde_degeneration_check,
-    verify_convolution,
-)
-from .esp import (
-    DEFAULT_EXPLAIN_LIMIT,
-    BreakdownTerm,
-    ComparisonEntry,
-    ComparisonReport,
-    ExtractionBreakdown,
-    ExtractionDomainError,
-    esp_all,
-    esp_compare,
-    esp_direct,
-    esp_extraction,
-    esp_loworder,
-    specialize,
-)
-from .polyexpand import (
-    ExponentVector,
-    monomial_coefficient,
-    support_layer,
-    verify_layer_decomposition,
-)
-from .report import Check, Report
+from .esp import ExtractionBreakdown, esp_all, esp_direct, esp_extraction
 from .rootset import RootSet
-from .series import (
-    TruncatedSeries,
-    series_add,
-    series_binomial_power,
-    series_from,
-    series_mul,
-    series_scale,
-    series_x_over_one_minus_x_pow,
-    series_zero,
-    verify_gf_transformed,
-    verify_gf_untransformed,
-)
-from .subsets import IndexSubset, count_containing_supersets, k_subsets, subset_sums
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreakdownTerm",
-    "Check",
-    "CoefficientSequence",
-    "ComparisonEntry",
-    "ComparisonReport",
-    "DEFAULT_EXPLAIN_LIMIT",
-    "ExponentVector",
     "ExtractionBreakdown",
-    "ExtractionDomainError",
-    "IndexSubset",
-    "Report",
     "RootSet",
-    "TruncatedSeries",
-    "binomial_first",
-    "binomial_second",
-    "coeff_closed",
-    "coeff_closed_sequence",
-    "coeff_recurrence",
-    "count_containing_supersets",
     "esp_all",
-    "esp_compare",
     "esp_direct",
     "esp_extraction",
-    "esp_loworder",
-    "falling_factorial",
-    "k_subsets",
-    "monomial_coefficient",
-    "multinomial",
-    "series_add",
-    "series_binomial_power",
-    "series_from",
-    "series_mul",
-    "series_scale",
-    "series_x_over_one_minus_x_pow",
-    "series_zero",
-    "specialize",
-    "stirling_first_signed",
-    "subset_sums",
-    "support_layer",
-    "vandermonde_degeneration_check",
-    "verify_convolution",
-    "verify_gf_transformed",
-    "verify_gf_untransformed",
-    "verify_layer_decomposition",
 ]

@@ -12,200 +12,25 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
-from .bigcomb import binomial_first
-from .coeffs import coeff_closed_sequence, coeff_recurrence, vandermonde_degeneration_check, verify_convolution
+from .coeffs import coeff_closed_sequence, coeff_recurrence, verify_convolution
 from .esp import (
+    DEFAULT_EXPLAIN_LIMIT,
+    METHOD_NAMES,
     ExtractionBreakdown,
     ExtractionDomainError,
     esp_all,
     esp_compare,
     esp_direct,
     esp_extraction,
-    esp_loworder,
     specialize,
 )
-from .polyexpand import monomial_coefficient, verify_layer_decomposition
 from .rootset import RootSet
-from .series import verify_gf_transformed, verify_gf_untransformed
-from .subsets import count_containing_supersets, k_subsets
+from .verify import SUITES
 
 DEFAULT_SEED = 42
 DEFAULT_TRUNCATION = 30
-DEFAULT_EXPLAIN_LIMIT = 12
 DEFAULT_BENCH_GRID = ((10, 2), (10, 4), (14, 2), (14, 4), (18, 2), (18, 4))
-SUITE_NAMES = ("equivalence", "convolution", "vandermonde", "gf", "layers", "multiplicity", "all")
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-@dataclass(frozen=True)
-class SuiteCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _random_roots(rng: random.Random, n_low: int, n_high: int, m_max: int) -> RootSet:
-    n = rng.randint(n_low, n_high)
-    return RootSet(tuple(rng.randint(1, m_max) for _ in range(n)))
-
-
-def suite_equivalence(rng: random.Random, truncation: int) -> list[SuiteCheck]:
-    checks = []
-
-    instances = failures = 0
-    for n in range(1, 7):
-        for tup in product(range(1, 5), repeat=n):
-            roots = RootSet(tup)
-            per_order = esp_all(roots)
-            for i in range(1, n + 1):
-                instances += 1
-                direct = esp_direct(roots, i)
-                sieve = esp_extraction(roots, i, explain_limit=0)[0]
-                if not direct == sieve == per_order[i]:
-                    failures += 1
-    checks.append(SuiteCheck("equivalence exhaustive n<=6 m<=4", failures == 0, f"{instances} instances"))
-
-    instances = failures = 0
-    for _ in range(300):
-        roots = _random_roots(rng, 1, 10, 9)
-        per_order = esp_all(roots)
-        for i in range(1, roots.n + 1):
-            instances += 1
-            direct = esp_direct(roots, i)
-            sieve = esp_extraction(roots, i, explain_limit=0)[0]
-            if not direct == sieve == per_order[i]:
-                failures += 1
-    checks.append(SuiteCheck("equivalence 300 random sets n<=10 m<=9", failures == 0, f"{instances} instances"))
-
-    instances = failures = 0
-    for _ in range(20):
-        roots = _random_roots(rng, 4, 8, 9)
-        for i in range(2, 6):
-            instances += 1
-            if esp_loworder(roots, i) != esp_direct(roots, i):
-                failures += 1
-    checks.append(
-        SuiteCheck("spelled-out e2..e5 forms, 20 random sets n in 4..8", failures == 0, f"{instances} instances")
-    )
-    return checks
-
-
-def suite_convolution(rng: random.Random, truncation: int) -> list[SuiteCheck]:
-    checks = []
-    pairs = route_mismatches = bad_recurrence = bad_closed = 0
-    for n in range(1, 21):
-        for i in range(1, n + 1):
-            pairs += 1
-            by_recurrence = coeff_recurrence(n, i, 12)
-            by_closed = coeff_closed_sequence(n, i, 12)
-            if by_recurrence.values != by_closed.values:
-                route_mismatches += 1
-            if not verify_convolution(n, i, 12, by_recurrence).ok:
-                bad_recurrence += 1
-            if not verify_convolution(n, i, 12, by_closed).ok:
-                bad_closed += 1
-    detail = f"{pairs} (n,i) pairs, h<=12"
-    checks.append(SuiteCheck("recurrence equals closed form", route_mismatches == 0, detail))
-    checks.append(SuiteCheck("convolution sums = 1 (recurrence route)", bad_recurrence == 0, detail))
-    checks.append(SuiteCheck("convolution sums = 1 (closed route)", bad_closed == 0, detail))
-    return checks
-
-
-def suite_vandermonde(rng: random.Random, truncation: int) -> list[SuiteCheck]:
-    pairs = failures = 0
-    for n in range(1, 21):
-        for i in range(1, n + 1):
-            pairs += 1
-            if not vandermonde_degeneration_check(n, i, 12).ok:
-                failures += 1
-    return [
-        SuiteCheck(
-            "vandermonde degeneration sum and term identification",
-            failures == 0,
-            f"{pairs} (n,i) pairs, h=12",
-        )
-    ]
-
-
-def suite_gf(rng: random.Random, truncation: int) -> list[SuiteCheck]:
-    pairs = bad_untransformed = bad_transformed = 0
-    for n in range(1, 13):
-        for i in range(1, n + 1):
-            pairs += 1
-            if not verify_gf_untransformed(n, i, truncation).ok:
-                bad_untransformed += 1
-            if not verify_gf_transformed(n, i, truncation).ok:
-                bad_transformed += 1
-    detail = f"{pairs} (n,i) pairs, T={truncation}"
-    return [
-        SuiteCheck("series identity in powers of x/(1-x)", bad_untransformed == 0, detail),
-        SuiteCheck("substituted series matches closed coefficients", bad_transformed == 0, detail),
-    ]
-
-
-def suite_layers(rng: random.Random, truncation: int) -> list[SuiteCheck]:
-    checks = []
-
-    quartet = {
-        (1, 1): Fraction(22, 24),
-        (2, 1): Fraction(-18, 24),
-        (3, 1): Fraction(4, 24),
-        (2, 2): Fraction(6, 24),
-    }
-    quartet_ok = all(monomial_coefficient(4, lam) == want for lam, want in quartet.items())
-    checks.append(SuiteCheck("order-4 two-element coefficients 22,18,4,6 over 4!", quartet_ok, "4 values"))
-
-    ones_ok = all(monomial_coefficient(i, (1,) * i) == 1 for i in range(1, 9))
-    checks.append(SuiteCheck("all-ones exponent coefficient = 1 for i<=8", ones_ok, "8 values"))
-
-    instances = failures = 0
-    for n in range(1, 6):
-        for tup in product(range(1, 5), repeat=n):
-            roots = RootSet(tup)
-            for i in range(1, n + 1):
-                instances += 1
-                if not verify_layer_decomposition(roots, i).ok:
-                    failures += 1
-    checks.append(
-        SuiteCheck("layer decomposition rebuilds the binomial, n<=5 m<=4", failures == 0, f"{instances} instances")
-    )
-    return checks
-
-
-def suite_multiplicity(rng: random.Random, truncation: int) -> list[SuiteCheck]:
-    instances = failures = 0
-    for n in range(1, 9):
-        for s in range(n + 1):
-            for t in range(s + 1):
-                for fixed in k_subsets(n, t):
-                    instances += 1
-                    counted = count_containing_supersets(n, fixed, s)
-                    if counted != binomial_first(n - t, s - t):
-                        failures += 1
-    return [
-        SuiteCheck(
-            "superset counts match C(n-t, s-t), n<=8 exhaustive",
-            failures == 0,
-            f"{instances} instances",
-        )
-    ]
-
-
-SUITES = {
-    "equivalence": suite_equivalence,
-    "convolution": suite_convolution,
-    "vandermonde": suite_vandermonde,
-    "gf": suite_gf,
-    "layers": suite_layers,
-    "multiplicity": suite_multiplicity,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +70,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         per_order = esp_all(roots)
         value = per_order[i] if i <= roots.n else 0
     else:
-        try:
-            value, breakdown = esp_extraction(roots, i, explain_limit=args.explain_limit)
-        except ExtractionDomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        value, breakdown = esp_extraction(roots, i, explain_limit=args.explain_limit)
 
     if args.json:
         payload: dict = {"value": str(value), "method": args.method}
@@ -326,9 +147,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
-    checks: list[SuiteCheck] = []
-    for name in names:
-        checks.extend(SUITES[name](rng, args.truncation))
+    checks = [check for name in names for check in SUITES[name](rng, args.truncation)]
     passed = sum(1 for check in checks if check.passed)
     all_ok = passed == len(checks)
 
@@ -352,9 +171,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     methods = tuple(part.strip() for part in args.methods.split(",") if part.strip())
-    bad = [m for m in methods if m not in ("direct", "dp", "extraction")]
+    bad = [m for m in methods if m not in METHOD_NAMES]
     if bad or not methods:
-        print(f"error: unknown methods {bad}; choose from direct, dp, extraction", file=sys.stderr)
+        print(f"error: unknown methods {bad}; choose from {', '.join(METHOD_NAMES)}", file=sys.stderr)
         return 2
     if (args.n is None) != (args.i is None):
         print("error: --n and --i must be given together", file=sys.stderr)
@@ -422,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="evaluate e_i of a root set")
     compute.add_argument("--roots", type=RootSet.parse, required=True, help="comma-separated positive integers")
     compute.add_argument("--i", type=int, required=True, help="polynomial order")
-    compute.add_argument("--method", choices=("direct", "dp", "extraction", "all"), default="extraction")
+    compute.add_argument("--method", choices=(*METHOD_NAMES, "all"), default="extraction")
     compute.add_argument("--explain", action="store_true", help="print the extraction breakdown")
     compute.add_argument("--explain-limit", type=int, default=DEFAULT_EXPLAIN_LIMIT, help="max n with per-subset detail")
     compute.add_argument("--json", action="store_true")
@@ -436,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.set_defaults(func=cmd_coeffs)
 
     verify = sub.add_parser("verify", help="run an identity-verification suite")
-    verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
+    verify.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the randomized checks")
     verify.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION, help="series truncation order")
     verify.add_argument("--json", action="store_true")

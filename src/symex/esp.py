@@ -25,6 +25,7 @@ from .subsets import IndexSubset, k_subsets
 
 __all__ = [
     "DEFAULT_EXPLAIN_LIMIT",
+    "METHOD_NAMES",
     "ExtractionDomainError",
     "BreakdownTerm",
     "ExtractionBreakdown",
@@ -136,15 +137,14 @@ def esp_extraction(
         else:
             magnitude = binomial_second(n - i + 1, h - 1)
             sieve = magnitude if h % 2 == 1 else -magnitude
+        # Streamed, so the compact path never holds C(n, i-h) big ints at once.
+        entries = (binomial_first(sum(combo), i) for combo in combinations(elements, i - h))
         if keep_detail:
-            bracket = tuple(
-                (J, binomial_first(sum(elements[j - 1] for j in J), i))
-                for J in k_subsets(n, i - h)
-            )
+            bracket = tuple(zip(k_subsets(n, i - h), entries))
             bracket_total = sum(entry for _, entry in bracket)
         else:
             bracket = None
-            bracket_total = sum(binomial_first(sum(combo), i) for combo in combinations(elements, i - h))
+            bracket_total = sum(entries)
         value -= sieve * bracket_total
         terms.append(BreakdownTerm(h, -sieve, bracket_total, bracket))
     return value, ExtractionBreakdown(i, head, tuple(terms), value)

@@ -7,12 +7,9 @@ lexicographic order so that breakdowns and fixtures are byte-stable.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
-if TYPE_CHECKING:
-    from .rootset import RootSet
-
-__all__ = ["IndexSubset", "k_subsets", "subset_sums", "count_containing_supersets"]
+__all__ = ["IndexSubset", "k_subsets", "count_containing_supersets"]
 
 IndexSubset = tuple[int, ...]
 
@@ -28,14 +25,6 @@ def k_subsets(n: int, k: int) -> Iterator[IndexSubset]:
     if k < 0:
         raise ValueError(f"subset size must be >= 0, got {k}")
     return iter(combinations(range(1, n + 1), k))
-
-
-def subset_sums(roots: "RootSet", s: int) -> list[tuple[IndexSubset, int]]:
-    """All (subset, element sum) pairs over the s-element index subsets."""
-    if not 0 <= s <= roots.n:
-        raise ValueError(f"subset size {s} out of range 0..{roots.n}")
-    elements = roots.elements
-    return [(J, sum(elements[j - 1] for j in J)) for J in k_subsets(roots.n, s)]
 
 
 def count_containing_supersets(n: int, fixed: Sequence[int], s: int) -> int:

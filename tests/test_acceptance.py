@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing PASS/FAIL lines.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  Every comparison is exact; there are no numeric
@@ -11,16 +11,18 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
-from itertools import product
 
-from symex.bigcomb import binomial_first
-from symex.coeffs import coeff_closed_sequence, coeff_recurrence, vandermonde_degeneration_check, verify_convolution
-from symex.esp import esp_all, esp_direct, esp_extraction, esp_loworder, specialize
-from symex.polyexpand import monomial_coefficient, verify_layer_decomposition
-from symex.rootset import RootSet
-from symex.series import verify_gf_transformed, verify_gf_untransformed
-from symex.subsets import count_containing_supersets, k_subsets
+from symex.esp import specialize
+from symex.verify import (
+    convolution_checks,
+    equivalence_exhaustive,
+    equivalence_random,
+    gf_checks,
+    layer_checks,
+    loworder_forms,
+    multiplicity_check,
+    vandermonde_check,
+)
 
 SEED = 42
 
@@ -31,141 +33,48 @@ def report(name, failures, detail):
     assert ok, f"{name}: first failures: {failures[:3]}"
 
 
-def random_roots(rng, n_low, n_high, m_max):
-    n = rng.randint(n_low, n_high)
-    return RootSet(tuple(rng.randint(1, m_max) for _ in range(n)))
+def report_checks(criterion, checks):
+    """One line per shared verify check, then fail on any failing check."""
+    for check in checks:
+        print(f"[{'PASS' if check.passed else 'FAIL'}] {criterion}: {check.name} ({check.detail})")
+    failed = [(check.name, check.failures[:3]) for check in checks if not check.passed]
+    assert not failed, f"{criterion}: first failures: {failed}"
 
 
 def test_criterion_1_extraction_equals_direct():
-    failures = []
-    instances = 0
     started = time.perf_counter()
-
-    for n in range(1, 7):
-        for tup in product(range(1, 5), repeat=n):
-            roots = RootSet(tup)
-            per_order = esp_all(roots)
-            for i in range(1, n + 1):
-                instances += 1
-                sieve = esp_extraction(roots, i, explain_limit=0)[0]
-                if not sieve == esp_direct(roots, i) == per_order[i]:
-                    failures.append((tup, i))
-
-    rng = random.Random(SEED)
-    for _ in range(300):
-        roots = random_roots(rng, 1, 10, 9)
-        per_order = esp_all(roots)
-        for i in range(1, roots.n + 1):
-            instances += 1
-            sieve = esp_extraction(roots, i, explain_limit=0)[0]
-            if not sieve == esp_direct(roots, i) == per_order[i]:
-                failures.append((roots.elements, i))
-
+    checks = [equivalence_exhaustive(), equivalence_random(random.Random(SEED))]
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"equivalence sweep took {elapsed:.2f}s, budget is 10s"
-    report("criterion 1: extraction = direct, exhaustive + seeded random", failures, f"{instances} instances, {elapsed:.2f}s")
+    report_checks(f"criterion 1 ({elapsed:.2f}s)", checks)
 
 
 def test_criterion_2_spelled_out_low_orders():
-    rng = random.Random(SEED)
-    failures = []
-    instances = 0
-    for _ in range(20):
-        roots = random_roots(rng, 4, 8, 9)
-        for i in (2, 3, 4, 5):
-            instances += 1
-            if esp_loworder(roots, i) != esp_direct(roots, i):
-                failures.append((roots.elements, i))
-    report("criterion 2: literal e2..e5 expressions match the definition", failures, f"{instances} evaluations")
+    report_checks("criterion 2", [loworder_forms(random.Random(SEED))])
 
 
 def test_criterion_3_complete_convolution():
-    failures = []
-    pairs = 0
     started = time.perf_counter()
-    for n in range(1, 21):
-        for i in range(1, n + 1):
-            pairs += 1
-            for seq in (coeff_recurrence(n, i, 12), coeff_closed_sequence(n, i, 12)):
-                bad = verify_convolution(n, i, 12, seq).failures()
-                if bad:
-                    failures.append((n, i, seq.route, bad[0].label))
+    checks = convolution_checks()
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"convolution sweep took {elapsed:.2f}s, budget is 5s"
-    report("criterion 3: convolution sums equal 1 on both routes", failures, f"{pairs} (n,i) pairs, h<=12, {elapsed:.2f}s")
+    report_checks(f"criterion 3 ({elapsed:.2f}s)", checks)
 
 
 def test_criterion_4_vandermonde_degeneration():
-    failures = []
-    pairs = 0
-    for n in range(1, 21):
-        for i in range(1, n + 1):
-            pairs += 1
-            bad = vandermonde_degeneration_check(n, i, 12).failures()
-            if bad:
-                failures.append((n, i, bad[0].label))
-    report("criterion 4: degenerate Vandermonde sum and term identification", failures, f"{pairs} (n,i) pairs, h=12")
+    report_checks("criterion 4", [vandermonde_check()])
 
 
 def test_criterion_5_generating_function_verifiers():
-    failures = []
-    pairs = 0
-    for n in range(1, 13):
-        for i in range(1, n + 1):
-            pairs += 1
-            if not verify_gf_untransformed(n, i, 30).ok:
-                failures.append((n, i, "untransformed"))
-            if not verify_gf_transformed(n, i, 30).ok:
-                failures.append((n, i, "transformed"))
-    report("criterion 5: both series identities to order 30", failures, f"{pairs} (n,i) pairs")
+    report_checks("criterion 5", gf_checks(30))
 
 
 def test_criterion_6_multiplicity_lemma():
-    failures = []
-    instances = 0
-    for n in range(1, 9):
-        for s in range(n + 1):
-            for t in range(s + 1):
-                for fixed in k_subsets(n, t):
-                    instances += 1
-                    if count_containing_supersets(n, fixed, s) != binomial_first(n - t, s - t):
-                        failures.append((n, fixed, s))
-    report("criterion 6: superset counts equal C(n-t, s-t), n<=8 exhaustive", failures, f"{instances} counts")
+    report_checks("criterion 6", [multiplicity_check()])
 
 
 def test_criterion_7_expansion_coefficients_and_layers():
-    failures = []
-
-    wanted = {
-        (1, 1): Fraction(22, 24),
-        (2, 1): Fraction(-18, 24),
-        (3, 1): Fraction(4, 24),
-        (2, 2): Fraction(6, 24),
-    }
-    for lam, value in wanted.items():
-        coeff = monomial_coefficient(4, lam)
-        if coeff != value or abs(coeff) != abs(value):
-            failures.append(("order-4 coefficient", lam))
-    for i in range(1, 9):
-        if monomial_coefficient(i, (1,) * i) != 1:
-            failures.append(("all-ones", i))
-
-    instances = 0
-    for n in range(1, 6):
-        for tup in product(range(1, 5), repeat=n):
-            roots = RootSet(tup)
-            for i in range(1, n + 1):
-                instances += 1
-                decomposition = verify_layer_decomposition(roots, i)
-                if not decomposition.ok:
-                    failures.append((tup, i))
-                if not any("sign" in note for note in decomposition.notes):
-                    failures.append(("missing sign-convention note", tup, i))
-    report(
-        "criterion 7: expansion coefficients (22,18,4,6)/4!, all-ones = 1, layer rebuild",
-        failures,
-        f"4 + 8 values, {instances} decompositions",
-    )
+    report_checks("criterion 7", layer_checks())
 
 
 def test_criterion_8_specialized_triangles():

@@ -125,6 +125,28 @@ def test_verify_json(capsys):
     assert all(check["passed"] for check in payload["checks"])
 
 
+def test_verify_all_stdout_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "42")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "verify suite=all seed=42 truncation=30 rng=mersenne-twister",
+        "PASS equivalence exhaustive n<=6 m<=4 (30948 instances)",
+        "PASS equivalence 300 random sets n<=10 m<=9 (1709 instances)",
+        "PASS spelled-out e2..e5 forms, 20 random sets n in 4..8 (80 instances)",
+        "PASS recurrence equals closed form (210 (n,i) pairs, h<=12)",
+        "PASS convolution sums = 1 (recurrence route) (210 (n,i) pairs, h<=12)",
+        "PASS convolution sums = 1 (closed route) (210 (n,i) pairs, h<=12)",
+        "PASS vandermonde degeneration sum and term identification (210 (n,i) pairs, h=12)",
+        "PASS series identity in powers of x/(1-x) (78 (n,i) pairs, T=30)",
+        "PASS substituted series matches closed coefficients (78 (n,i) pairs, T=30)",
+        "PASS order-4 two-element coefficients 22,18,4,6 over 4! (4 values)",
+        "PASS all-ones exponent coefficient = 1 for i<=8 (8 values)",
+        "PASS layer decomposition rebuilds the binomial, n<=5 m<=4 (6372 instances)",
+        "PASS superset counts match C(n-t, s-t), n<=8 exhaustive (2303 instances)",
+        "result: PASS (13/13 checks)",
+    ]
+
+
 def test_bench_single_cell(capsys):
     code, out, _ = run(capsys, "bench", "--n", "5", "--i", "2", "--methods", "direct")
     assert code == 0

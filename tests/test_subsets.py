@@ -1,8 +1,7 @@
 import pytest
 
 from symex.bigcomb import binomial_first
-from symex.rootset import RootSet
-from symex.subsets import count_containing_supersets, k_subsets, subset_sums
+from symex.subsets import count_containing_supersets, k_subsets
 
 
 def test_k_subsets_examples():
@@ -34,15 +33,6 @@ def test_k_subsets_lexicographic_and_strictly_increasing():
                 if previous is not None:
                     assert subset > previous
                 previous = subset
-
-
-def test_subset_sums_examples():
-    roots = RootSet.of(2, 3, 4)
-    assert subset_sums(roots, 2) == [((1, 2), 5), ((1, 3), 6), ((2, 3), 7)]
-    assert subset_sums(roots, 0) == [((), 0)]
-    assert subset_sums(roots, 3) == [((1, 2, 3), 9)]
-    with pytest.raises(ValueError):
-        subset_sums(roots, 4)
 
 
 def test_count_containing_supersets_examples():
