@@ -57,17 +57,13 @@ def binomial_second(x: int, k: int) -> int:
     return rising // math.factorial(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _stirling_row(i: int) -> tuple[int, ...]:
-    # Row i holds s(i, p) for p = 0..i, built from s(i, p) = s(i-1, p-1) - (i-1)*s(i-1, p).
-    if i == 0:
-        return (1,)
-    prev = _stirling_row(i - 1)
-    row = []
-    for p in range(i + 1):
-        above_left = prev[p - 1] if p >= 1 else 0
-        above = prev[p] if p <= i - 1 else 0
-        row.append(above_left - (i - 1) * above)
+    # Row i holds s(i, p) for p = 0..i, built upward from row 0 by
+    # s(j, p) = s(j-1, p-1) - (j-1)*s(j-1, p): a loop, so no recursion limit.
+    row = [1]
+    for j in range(1, i + 1):
+        row = [left - (j - 1) * above for left, above in zip([0, *row], [*row, 0])]
     return tuple(row)
 
 

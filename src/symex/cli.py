@@ -70,7 +70,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
         per_order = esp_all(roots)
         value = per_order[i] if i <= roots.n else 0
     else:
-        value, breakdown = esp_extraction(roots, i, explain_limit=args.explain_limit)
+        # Per-subset detail is built only for the text --explain rendering, the one output that prints it.
+        explain_limit = args.explain_limit if args.explain and not args.json else 0
+        value, breakdown = esp_extraction(roots, i, explain_limit=explain_limit)
 
     if args.json:
         payload: dict = {"value": str(value), "method": args.method}
@@ -289,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,6 +8,15 @@
 
 esp_extraction also returns a term-by-term breakdown so every bracket can
 be inspected, and esp_compare times the three routes against each other.
+
+A bracket total sum_{|J|=s} C(sigma_J, i) takes one of two routes.  With
+per-subset detail (n <= explain limit) the C(n, s) subsets are enumerated.
+Without it, _bracket_totals gets every total from one Vandermonde DP over
+the roots, B[s][k] += sum_q B[s-1][q] * C(m, k-q), with each row B[s][0..i]
+packed into one integer of b-bit slots, b = n + i * bitlen(N) + 1 where
+N = m_1+...+m_n.  Every slot holds at most C(n, s) * C(N, k) < 2^b, so a
+carry never reaches a kept slot and the route costs O(n * i) big-int
+products instead of sum_s C(n, s) binomials.
 """
 
 from __future__ import annotations
@@ -112,6 +121,12 @@ def esp_extraction(
     C(sum of m_j over J, i) over all (i-h)-subsets J, and is subtracted
     with weight C_h = (-1)^(h-1) * multichoose(n-i+1, h-1).
 
+    Up to n = explain_limit every bracket enumerates its subsets and keeps
+    the per-subset binomials.  Above it, the bracket totals come from the
+    packed Vandermonde DP of _bracket_totals in polynomial time, with no
+    subset enumerated; its b-bit slots, b = n + i * bitlen(N) + 1, bound
+    every partial total C(n, s) * C(N, k), so the totals are exact.
+
     `weights` optionally supplies precomputed C_1..C_{i-1} (signs included),
     e.g. from the recurrence route; the result must not change.  Orders
     above n are refused rather than silently extrapolated.
@@ -130,6 +145,7 @@ def esp_extraction(
     head = binomial_first(roots.total, i)
     value = head
     keep_detail = n <= explain_limit
+    totals = None if keep_detail or i == 1 else _bracket_totals(elements, i)
     terms = []
     for h in range(1, i):
         if weights is not None:
@@ -137,17 +153,34 @@ def esp_extraction(
         else:
             magnitude = binomial_second(n - i + 1, h - 1)
             sieve = magnitude if h % 2 == 1 else -magnitude
-        # Streamed, so the compact path never holds C(n, i-h) big ints at once.
-        entries = (binomial_first(sum(combo), i) for combo in combinations(elements, i - h))
         if keep_detail:
+            entries = (binomial_first(sum(combo), i) for combo in combinations(elements, i - h))
             bracket = tuple(zip(k_subsets(n, i - h), entries))
             bracket_total = sum(entry for _, entry in bracket)
         else:
             bracket = None
-            bracket_total = sum(entries)
+            bracket_total = totals[i - h]
         value -= sieve * bracket_total
         terms.append(BreakdownTerm(h, -sieve, bracket_total, bracket))
     return value, ExtractionBreakdown(i, head, tuple(terms), value)
+
+
+def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
+    """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1, by the packed Vandermonde
+    DP of the module docstring: rows[s] holds B[s][0..i] in b-bit slots, and
+    adding a root m adds rows[s-1] times the packed C(m, 0..min(m, i)), cut
+    to slots 0..i.  The slot bound needs nonnegative elements.
+    """
+    b = len(elements) + i * sum(elements).bit_length() + 1
+    keep = (1 << (b * (i + 1))) - 1
+    rows = [1] + [0] * (i - 1)
+    for count, m in enumerate(elements, start=1):
+        factor = 0
+        for k in range(min(m, i), -1, -1):
+            factor = factor << b | binomial_first(m, k)
+        for s in range(min(count, i - 1), 0, -1):
+            rows[s] += (rows[s - 1] * factor) & keep
+    return [row >> (b * i) for row in rows]
 
 
 def esp_loworder(roots: RootSet, i: int) -> int:

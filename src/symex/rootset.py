@@ -17,7 +17,7 @@ class RootSet:
         if not elements:
             raise ValueError("a root set needs at least one element")
         for m in elements:
-            if not isinstance(m, int) or m < 1:
+            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(f"root set elements must be positive integers, got {m!r}")
 
     @classmethod

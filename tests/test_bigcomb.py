@@ -92,6 +92,11 @@ def test_stirling_values(i, p, expected):
     assert stirling_first_signed(i, p) == expected
 
 
+def test_stirling_rows_past_the_recursion_limit():
+    assert stirling_first_signed(1200, 1) == (-1) ** 1199 * math.factorial(1199)
+    assert stirling_first_signed(1200, 1200) == 1
+
+
 def test_stirling_generates_falling_factorial():
     for n in range(21):
         for i in range(11):

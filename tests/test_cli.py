@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from symex import esp
 from symex.cli import main
 
 
@@ -182,6 +183,14 @@ def test_specialize_output(capsys):
     assert code == 0 and out.splitlines()[-1] == "1 6 11 6"
     code, out, _ = run(capsys, "specialize", "--family", "stirling1", "--rows", "1")
     assert code == 0 and out == "1 1\n"
+
+
+def test_specialize_disagreement_exits_one(capsys, monkeypatch):
+    signed = esp.stirling_first_signed
+    monkeypatch.setattr(esp, "stirling_first_signed", lambda i, p: signed(i, p) + (i == 3 and p == 2))
+    code, out, err = run(capsys, "specialize", "--family", "stirling1", "--rows", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: stirling1 row 2 disagrees") and "Traceback" not in err
 
 
 def test_specialize_unknown_family_exits_two(capsys):

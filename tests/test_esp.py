@@ -1,11 +1,16 @@
+import json
 import math
+import random
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symex import esp
 from symex.bigcomb import binomial_first
+from symex.cli import main
 from symex.coeffs import coeff_closed, coeff_recurrence
 from symex.esp import (
     ExtractionDomainError,
@@ -42,6 +47,15 @@ def test_rootset_validation():
         RootSet.parse("2;3")
     roots = RootSet.of(2, 3, 4)
     assert roots.n == 3 and roots.total == 9 and str(roots) == "{2,3,4}"
+
+
+def test_rootset_rejects_bool():
+    # bool is an int subclass, so True used to pass as the root 1
+    for elements in ((True, 2), (2, False), (True,)):
+        with pytest.raises(ValueError):
+            RootSet(elements)
+    with pytest.raises(ValueError):
+        RootSet.of(True, 2)
 
 
 def test_esp_direct_examples():
@@ -166,6 +180,7 @@ def test_extraction_also_holds_with_zero_roots(others, position, data):
     roots = bypass_rootset(elements)
     i = data.draw(st.integers(1, len(elements)))
     assert esp_extraction(roots, i)[0] == esp_direct(roots, i)
+    assert esp_extraction(roots, i, explain_limit=0)[0] == esp_direct(roots, i)
 
 
 def test_esp_loworder_matches_direct():
@@ -213,3 +228,73 @@ def test_specialize_rejects_unknown_family():
         specialize("fibonacci", 3)
     with pytest.raises(ValueError):
         specialize("pascal", 0)
+
+
+def _compact_matches_detail(roots, i):
+    detail = esp_extraction(roots, i, explain_limit=roots.n)
+    compact = esp_extraction(roots, i, explain_limit=0)
+    assert compact[0] == detail[0]
+    assert compact[1].head == detail[1].head
+    assert [(t.h, t.coefficient, t.bracket_total) for t in compact[1].terms] == [
+        (t.h, t.coefficient, t.bracket_total) for t in detail[1].terms
+    ]
+    assert all(t.bracket is None for t in compact[1].terms)
+    assert all(t.bracket_total == sum(entry for _, entry in t.bracket) for t in detail[1].terms)
+
+
+# Each root draws its own bit width in 1..80, so one set mixes slot sizes.
+wide_roots = st.integers(1, 80).flatmap(lambda width: st.integers(1 << (width - 1), (1 << width) - 1))
+
+
+@given(elements=st.lists(wide_roots, min_size=2, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_compact_brackets_equal_enumerated_brackets(elements):
+    roots = RootSet(tuple(elements))
+    for i in range(2, roots.n + 1):
+        _compact_matches_detail(roots, i)
+
+
+def test_compact_brackets_at_extremes():
+    small = RootSet.of(3, 1, 4, 1, 5, 9, 2, 6, 5)
+    cases = [
+        RootSet((1,) * 12),
+        RootSet(((1 << 60) - 1,) * 10),
+        RootSet(((1 << 80), *small.elements)),
+        RootSet((*small.elements, 1 << 80)),
+    ]
+    for roots in cases:
+        for i in range(2, roots.n + 1):
+            _compact_matches_detail(roots, i)
+    # past the enumerating range, against the product recurrence
+    for roots in (RootSet((1,) * 30), RootSet(((1 << 60) - 1,) * 20), RootSet(((1 << 80), *small.elements * 2))):
+        per_order = esp_all(roots)
+        for i in range(1, roots.n + 1):
+            value, breakdown = esp_extraction(roots, i, explain_limit=0)
+            assert value == per_order[i] == breakdown.recomputed_total()
+
+
+def test_compact_path_enumerates_no_subsets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the compact path must not enumerate subsets")
+
+    monkeypatch.setattr(esp, "combinations", refuse)
+    monkeypatch.setattr(esp, "k_subsets", refuse)
+    roots = RootSet.of(9, 4, 7, 1, 1, 8, 3, 12, 5, 6, 2, 10, 11, 4, 9, 7)
+    per_order = esp_all(roots)
+    for i in range(roots.n + 1):
+        assert esp_extraction(roots, i, explain_limit=0)[0] == per_order[i]
+    with pytest.raises(AssertionError):
+        esp_extraction(roots, 3, explain_limit=roots.n)
+
+
+def test_compact_sieve_is_polynomial_time(capsys):
+    # Enumerating the brackets here would take sum_{s<20} C(40, s), about 5e11 subsets.
+    rng = random.Random(40)
+    roots = RootSet(tuple(rng.randrange(1 << 39, 1 << 40) for _ in range(40)))
+    start = time.perf_counter()
+    code = main(["compute", "--roots", ",".join(map(str, roots.elements)), "--i", "20", "--json"])
+    elapsed = time.perf_counter() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["value"] == str(esp_all(roots)[20])
+    assert len(payload["breakdown"]["terms"]) == 19
+    assert elapsed < 5.0

@@ -99,3 +99,8 @@ def test_coefficients_do_not_depend_on_n():
 def test_sign_convention_note_present():
     report = verify_layer_decomposition(RootSet.of(2, 3), 2)
     assert any("signed-Stirling" in note for note in report.notes)
+
+
+def test_monomial_coefficient_at_high_order():
+    # s(1200, 1) / 1200! = (-1)^1199 * 1199! / 1200!
+    assert monomial_coefficient(1200, (1,)) == Fraction(-1, 1200)
