@@ -11,17 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
+import time
+from typing import Callable
 
 from .coeffs import coeff_closed_sequence, coeff_recurrence, verify_convolution
 from .esp import (
     DEFAULT_EXPLAIN_LIMIT,
-    METHOD_NAMES,
+    METHODS,
     ExtractionBreakdown,
     ExtractionDomainError,
-    esp_all,
     esp_compare,
-    esp_direct,
     esp_extraction,
     specialize,
 )
@@ -31,6 +32,7 @@ from .verify import SUITES
 DEFAULT_SEED = 42
 DEFAULT_TRUNCATION = 30
 DEFAULT_BENCH_GRID = ((10, 2), (10, 4), (14, 2), (14, 4), (18, 2), (18, 4))
+BENCH_REPETITIONS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -48,31 +50,29 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if not 1 <= i <= roots.n:
             print(f"error: method 'all' needs 1 <= i <= n, got i={i}, n={roots.n}", file=sys.stderr)
             return 3
-        comparison = esp_compare(roots, i)
+        values = esp_compare(roots, i)
+        agree = len(set(values.values())) == 1
         if args.json:
             payload = {
-                "value": str(comparison.value),
+                "value": str(values["direct"]),
                 "method": "all",
-                "values": {entry.method: str(entry.value) for entry in comparison.entries},
-                "agree": comparison.agree,
+                "values": {method: str(value) for method, value in values.items()},
+                "agree": agree,
             }
             print(json.dumps(payload))
         else:
-            for entry in comparison.entries:
-                print(f"{entry.method} {entry.value}")
-            print(f"agree {'yes' if comparison.agree else 'no'}")
-        return 0 if comparison.agree else 1
+            for method, value in values.items():
+                print(f"{method} {value}")
+            print(f"agree {'yes' if agree else 'no'}")
+        return 0 if agree else 1
 
     breakdown: ExtractionBreakdown | None = None
-    if args.method == "direct":
-        value = esp_direct(roots, i)
-    elif args.method == "dp":
-        per_order = esp_all(roots)
-        value = per_order[i] if i <= roots.n else 0
-    else:
+    if args.method == "extraction":
         # Per-subset detail is built only for the text --explain rendering, the one output that prints it.
         explain_limit = args.explain_limit if args.explain and not args.json else 0
         value, breakdown = esp_extraction(roots, i, explain_limit=explain_limit)
+    else:
+        value = METHODS[args.method](roots, i)
 
     if args.json:
         payload: dict = {"value": str(value), "method": args.method}
@@ -173,9 +173,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     methods = tuple(part.strip() for part in args.methods.split(",") if part.strip())
-    bad = [m for m in methods if m not in METHOD_NAMES]
+    bad = [m for m in methods if m not in METHODS]
     if bad or not methods:
-        print(f"error: unknown methods {bad}; choose from {', '.join(METHOD_NAMES)}", file=sys.stderr)
+        print(f"error: unknown methods {bad}; choose from {', '.join(METHODS)}", file=sys.stderr)
         return 2
     if (args.n is None) != (args.i is None):
         print("error: --n and --i must be given together", file=sys.stderr)
@@ -193,9 +193,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     all_agree = True
     for n, i in grid:
         roots = RootSet(tuple(rng.randint(1, 9) for _ in range(n)))
-        comparison = esp_compare(roots, i, methods=methods)
-        all_agree = all_agree and comparison.agree
-        records.append((n, i, roots, comparison))
+        runs = [(method, *_median_run(METHODS[method], roots, i)) for method in methods]
+        agree = len({value for _, value, _ in runs}) == 1
+        all_agree = all_agree and agree
+        records.append((n, i, roots, runs, agree))
 
     if args.json:
         payload = [
@@ -203,19 +204,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "n": n,
                 "i": i,
                 "roots": list(roots.elements),
-                "value": str(comparison.value),
-                "agree": comparison.agree,
-                "timings_ms": {entry.method: entry.seconds * 1000.0 for entry in comparison.entries},
+                "value": str(runs[0][1]),
+                "agree": agree,
+                "timings_ms": {method: seconds * 1000.0 for method, _, seconds in runs},
             }
-            for n, i, roots, comparison in records
+            for n, i, roots, runs, agree in records
         ]
         print(json.dumps(payload))
     else:
-        print(f"bench seed={args.seed} methods={','.join(methods)} repetitions=3")
-        for n, i, roots, comparison in records:
-            timings = " ".join(f"{entry.method}={entry.seconds * 1000.0:.3f}ms" for entry in comparison.entries)
-            print(f"n={n} i={i} value={comparison.value} agree={'yes' if comparison.agree else 'no'} {timings}")
+        print(f"bench seed={args.seed} methods={','.join(methods)} repetitions={BENCH_REPETITIONS}")
+        for n, i, roots, runs, agree in records:
+            timings = " ".join(f"{method}={seconds * 1000.0:.3f}ms" for method, _, seconds in runs)
+            print(f"n={n} i={i} value={runs[0][1]} agree={'yes' if agree else 'no'} {timings}")
     return 0 if all_agree else 1
+
+
+def _median_run(run: Callable[[RootSet, int], int], roots: RootSet, i: int) -> tuple[int, float]:
+    """The value of one method and the median of its wall times over BENCH_REPETITIONS runs."""
+    elapsed = []
+    for _ in range(BENCH_REPETITIONS):
+        start = time.perf_counter()
+        value = run(roots, i)
+        elapsed.append(time.perf_counter() - start)
+    return value, statistics.median(elapsed)
 
 
 def cmd_specialize(args: argparse.Namespace) -> int:
@@ -243,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="evaluate e_i of a root set")
     compute.add_argument("--roots", type=RootSet.parse, required=True, help="comma-separated positive integers")
     compute.add_argument("--i", type=int, required=True, help="polynomial order")
-    compute.add_argument("--method", choices=(*METHOD_NAMES, "all"), default="extraction")
+    compute.add_argument("--method", choices=(*METHODS, "all"), default="extraction")
     compute.add_argument("--explain", action="store_true", help="print the extraction breakdown")
     compute.add_argument("--explain-limit", type=int, default=DEFAULT_EXPLAIN_LIMIT, help="max n with per-subset detail")
     compute.add_argument("--json", action="store_true")
@@ -281,6 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Results and roots are exact integers of any length, in decimal both ways.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

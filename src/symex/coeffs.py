@@ -91,7 +91,7 @@ def verify_convolution(n: int, i: int, h_max: int, seq: CoefficientSequence) -> 
     _check_order(n, i)
     if len(seq.values) < h_max:
         raise ValueError(f"sequence has {len(seq.values)} coefficients, need {h_max}")
-    report = Report(f"convolution n={n} i={i} route={seq.route}")
+    report = Report()
     for h in range(1, h_max + 1):
         total = sum(seq[k] * binomial_first(n - i + h, h - k) for k in range(1, h + 1))
         report.add(f"h={h}", 1, total)
@@ -106,7 +106,7 @@ def vandermonde_degeneration_check(n: int, i: int, h: int) -> Report:
     if h < 0:
         raise ValueError(f"need h >= 0, got {h}")
     upper = -n + i - 1
-    report = Report(f"vandermonde degeneration n={n} i={i} h={h}")
+    report = Report()
     total = sum(binomial_first(upper, k) * binomial_first(n - i + h + 1, h - k) for k in range(h + 1))
     report.add("sum", 1, total)
     for k in range(h + 1):

@@ -7,7 +7,9 @@
   C(subset sum, i) over all (i-h)-subsets, h = 1..i-1.
 
 esp_extraction also returns a term-by-term breakdown so every bracket can
-be inspected, and esp_compare times the three routes against each other.
+be inspected.  METHODS names the three routes as e_i functions, and
+esp_compare runs them on one input so their values can be checked against
+each other.
 
 A bracket total sum_{|J|=s} C(sigma_J, i) takes one of two routes.  With
 per-subset detail (n <= explain limit) the C(n, s) subsets are enumerated.
@@ -21,8 +23,6 @@ products instead of sum_s C(n, s) binomials.
 
 from __future__ import annotations
 
-import statistics
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
@@ -34,12 +34,10 @@ from .subsets import IndexSubset, k_subsets
 
 __all__ = [
     "DEFAULT_EXPLAIN_LIMIT",
-    "METHOD_NAMES",
+    "METHODS",
     "ExtractionDomainError",
     "BreakdownTerm",
     "ExtractionBreakdown",
-    "ComparisonEntry",
-    "ComparisonReport",
     "esp_direct",
     "esp_all",
     "esp_extraction",
@@ -113,7 +111,6 @@ def esp_extraction(
     i: int,
     *,
     explain_limit: int = DEFAULT_EXPLAIN_LIMIT,
-    weights: Sequence[int] | None = None,
 ) -> tuple[int, ExtractionBreakdown]:
     """e_i via the binomial-product sieve, with its full term breakdown.
 
@@ -127,9 +124,7 @@ def esp_extraction(
     subset enumerated; its b-bit slots, b = n + i * bitlen(N) + 1, bound
     every partial total C(n, s) * C(N, k), so the totals are exact.
 
-    `weights` optionally supplies precomputed C_1..C_{i-1} (signs included),
-    e.g. from the recurrence route; the result must not change.  Orders
-    above n are refused rather than silently extrapolated.
+    Orders above n are refused rather than silently extrapolated.
     """
     n = roots.n
     if i < 0:
@@ -138,8 +133,6 @@ def esp_extraction(
         return 1, ExtractionBreakdown(0, 1, (), 1)
     if i > n:
         raise ExtractionDomainError(f"order {i} exceeds root set size {n}; use the direct route")
-    if weights is not None and len(weights) < i - 1:
-        raise ValueError(f"need {i - 1} sieve weights, got {len(weights)}")
 
     elements = roots.elements
     head = binomial_first(roots.total, i)
@@ -148,11 +141,8 @@ def esp_extraction(
     totals = None if keep_detail or i == 1 else _bracket_totals(elements, i)
     terms = []
     for h in range(1, i):
-        if weights is not None:
-            sieve = weights[h - 1]
-        else:
-            magnitude = binomial_second(n - i + 1, h - 1)
-            sieve = magnitude if h % 2 == 1 else -magnitude
+        magnitude = binomial_second(n - i + 1, h - 1)
+        sieve = magnitude if h % 2 == 1 else -magnitude
         if keep_detail:
             entries = (binomial_first(sum(combo), i) for combo in combinations(elements, i - h))
             bracket = tuple(zip(k_subsets(n, i - h), entries))
@@ -227,63 +217,27 @@ def esp_loworder(roots: RootSet, i: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class ComparisonEntry:
-    method: str
-    value: int
-    seconds: float
+# e_i by each route, for `compute --method` and `bench --methods`.  Every
+# entry looks its route up when called, so a patched module attribute sees
+# each call.  `dp` gives 0 above n, as the definition does.
+METHODS: dict[str, Callable[[RootSet, int], int]] = {
+    "direct": lambda roots, i: esp_direct(roots, i),
+    "dp": lambda roots, i: esp_all(roots)[i] if i <= roots.n else 0,
+    "extraction": lambda roots, i: esp_extraction(roots, i, explain_limit=0)[0],
+}
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    roots: RootSet
-    i: int
-    entries: tuple[ComparisonEntry, ...]
-    agree: bool
-
-    @property
-    def value(self) -> int:
-        return self.entries[0].value
-
-
-METHOD_NAMES = ("direct", "dp", "extraction")
-
-
-def _method_runner(method: str) -> Callable[[RootSet, int], int]:
-    if method == "direct":
-        return esp_direct
-    if method == "dp":
-        return lambda roots, i: esp_all(roots)[i]
-    if method == "extraction":
-        return lambda roots, i: esp_extraction(roots, i, explain_limit=0)[0]
-    raise ValueError(f"unknown method {method!r}, expected one of {METHOD_NAMES}")
-
-
-def esp_compare(
-    roots: RootSet,
-    i: int,
-    methods: Sequence[str] = METHOD_NAMES,
-    repetitions: int = 3,
-) -> ComparisonReport:
-    """Run the named methods on the same input and report values, agreement,
-    and the median wall-clock time over `repetitions` runs (minimum 3)."""
+def esp_compare(roots: RootSet, i: int, methods: Sequence[str] = tuple(METHODS)) -> dict[str, int]:
+    """Run each named method once on the same input and return
+    {method: value}; callers compare the values for agreement."""
     if not 1 <= i <= roots.n:
         raise ExtractionDomainError(f"need 1 <= i <= n, got i={i}, n={roots.n}")
     if not methods:
         raise ValueError("need at least one method")
-    repetitions = max(repetitions, 3)
-    entries = []
     for method in methods:
-        run = _method_runner(method)
-        elapsed = []
-        value = 0
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            value = run(roots, i)
-            elapsed.append(time.perf_counter() - start)
-        entries.append(ComparisonEntry(method, value, statistics.median(elapsed)))
-    agree = len({entry.value for entry in entries}) == 1
-    return ComparisonReport(roots, i, tuple(entries), agree)
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
+    return {method: METHODS[method](roots, i) for method in methods}
 
 
 def specialize(family: str, rows: int) -> list[list[int]]:

@@ -11,9 +11,8 @@ their support subset gives the layer decomposition whose top layer
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .bigcomb import binomial_first, multinomial, stirling_first_signed
 from .esp import esp_direct
@@ -22,9 +21,7 @@ from .rootset import RootSet
 from .subsets import k_subsets
 
 __all__ = [
-    "ExponentVector",
     "monomial_coefficient",
-    "support_layer",
     "verify_layer_decomposition",
     "SIGN_CONVENTION_NOTE",
 ]
@@ -38,48 +35,25 @@ SIGN_CONVENTION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Ordered positive exponents lambda_1..lambda_s; total power p = sum."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not parts:
-            raise ValueError("exponent vector needs at least one part")
-        if any(a < 1 for a in parts):
-            raise ValueError(f"exponent vector parts must all be >= 1, got {parts}")
-
-    @property
-    def p(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def support(self) -> int:
-        return len(self.parts)
-
-
-def _as_vector(exponents: ExponentVector | Sequence[int]) -> ExponentVector:
-    if isinstance(exponents, ExponentVector):
-        return exponents
-    return ExponentVector(tuple(exponents))
-
-
-def monomial_coefficient(i: int, exponents: ExponentVector | Sequence[int]) -> Fraction:
+def monomial_coefficient(i: int, exponents: tuple[int, ...]) -> Fraction:
     """Exact coefficient of prod_r m_{j_r}^{lambda_r} in the expansion of
     C(m_1+...+m_n, i): s(i, p) * multinomial(p; lambda) / i!.
 
-    Independent of n and of which distinct indices carry the exponents.
-    Total powers above i are absent from the expansion, so they yield 0.
+    `exponents` are the positive lambda_1..lambda_s, at least one.  The
+    coefficient is independent of n and of which distinct indices carry the
+    exponents.  Total powers p above i are absent from the expansion, so
+    they yield 0.
     """
     if i < 1:
         raise ValueError(f"order must be >= 1, got {i}")
-    vec = _as_vector(exponents)
-    if vec.p > i:
+    if not exponents:
+        raise ValueError("exponent vector needs at least one part")
+    if any(a < 1 for a in exponents):
+        raise ValueError(f"exponent vector parts must all be >= 1, got {exponents}")
+    p = sum(exponents)
+    if p > i:
         return Fraction(0)
-    numerator = stirling_first_signed(i, vec.p) * multinomial(vec.p, vec.parts)
+    numerator = stirling_first_signed(i, p) * multinomial(p, exponents)
     return Fraction(numerator, math.factorial(i))
 
 
@@ -91,14 +65,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def support_layer(i: int, s: int, p: int) -> list[tuple[ExponentVector, Fraction]]:
-    """All exponent vectors with support size s and total power p, in
-    lexicographic order, each with its coefficient in the order-i expansion."""
-    if not 1 <= s <= p <= i:
-        raise ValueError(f"need 1 <= s <= p <= i, got s={s}, p={p}, i={i}")
-    return [(ExponentVector(c), monomial_coefficient(i, c)) for c in _compositions(p, s)]
 
 
 def verify_layer_decomposition(roots: RootSet, i: int) -> Report:
@@ -125,7 +91,7 @@ def verify_layer_decomposition(roots: RootSet, i: int) -> Report:
                 total_scaled += term
                 if s == i:
                     top_scaled += term
-    report = Report(f"layer decomposition roots={roots} i={i}")
+    report = Report()
     report.add("full expansion", binomial_first(roots.total, i), Fraction(total_scaled, fact_i))
     report.add(f"top layer s=p={i}", esp_direct(roots, i), Fraction(top_scaled, fact_i))
     report.notes.append(SIGN_CONVENTION_NOTE)

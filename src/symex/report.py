@@ -1,7 +1,7 @@
 """Pass/fail reports produced by the identity verifiers.
 
 A report keeps every intermediate value, not just a boolean, so a failure
-can be diagnosed straight from printed output.
+can be diagnosed from the expected and observed values of its checks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class Check:
 
 @dataclass
 class Report:
-    title: str
     checks: list[Check] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -37,13 +36,3 @@ class Report:
 
     def failures(self) -> list[Check]:
         return [check for check in self.checks if not check.ok]
-
-    def lines(self, verbose: bool = False) -> list[str]:
-        """Stable text rendering: failures always shown, passes only if verbose."""
-        status = "PASS" if self.ok else "FAIL"
-        out = [f"{status} {self.title} ({len(self.checks)} checks)"]
-        for check in self.checks if verbose else self.failures():
-            mark = "ok" if check.ok else "MISMATCH"
-            out.append(f"  {mark} {check.label}: expected {check.expected}, got {check.observed}")
-        out.extend(f"  note: {note}" for note in self.notes)
-        return out

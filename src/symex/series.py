@@ -120,7 +120,7 @@ def verify_gf_untransformed(n: int, i: int, order: int) -> Report:
     # (x/(1-x))^k starts at x^k, so k beyond the truncation order contributes nothing.
     for k in range(1, order + 1):
         rhs = series_add(rhs, series_scale(series_x_over_one_minus_x_pow(k, order), coeff_closed(n, i, k)))
-    report = Report(f"gf untransformed n={n} i={i} T={order}")
+    report = Report()
     for j in range(order + 1):
         report.add(f"x^{j}", lhs[j], rhs[j])
     return report
@@ -128,19 +128,19 @@ def verify_gf_untransformed(n: int, i: int, order: int) -> Report:
 
 def verify_gf_transformed(n: int, i: int, order: int) -> Report:
     """Expand x(1+x)^(-(n-i+1)) and check that the coefficient of x^k is the
-    closed-form C_k for every k up to the truncation order."""
+    closed-form C_k for every k up to the truncation order.
+
+    The expansion used is [x^(k+1)] x(1+x)^(-(n-i+1)) = (-1)^k C(n-i+k, k);
+    the one-larger variant (-1)^k C(n-i+k+1, k) does not satisfy the
+    convolution for n > i and is rejected.
+    """
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     if order < 1:
         raise ValueError(f"need order >= 1, got {order}")
     expansion = series_mul(series_from((0, 1), order), series_binomial_power("plus", -(n - i + 1), order))
-    report = Report(f"gf transformed n={n} i={i} T={order}")
+    report = Report()
     report.add("x^0", 0, expansion[0])
     for k in range(1, order + 1):
         report.add(f"x^{k}", coeff_closed(n, i, k), expansion[k])
-    report.notes.append(
-        "expansion used: [x^(k+1)] x(1+x)^(-(n-i+1)) = (-1)^k C(n-i+k, k); "
-        "the one-larger variant (-1)^k C(n-i+k+1, k) does not satisfy the "
-        "convolution for n > i and is rejected"
-    )
     return report

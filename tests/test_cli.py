@@ -1,9 +1,12 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 from symex import esp
 from symex.cli import main
+from symex.rootset import RootSet
 
 
 def run(capsys, *argv):
@@ -76,6 +79,52 @@ def test_compute_method_all(capsys):
     payload = json.loads(out)
     assert payload["agree"] is True
     assert payload["values"] == {"direct": "26", "dp": "26", "extraction": "26"}
+    code, out, err = run(capsys, "compute", "--roots", "2,3,4", "--i", "2", "--method", "all")
+    assert code == 0 and err == ""
+    assert out == "direct 26\ndp 26\nextraction 26\nagree yes\n"
+
+
+def test_compute_method_all_runs_each_route_once(capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(name, route):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return route(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("esp_direct", "esp_all", "esp_extraction"):
+        monkeypatch.setattr(esp, name, counted(name, getattr(esp, name)))
+    code, out, _ = run(capsys, "compute", "--roots", "2,3,4,5", "--i", "3", "--method", "all")
+    assert code == 0 and out.endswith("agree yes\n")
+    assert calls == Counter({"esp_direct": 1, "esp_all": 1, "esp_extraction": 1})
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit here")
+def test_compute_prints_values_past_the_int_string_limit(capsys):
+    # e_12 of 12 roots of 400 nines has about 4,800 digits, past the interpreter's default limit of 4,300
+    roots = ",".join(["9" * 400] * 12)
+    expected = esp.esp_all(RootSet.parse(roots))[12]
+    wide = "7" * 5000
+    default = sys.get_int_max_str_digits()
+
+    def run_from_default_limit(*argv):
+        sys.set_int_max_str_digits(4300)
+        return run(capsys, *argv)
+
+    try:
+        code, out, err = run_from_default_limit("compute", "--roots", roots, "--i", "12")
+        assert code == 0 and err == "" and int(out) == expected
+        code, out, err = run_from_default_limit("compute", "--roots", roots, "--i", "12", "--json")
+        assert code == 0 and int(json.loads(out)["value"]) == expected
+        explain = ("--explain", "--explain-limit", "0")
+        code, out, err = run_from_default_limit("compute", "--roots", roots, "--i", "12", *explain)
+        assert code == 0 and out.splitlines()[-1] == f"total {expected}"
+        code, out, err = run_from_default_limit("compute", "--roots", f"{wide},2", "--i", "1")
+        assert code == 0 and err == "" and out == f"{wide[:-1]}9\n"
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_coeffs_table(capsys):

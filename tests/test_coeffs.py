@@ -70,9 +70,6 @@ def test_verify_convolution_reports_bad_sequences():
     report = verify_convolution(5, 3, 2, doctored)
     assert not report.ok
     assert report.failures()[0].label == "h=2"
-    rendered = report.lines()
-    assert rendered[0].startswith("FAIL") and any("MISMATCH h=2" in line for line in rendered)
-    assert len(verify_convolution(5, 3, 2, coeff_closed_sequence(5, 3, 2)).lines(verbose=True)) == 3
     with pytest.raises(ValueError):
         verify_convolution(5, 3, 9, doctored)
 

@@ -4,22 +4,19 @@ from itertools import product
 
 import pytest
 
-from symex.polyexpand import (
-    ExponentVector,
-    monomial_coefficient,
-    support_layer,
-    verify_layer_decomposition,
-)
+from symex.polyexpand import _compositions, monomial_coefficient, verify_layer_decomposition
 from symex.rootset import RootSet
 
 
 def test_exponent_vector_validation():
-    vec = ExponentVector((2, 1))
-    assert vec.p == 3 and vec.support == 2
-    with pytest.raises(ValueError):
-        ExponentVector(())
-    with pytest.raises(ValueError):
-        ExponentVector((1, 0))
+    # (2, 1) has total power p = 3: present at order 3, absent (p > i) at order 2
+    assert monomial_coefficient(3, (2, 1)) == Fraction(3, 6)
+    assert monomial_coefficient(2, (2, 1)) == 0
+    assert all(sum(vec) == 3 and len(vec) == 2 for vec in _compositions(3, 2))
+    # malformed vectors are refused before the p > i shortcut could hide them
+    for bad in ((), (1, 0), (5, 0), (0,)):
+        with pytest.raises(ValueError):
+            monomial_coefficient(4, bad)
 
 
 def test_order_four_two_element_coefficients():
@@ -38,7 +35,7 @@ def test_all_ones_coefficient_is_one():
 
 def test_monomial_coefficient_edges():
     assert monomial_coefficient(3, (2, 2)) == 0  # p > i: term absent
-    assert monomial_coefficient(4, ExponentVector((1, 3))) == Fraction(4, 24)
+    assert monomial_coefficient(4, (1, 3)) == Fraction(4, 24)
     with pytest.raises(ValueError):
         monomial_coefficient(0, (1,))
     with pytest.raises(ValueError):
@@ -49,20 +46,8 @@ def test_denominators_divide_i_factorial():
     for i in range(1, 7):
         for p in range(1, i + 1):
             for s in range(1, p + 1):
-                for vec, coeff in support_layer(i, s, p):
-                    assert math.factorial(i) % coeff.denominator == 0
-
-
-def test_support_layer_examples():
-    assert support_layer(4, 2, 2) == [(ExponentVector((1, 1)), Fraction(22, 24))]
-    assert support_layer(4, 2, 4) == [
-        (ExponentVector((1, 3)), Fraction(4, 24)),
-        (ExponentVector((2, 2)), Fraction(6, 24)),
-        (ExponentVector((3, 1)), Fraction(4, 24)),
-    ]
-    assert support_layer(5, 5, 5) == [(ExponentVector((1, 1, 1, 1, 1)), Fraction(1))]
-    with pytest.raises(ValueError):
-        support_layer(4, 3, 2)
+                for vec in _compositions(p, s):
+                    assert math.factorial(i) % monomial_coefficient(i, vec).denominator == 0
 
 
 def test_layer_decomposition_examples():

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symex.coeffs import coeff_closed
 from symex.series import (
     TruncatedSeries,
     series_add,
@@ -116,8 +119,9 @@ def test_gf_transformed_examples():
 
 
 def test_gf_transformed_note_mentions_rejected_variant():
-    report = verify_gf_transformed(5, 3, 3)
-    assert any("C(n-i+k+1, k)" in note for note in report.notes)
+    assert "C(n-i+k+1, k)" in verify_gf_transformed.__doc__
+    # C_2 at n=5, i=3 is -C(3, 1); the rejected one-larger variant gives -C(4, 1)
+    assert coeff_closed(5, 3, 2) == -math.comb(3, 1) != -math.comb(4, 1)
 
 
 def test_substitution_coherence_grid():
