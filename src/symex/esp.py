@@ -64,7 +64,7 @@ def esp_direct(roots: RootSet, i: int) -> int:
         return 1
     if i > roots.n:
         return 0
-    return sum(prod(combo) for combo in combinations(roots.elements, i))
+    return sum(map(prod, combinations(roots.elements, i)))
 
 
 def esp_all(roots: RootSet) -> list[int]:
@@ -159,15 +159,21 @@ def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
     """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1, by the packed Vandermonde
     DP of the module docstring: rows[s] holds B[s][0..i] in b-bit slots, and
     adding a root m adds rows[s-1] times the packed C(m, 0..min(m, i)), cut
-    to slots 0..i.  The slot bound needs nonnegative elements.
+    to slots 0..i; that factor is built once per distinct root value.  The
+    slot bound needs nonnegative elements.
     """
     b = len(elements) + i * sum(elements).bit_length() + 1
     keep = (1 << (b * (i + 1))) - 1
+    factors = {}
+    for m in elements:
+        if m not in factors:
+            factor = 0
+            for k in range(min(m, i), -1, -1):
+                factor = factor << b | binomial_first(m, k)
+            factors[m] = factor
     rows = [1] + [0] * (i - 1)
     for count, m in enumerate(elements, start=1):
-        factor = 0
-        for k in range(min(m, i), -1, -1):
-            factor = factor << b | binomial_first(m, k)
+        factor = factors[m]
         for s in range(min(count, i - 1), 0, -1):
             rows[s] += (rows[s - 1] * factor) & keep
     return [row >> (b * i) for row in rows]
@@ -217,12 +223,20 @@ def esp_loworder(roots: RootSet, i: int) -> int:
     )
 
 
+def _esp_dp(roots: RootSet, i: int) -> int:
+    # e_i from the product recurrence: 0 above n, as the definition gives,
+    # and a negative order is refused like the other routes refuse it.
+    if i < 0:
+        raise ValueError(f"order must be >= 0, got {i}")
+    return esp_all(roots)[i] if i <= roots.n else 0
+
+
 # e_i by each route, for `compute --method` and `bench --methods`.  Every
 # entry looks its route up when called, so a patched module attribute sees
-# each call.  `dp` gives 0 above n, as the definition does.
+# each call.
 METHODS: dict[str, Callable[[RootSet, int], int]] = {
     "direct": lambda roots, i: esp_direct(roots, i),
-    "dp": lambda roots, i: esp_all(roots)[i] if i <= roots.n else 0,
+    "dp": _esp_dp,
     "extraction": lambda roots, i: esp_extraction(roots, i, explain_limit=0)[0],
 }
 

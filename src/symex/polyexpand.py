@@ -5,20 +5,24 @@ C(N, i) = (1/i!) sum_p s(i, p) N^p with N = m_1+...+m_n, the coefficient of
 a monomial with positive exponent vector lambda (|lambda| = p) is
 s(i, p) * multinomial(p; lambda) / i!, independent of n.  Grouping terms by
 their support subset gives the layer decomposition whose top layer
-(support size i, total power i) is exactly e_i.
+(support size i, total power i) is exactly e_i.  The layer check builds
+each order-i, support-size-s table of exponent vectors and their i!-scaled
+coefficients once per process and shares it across every root set.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from operator import mul
 from typing import Iterator
 
 from .bigcomb import binomial_first, multinomial, stirling_first_signed
 from .esp import esp_direct
 from .report import Report
 from .rootset import RootSet
-from .subsets import k_subsets
 
 __all__ = [
     "monomial_coefficient",
@@ -67,30 +71,36 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+@lru_cache(maxsize=64)
+def _layer_table(i: int, s: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    # Every exponent vector of support size s and total power s..i, with its
+    # i!-scaled coefficient s(i, p) * multinomial(p; lambda).  Depends on
+    # (i, s) only, never on the roots.
+    table = [
+        (comp, stirling_first_signed(i, p) * multinomial(p, comp))
+        for p in range(s, i + 1)
+        for comp in _compositions(p, s)
+    ]
+    return tuple(zip(*table))
+
+
 def verify_layer_decomposition(roots: RootSet, i: int) -> Report:
     """Rebuild C(m_1+...+m_n, i) by summing every support layer, and check
     that the top layer (support = power = i) alone is exactly e_i."""
     n = roots.n
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    elements = roots.elements
-    fact_i = math.factorial(i)
     # Accumulate i! * coefficient as plain integers; divide once at the end.
     total_scaled = 0
-    top_scaled = 0
     for s in range(1, i + 1):
-        layers = [
-            (comp, stirling_first_signed(i, p) * multinomial(p, comp))
-            for p in range(s, i + 1)
-            for comp in _compositions(p, s)
-        ]
-        for J in k_subsets(n, s):
-            ms = tuple(elements[j - 1] for j in J)
-            for comp, scaled_coeff in layers:
-                term = scaled_coeff * math.prod(m**a for m, a in zip(ms, comp))
-                total_scaled += term
-                if s == i:
-                    top_scaled += term
+        exponents, scaled = _layer_table(i, s)
+        layer_scaled = 0
+        for ms in combinations(roots.elements, s):
+            monomials = [math.prod(map(pow, ms, comp)) for comp in exponents]
+            layer_scaled += sum(map(mul, scaled, monomials))
+        total_scaled += layer_scaled
+    top_scaled = layer_scaled  # the last layer, s = i
+    fact_i = math.factorial(i)
     report = Report()
     report.add("full expansion", binomial_first(roots.total, i), Fraction(total_scaled, fact_i))
     report.add(f"top layer s=p={i}", esp_direct(roots, i), Fraction(top_scaled, fact_i))

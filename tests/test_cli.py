@@ -197,6 +197,29 @@ def test_verify_all_stdout_is_pinned(capsys):
     ]
 
 
+def test_verify_all_json_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "42", "--json")
+    assert code == 0 and err == ""
+    assert out == (
+        '{"suite": "all", "seed": 42, "truncation": 30, "rng": "mersenne-twister", "checks": ['
+        '{"name": "equivalence exhaustive n<=6 m<=4", "passed": true, "detail": "30948 instances"}, '
+        '{"name": "equivalence 300 random sets n<=10 m<=9", "passed": true, "detail": "1709 instances"}, '
+        '{"name": "spelled-out e2..e5 forms, 20 random sets n in 4..8", "passed": true, "detail": "80 instances"}, '
+        '{"name": "recurrence equals closed form", "passed": true, "detail": "210 (n,i) pairs, h<=12"}, '
+        '{"name": "convolution sums = 1 (recurrence route)", "passed": true, "detail": "210 (n,i) pairs, h<=12"}, '
+        '{"name": "convolution sums = 1 (closed route)", "passed": true, "detail": "210 (n,i) pairs, h<=12"}, '
+        '{"name": "vandermonde degeneration sum and term identification", "passed": true, '
+        '"detail": "210 (n,i) pairs, h=12"}, '
+        '{"name": "series identity in powers of x/(1-x)", "passed": true, "detail": "78 (n,i) pairs, T=30"}, '
+        '{"name": "substituted series matches closed coefficients", "passed": true, "detail": "78 (n,i) pairs, T=30"}, '
+        '{"name": "order-4 two-element coefficients 22,18,4,6 over 4!", "passed": true, "detail": "4 values"}, '
+        '{"name": "all-ones exponent coefficient = 1 for i<=8", "passed": true, "detail": "8 values"}, '
+        '{"name": "layer decomposition rebuilds the binomial, n<=5 m<=4", "passed": true, "detail": "6372 instances"}, '
+        '{"name": "superset counts match C(n-t, s-t), n<=8 exhaustive", "passed": true, "detail": "2303 instances"}], '
+        '"passed": true}\n'
+    )
+
+
 def test_bench_single_cell(capsys):
     code, out, _ = run(capsys, "bench", "--n", "5", "--i", "2", "--methods", "direct")
     assert code == 0

@@ -2,7 +2,7 @@ import json
 import math
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +200,13 @@ def test_esp_compare_examples():
         esp_compare(RootSet.of(2, 3), 2, methods=("nosuch",))
 
 
+def test_every_method_refuses_a_negative_order():
+    # `dp` once returned esp_all(roots)[-1], i.e. e_n, for i = -1
+    for route in esp.METHODS.values():
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            route(RootSet.of(2, 3, 4), -1)
+
+
 def test_specialize_pascal():
     triangle = specialize("pascal", 4)
     assert triangle[-1] == [1, 4, 6, 4, 1]
@@ -290,3 +297,21 @@ def test_compact_sieve_is_polynomial_time(capsys):
     assert code == 0 and payload["value"] == str(esp_all(roots)[20])
     assert len(payload["breakdown"]["terms"]) == 19
     assert elapsed < 5.0
+
+
+def test_bracket_totals_build_one_factor_per_distinct_root(monkeypatch):
+    calls = []
+
+    def counted(m, k):
+        calls.append((m, k))
+        return binomial_first(m, k)
+
+    monkeypatch.setattr(esp, "binomial_first", counted)
+    assert esp._bracket_totals((1,) * 8, 5) == [0] * 5
+    assert sorted(calls) == [(1, 0), (1, 1)]
+    calls.clear()
+    elements = (3, 1, 3, 1, 3)
+    assert esp._bracket_totals(elements, 3) == [
+        sum(binomial_first(sum(combo), 3) for combo in combinations(elements, s)) for s in range(3)
+    ]
+    assert sorted(calls) == [(1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (3, 3)]

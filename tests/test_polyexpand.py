@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from symex.esp import esp_all
 from symex.polyexpand import _compositions, monomial_coefficient, verify_layer_decomposition
 from symex.rootset import RootSet
 
@@ -89,3 +91,17 @@ def test_sign_convention_note_present():
 def test_monomial_coefficient_at_high_order():
     # s(1200, 1) / 1200! = (-1)^1199 * 1199! / 1200!
     assert monomial_coefficient(1200, (1,)) == Fraction(-1, 1200)
+
+
+def test_layer_decomposition_outside_the_sweep():
+    # larger sets and wider roots than the n <= 5, m <= 4 sweep, at every order
+    rng = random.Random(5)
+    for n in (6, 7):
+        for width in (10, 10**6):
+            roots = RootSet(tuple(rng.randint(1, width) for _ in range(n)))
+            per_order = esp_all(roots)
+            for i in range(1, n + 1):
+                report = verify_layer_decomposition(roots, i)
+                assert report.ok
+                assert report.checks[0].observed == math.comb(roots.total, i)
+                assert report.checks[1].observed == per_order[i]

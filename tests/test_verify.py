@@ -3,7 +3,18 @@
 import random
 from dataclasses import replace
 
-from symex import coeffs, esp, verify
+import pytest
+
+from symex import coeffs, esp, polyexpand, verify
+
+
+@pytest.fixture
+def cold_layer_tables():
+    # The layer tables live for the whole process: start from none, and drop
+    # any built under a patch so no later test sees them.
+    polyexpand._layer_table.cache_clear()
+    yield
+    polyexpand._layer_table.cache_clear()
 
 
 def test_loworder_forms_report_a_planted_defect(monkeypatch):
@@ -28,3 +39,33 @@ def test_convolution_checks_report_a_planted_defect(monkeypatch):
     assert routes.failures == tuple((6, i) for i in range(1, 7))
     assert by_recurrence.failures == tuple((6, i, "h=2") for i in range(1, 7))
     assert by_closed.passed and by_closed.detail == "210 (n,i) pairs, h<=12"
+
+
+def test_layer_checks_report_a_planted_defect(monkeypatch, cold_layer_tables):
+    multinomial = polyexpand.multinomial
+    monkeypatch.setattr(polyexpand, "multinomial", lambda p, parts: multinomial(p, parts) + (parts == (2, 1)))
+    quartet, ones, layers = verify.layer_checks()
+    assert quartet.failures == ((2, 1),) and ones.passed
+    # m_a^2 m_b enters the expansion at every order from 3 on, so each of those instances fails
+    assert layers.detail == "6372 instances"
+    assert layers.failures == tuple(
+        (roots.elements, i) for roots in verify._exhaustive_roots(5, 4) for i in range(3, roots.n + 1)
+    )
+
+
+def test_layer_tables_are_built_once(monkeypatch, cold_layer_tables):
+    calls = []
+    multinomial = polyexpand.multinomial
+
+    def counted(p, parts):
+        calls.append(parts)
+        return multinomial(p, parts)
+
+    monkeypatch.setattr(polyexpand, "multinomial", counted)
+    # The order-i tables hold every composition of every p = 1..i, 2^i - 1 of
+    # them; the 4 + 8 single coefficients are computed on each run.
+    assert all(check.passed for check in verify.layer_checks())
+    assert len(calls) == sum(2**i - 1 for i in range(1, 6)) + 4 + 8
+    calls.clear()
+    assert all(check.passed for check in verify.layer_checks())
+    assert len(calls) == 4 + 8
