@@ -147,6 +147,9 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.truncation < 1:
+        print(f"error: --truncation must be >= 1, got {args.truncation}", file=sys.stderr)
+        return 2
     names = list(SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
     checks = [check for name in names for check in SUITES[name](rng, args.truncation)]

@@ -1,24 +1,28 @@
-"""Three routes to the elementary symmetric polynomial e_i of a root set.
+"""Four routes to the elementary symmetric polynomial e_i of a root set.
 
 * esp_direct: the definition, summing products over i-element subsets.
 * esp_all: the classical one-pass product recurrence, all orders at once.
 * esp_extraction: the binomial-product sieve, which starts from
   C(m_1+...+m_n, i) and subtracts alternating multichoose-weighted sums of
   C(subset sum, i) over all (i-h)-subsets, h = 1..i-1.
+* esp_extraction_all: the same sieve at every order 0..n at once, the
+  sieve's counterpart of esp_all.
 
 esp_extraction also returns a term-by-term breakdown so every bracket can
-be inspected.  METHODS names the three routes as e_i functions, and
+be inspected.  METHODS names the three per-order routes as e_i functions, and
 esp_compare runs them on one input so their values can be checked against
 each other.
 
 A bracket total sum_{|J|=s} C(sigma_J, i) takes one of two routes.  With
 per-subset detail (n <= explain limit) the C(n, s) subsets are enumerated.
-Without it, _bracket_totals gets every total from one Vandermonde DP over
-the roots, B[s][k] += sum_q B[s-1][q] * C(m, k-q), with each row B[s][0..i]
-packed into one integer of b-bit slots, b = n + i * bitlen(N) + 1 where
+Without it, _bracket_table gets every total from one Vandermonde DP over
+the roots, B[s][k] += sum_q B[s-1][q] * C(m, k-q), with each row B[s][0..top]
+packed into one integer of b-bit slots, b = n + top * bitlen(N) + 1 where
 N = m_1+...+m_n.  Every slot holds at most C(n, s) * C(N, k) < 2^b, so a
-carry never reaches a kept slot and the route costs O(n * i) big-int
-products instead of sum_s C(n, s) binomials.
+carry never reaches a kept slot and the route costs O(n * top) big-int
+products instead of sum_s C(n, s) binomials.  esp_extraction reads slot i
+of a table with top = i; one table with top = n holds every order's brackets,
+and esp_extraction_all reads each column i of it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "esp_direct",
     "esp_all",
     "esp_extraction",
+    "esp_extraction_all",
     "esp_loworder",
     "esp_compare",
     "specialize",
@@ -120,9 +125,8 @@ def esp_extraction(
 
     Up to n = explain_limit every bracket enumerates its subsets and keeps
     the per-subset binomials.  Above it, the bracket totals come from the
-    packed Vandermonde DP of _bracket_totals in polynomial time, with no
-    subset enumerated; its b-bit slots, b = n + i * bitlen(N) + 1, bound
-    every partial total C(n, s) * C(N, k), so the totals are exact.
+    packed DP of the module docstring (_bracket_totals) in polynomial time,
+    with no subset enumerated.
 
     Orders above n are refused rather than silently extrapolated.
     """
@@ -136,46 +140,64 @@ def esp_extraction(
 
     elements = roots.elements
     head = binomial_first(roots.total, i)
-    value = head
-    keep_detail = n <= explain_limit
-    totals = None if keep_detail or i == 1 else _bracket_totals(elements, i)
-    terms = []
-    for h in range(1, i):
-        magnitude = binomial_second(n - i + 1, h - 1)
-        sieve = magnitude if h % 2 == 1 else -magnitude
-        if keep_detail:
+    brackets = {}
+    if n <= explain_limit:
+        for h in range(1, i):
             entries = (binomial_first(sum(combo), i) for combo in combinations(elements, i - h))
-            bracket = tuple(zip(k_subsets(n, i - h), entries))
-            bracket_total = sum(entry for _, entry in bracket)
-        else:
-            bracket = None
-            bracket_total = totals[i - h]
-        value -= sieve * bracket_total
-        terms.append(BreakdownTerm(h, -sieve, bracket_total, bracket))
-    return value, ExtractionBreakdown(i, head, tuple(terms), value)
+            brackets[i - h] = tuple(zip(k_subsets(n, i - h), entries))
+        totals = {s: sum(entry for _, entry in bracket) for s, bracket in brackets.items()}
+    else:
+        totals = _bracket_totals(elements, i) if i > 1 else []
+    terms = tuple(BreakdownTerm(h, w, totals[i - h], brackets.get(i - h)) for h, w in enumerate(_weights(n, i), start=1))
+    value = head + sum(term.coefficient * term.bracket_total for term in terms)
+    return value, ExtractionBreakdown(i, head, terms, value)
 
 
-def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
-    """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1, by the packed Vandermonde
-    DP of the module docstring: rows[s] holds B[s][0..i] in b-bit slots, and
-    adding a root m adds rows[s-1] times the packed C(m, 0..min(m, i)), cut
-    to slots 0..i; that factor is built once per distinct root value.  The
-    slot bound needs nonnegative elements.
-    """
-    b = len(elements) + i * sum(elements).bit_length() + 1
-    keep = (1 << (b * (i + 1))) - 1
+def esp_extraction_all(roots: RootSet) -> list[int]:
+    """All of e_0..e_n by the sieve, the counterpart of esp_all: one packed
+    DP with top = n holds B[s][k] for every k <= n, so order i reads its
+    bracket totals B[1..i-1][i] from column i of that one table instead of
+    running a DP of its own.  No subset is enumerated."""
+    n, total = roots.n, roots.total
+    rows, b = _bracket_table(roots.elements, n)
+    slot = (1 << b) - 1
+    values = [1]
+    for i in range(1, n + 1):
+        terms = (weight * (rows[i - h] >> b * i & slot) for h, weight in enumerate(_weights(n, i), start=1))
+        values.append(binomial_first(total, i) + sum(terms))
+    return values
+
+
+def _weights(n: int, i: int) -> list[int]:
+    """The additive weight -C_h = (-1)^h * multichoose(n-i+1, h-1) of each bracket h = 1..i-1."""
+    return [(-1) ** h * binomial_second(n - i + 1, h - 1) for h in range(1, i)]
+
+
+def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
+    """The packed DP of the module docstring: returns rows, rows[s] = B[s][0..top]
+    in b-bit slots for s < top, and b.  Adding a root m adds rows[s-1] times the
+    packed C(m, 0..min(m, top)), cut to slots 0..top, a factor built once per
+    distinct root.  The slot bound needs nonnegative elements."""
+    b = len(elements) + top * sum(elements).bit_length() + 1
+    keep = (1 << (b * (top + 1))) - 1
     factors = {}
     for m in elements:
         if m not in factors:
             factor = 0
-            for k in range(min(m, i), -1, -1):
+            for k in range(min(m, top), -1, -1):
                 factor = factor << b | binomial_first(m, k)
             factors[m] = factor
-    rows = [1] + [0] * (i - 1)
+    rows = [1] + [0] * (top - 1)
     for count, m in enumerate(elements, start=1):
         factor = factors[m]
-        for s in range(min(count, i - 1), 0, -1):
+        for s in range(min(count, top - 1), 0, -1):
             rows[s] += (rows[s - 1] * factor) & keep
+    return rows, b
+
+
+def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
+    """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1: the top slot of each row."""
+    rows, b = _bracket_table(elements, i)
     return [row >> (b * i) for row in rows]
 
 
@@ -272,7 +294,7 @@ def specialize(family: str, rows: int) -> list[list[int]]:
             roots = RootSet((1,) * n)
         else:
             roots = RootSet(tuple(range(1, n + 1)))
-        row = [esp_extraction(roots, i, explain_limit=0)[0] for i in range(n + 1)]
+        row = esp_extraction_all(roots)
         if family == "stirling1":
             recurrence_row = [abs(stirling_first_signed(n + 1, n + 1 - i)) for i in range(n + 1)]
             if row != recurrence_row:

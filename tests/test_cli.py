@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from symex import esp
+from symex import esp, verify
 from symex.cli import main
 from symex.rootset import RootSet
 
@@ -157,6 +157,19 @@ def test_verify_unknown_suite_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "nosuch"])
     assert excinfo.value.code == 2
+
+
+def test_verify_rejects_a_truncation_below_one_before_any_suite(capsys, monkeypatch):
+    def refuse(rng, truncation):
+        raise AssertionError("no suite may run on a rejected --truncation")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, refuse)
+    for suite in ("all", "equivalence", "gf"):
+        for truncation in ("-3", "0"):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--truncation", truncation, "--json")
+            assert code == 2 and out == ""
+            assert err == f"error: --truncation must be >= 1, got {truncation}\n"
 
 
 def test_verify_is_deterministic(capsys):

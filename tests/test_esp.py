@@ -18,6 +18,7 @@ from symex.esp import (
     esp_compare,
     esp_direct,
     esp_extraction,
+    esp_extraction_all,
     esp_loworder,
     specialize,
 )
@@ -315,3 +316,53 @@ def test_bracket_totals_build_one_factor_per_distinct_root(monkeypatch):
         sum(binomial_first(sum(combo), 3) for combo in combinations(elements, s)) for s in range(3)
     ]
     assert sorted(calls) == [(1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (3, 3)]
+
+
+def _per_order_sieve(roots):
+    return [esp_extraction(roots, i, explain_limit=0)[0] for i in range(roots.n + 1)]
+
+
+@given(elements=st.lists(wide_roots, min_size=1, max_size=14))
+@settings(max_examples=40, deadline=None)
+def test_all_orders_sieve_equals_the_per_order_sieve(elements):
+    roots = RootSet(tuple(elements))
+    assert esp_extraction_all(roots) == _per_order_sieve(roots) == esp_all(roots)
+
+
+def test_all_orders_sieve_at_extremes():
+    small = (3, 1, 4, 1, 5, 9, 2, 6, 5)
+    for elements in ((1,) * 30, ((1 << 60) - 1,) * 20, (1 << 80, *small), (*small, 1 << 80), (5,)):
+        roots = RootSet(elements)
+        assert esp_extraction_all(roots) == _per_order_sieve(roots) == esp_all(roots)
+    assert esp_extraction_all(RootSet((1,) * 30)) == [math.comb(30, i) for i in range(31)]
+
+
+def test_all_orders_sieve_enumerates_no_subsets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the all-orders sieve must not enumerate subsets")
+
+    monkeypatch.setattr(esp, "combinations", refuse)
+    monkeypatch.setattr(esp, "k_subsets", refuse)
+    for roots in (RootSet.of(9, 4, 7, 1, 1, 8, 3, 12, 5, 6, 2, 10, 11, 4, 9, 7), RootSet.of(2, 3, 4)):
+        assert esp_extraction_all(roots) == esp_all(roots)
+
+
+def test_all_orders_sieve_builds_one_table(monkeypatch):
+    tops = []
+    table = esp._bracket_table
+
+    def counted(elements, top):
+        tops.append(top)
+        return table(elements, top)
+
+    monkeypatch.setattr(esp, "_bracket_table", counted)
+    roots = RootSet.of(9, 4, 7, 1, 1, 8, 3)
+    assert esp_extraction_all(roots) == esp_all(roots)
+    assert tops == [7]
+    tops.clear()
+    # one DP per triangle row, each with top = n, not one per order
+    assert specialize("stirling1", 12) == [esp_all(RootSet(tuple(range(1, n + 1)))) for n in range(1, 13)]
+    assert tops == list(range(1, 13))
+    tops.clear()
+    assert specialize("pascal", 12)[-1] == [math.comb(12, i) for i in range(13)]
+    assert tops == list(range(1, 13))

@@ -69,3 +69,25 @@ def test_layer_tables_are_built_once(monkeypatch, cold_layer_tables):
     calls.clear()
     assert all(check.passed for check in verify.layer_checks())
     assert len(calls) == 4 + 8
+
+
+def test_equivalence_sweeps_report_a_planted_defect_in_the_all_orders_sieve(monkeypatch):
+    # Slot 2 of row 1 holds B[1][2], read only at order 2 from a table with
+    # top > 2: the all-orders sieve reads it there for every n >= 3, while
+    # the per-order sieve reads slot i of a table with top = i only.
+    table = esp._bracket_table
+
+    def off_by_one(elements, top):
+        rows, b = table(elements, top)
+        if top > 2:
+            rows[1] += 1 << (2 * b)
+        return rows, b
+
+    monkeypatch.setattr(esp, "_bracket_table", off_by_one)
+    exhaustive = verify.equivalence_exhaustive()
+    assert exhaustive.detail == "30948 instances"
+    assert exhaustive.failures == tuple(
+        (roots.elements, 2) for roots in verify._exhaustive_roots(6, 4) if roots.n >= 3
+    )
+    random_sweep = verify.equivalence_random(random.Random(42))
+    assert random_sweep.passed and random_sweep.detail == "1709 instances"
