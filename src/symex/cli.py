@@ -115,14 +115,14 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
     by_recurrence = coeff_recurrence(n, i, h_max)
     by_closed = coeff_closed_sequence(n, i, h_max)
-    convolution = verify_convolution(n, i, h_max, by_closed)
+    convolution = verify_convolution(n, i, by_closed)
     sums = [check.observed for check in convolution.checks]
 
     rows = [
-        {"h": h, "recurrence": by_recurrence[h], "closed": by_closed[h], "convolution": sums[h - 1]}
+        {"h": h, "recurrence": by_recurrence[h - 1], "closed": by_closed[h - 1], "convolution": sums[h - 1]}
         for h in range(1, h_max + 1)
     ]
-    consistent = by_recurrence.values == by_closed.values and convolution.ok
+    consistent = by_recurrence == by_closed and convolution.ok
 
     if args.json:
         payload = {
@@ -247,6 +247,14 @@ def cmd_specialize(args: argparse.Namespace) -> int:
 # parser
 
 
+def _roots_arg(text: str) -> RootSet:
+    """RootSet.parse for argparse: a rejection keeps its reason in the usage error."""
+    try:
+        return RootSet.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symex",
@@ -255,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="evaluate e_i of a root set")
-    compute.add_argument("--roots", type=RootSet.parse, required=True, help="comma-separated positive integers")
+    compute.add_argument("--roots", type=_roots_arg, required=True, help="comma-separated positive integers")
     compute.add_argument("--i", type=int, required=True, help="polynomial order")
     compute.add_argument("--method", choices=(*METHODS, "all"), default="extraction")
     compute.add_argument("--explain", action="store_true", help="print the extraction breakdown")

@@ -115,12 +115,12 @@ def convolution_checks() -> list[SuiteCheck]:
     for n, i in pairs:
         by_recurrence = coeffs.coeff_recurrence(n, i, COEFF_H)
         by_closed = coeffs.coeff_closed_sequence(n, i, COEFF_H)
-        if by_recurrence.values != by_closed.values:
+        if by_recurrence != by_closed:
             mismatched.append((n, i))
-        for seq in (by_recurrence, by_closed):
-            wrong = coeffs.verify_convolution(n, i, COEFF_H, seq).failures()
+        for route, values in (("recurrence", by_recurrence), ("closed_form", by_closed)):
+            wrong = coeffs.verify_convolution(n, i, values).failures()
             if wrong:
-                bad[seq.route].append((n, i, wrong[0].label))
+                bad[route].append((n, i, wrong[0].label))
     detail = f"{len(pairs)} (n,i) pairs, h<={COEFF_H}"
     return [
         SuiteCheck("recurrence equals closed form", detail, tuple(mismatched)),

@@ -47,6 +47,22 @@ def test_compute_usage_errors_exit_two(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("2,0,4", "root set elements must be positive integers, got 0"),
+        ("2,x,4", "cannot parse roots '2,x,4': expected comma-separated integers"),
+        ("2,,3", "cannot parse roots '2,,3': expected comma-separated integers"),
+    ],
+)
+def test_compute_roots_rejection_says_why(capsys, text, reason):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compute", "--roots", text, "--i", "1"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"symex compute: error: argument --roots: {reason}"
+
+
 def test_compute_explain_text(capsys):
     code, out, _ = run(capsys, "compute", "--roots", "2,3,4", "--i", "3", "--explain")
     assert code == 0
@@ -144,6 +160,48 @@ def test_coeffs_single_row_and_errors(capsys):
     assert code == 0 and out.splitlines()[-1] == "1 1 1 1"
     code, _, err = run(capsys, "coeffs", "--n", "3", "--i", "5", "--h-max", "2")
     assert code == 2 and "error" in err
+
+
+def test_coeffs_stdout_is_pinned(capsys):
+    code, out, err = run(capsys, "coeffs", "--n", "9", "--i", "4", "--h-max", "12")
+    assert code == 0 and err == ""
+    assert out == (
+        "n=9 i=4\n"
+        "h recurrence closed convolution\n"
+        "1 1 1 1\n"
+        "2 -6 -6 1\n"
+        "3 21 21 1\n"
+        "4 -56 -56 1\n"
+        "5 126 126 1\n"
+        "6 -252 -252 1\n"
+        "7 462 462 1\n"
+        "8 -792 -792 1\n"
+        "9 1287 1287 1\n"
+        "10 -2002 -2002 1\n"
+        "11 3003 3003 1\n"
+        "12 -4368 -4368 1\n"
+    )
+
+
+def test_coeffs_json_is_pinned(capsys):
+    code, out, err = run(capsys, "coeffs", "--n", "9", "--i", "4", "--h-max", "12", "--json")
+    assert code == 0 and err == ""
+    assert out == (
+        '{"n": 9, "i": 4, "rows": ['
+        '{"h": 1, "recurrence": "1", "closed": "1", "convolution": "1"}, '
+        '{"h": 2, "recurrence": "-6", "closed": "-6", "convolution": "1"}, '
+        '{"h": 3, "recurrence": "21", "closed": "21", "convolution": "1"}, '
+        '{"h": 4, "recurrence": "-56", "closed": "-56", "convolution": "1"}, '
+        '{"h": 5, "recurrence": "126", "closed": "126", "convolution": "1"}, '
+        '{"h": 6, "recurrence": "-252", "closed": "-252", "convolution": "1"}, '
+        '{"h": 7, "recurrence": "462", "closed": "462", "convolution": "1"}, '
+        '{"h": 8, "recurrence": "-792", "closed": "-792", "convolution": "1"}, '
+        '{"h": 9, "recurrence": "1287", "closed": "1287", "convolution": "1"}, '
+        '{"h": 10, "recurrence": "-2002", "closed": "-2002", "convolution": "1"}, '
+        '{"h": 11, "recurrence": "3003", "closed": "3003", "convolution": "1"}, '
+        '{"h": 12, "recurrence": "-4368", "closed": "-4368", "convolution": "1"}], '
+        '"consistent": true}\n'
+    )
 
 
 def test_verify_single_suite(capsys):

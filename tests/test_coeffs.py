@@ -2,7 +2,6 @@ import pytest
 
 from symex.bigcomb import binomial_first, binomial_second
 from symex.coeffs import (
-    CoefficientSequence,
     coeff_closed,
     coeff_closed_sequence,
     coeff_recurrence,
@@ -25,19 +24,15 @@ def test_coeff_closed_rejects_bad_args():
 
 def test_coeff_recurrence_values():
     # C_2 = 1 - C_1*C(4,1) = -3; C_3 = 1 - C(5,2) + 3*C(5,1) = 6
-    assert coeff_recurrence(5, 3, 2).values == (1, -3)
-    assert coeff_recurrence(5, 3, 3).values == (1, -3, 6)
-    assert coeff_recurrence(9, 4, 1).values == (1,)
+    assert coeff_recurrence(5, 3, 2) == (1, -3)
+    assert coeff_recurrence(5, 3, 3) == (1, -3, 6)
+    assert coeff_recurrence(9, 4, 1) == (1,)
 
 
-def test_sequence_routes_and_access():
-    seq = coeff_closed_sequence(6, 2, 4)
-    assert seq.route == "closed_form"
-    assert seq[1] == 1 and seq[4] == coeff_closed(6, 2, 4)
-    with pytest.raises(IndexError):
-        seq[0]
+def test_closed_sequence_is_the_tuple_of_closed_values():
+    assert coeff_closed_sequence(6, 2, 4) == tuple(coeff_closed(6, 2, h) for h in range(1, 5))
     with pytest.raises(ValueError):
-        CoefficientSequence(5, 3, (1,), "guesswork")
+        coeff_closed_sequence(6, 2, 0)
 
 
 def test_route_equivalence_full_grid():
@@ -45,13 +40,13 @@ def test_route_equivalence_full_grid():
     # h beyond i - 1 (the algebra does not need h <= i - 1)
     for n in range(1, 21):
         for i in range(1, n + 1):
-            assert coeff_recurrence(n, i, 12).values == coeff_closed_sequence(n, i, 12).values
+            assert coeff_recurrence(n, i, 12) == coeff_closed_sequence(n, i, 12)
 
 
 def test_first_coefficient_and_alternating_signs():
     for n in range(1, 21):
         for i in range(1, n + 1):
-            values = coeff_closed_sequence(n, i, 12).values
+            values = coeff_closed_sequence(n, i, 12)
             assert values[0] == 1
             for h, value in enumerate(values, start=1):
                 assert value != 0
@@ -59,19 +54,19 @@ def test_first_coefficient_and_alternating_signs():
 
 
 def test_verify_convolution_examples():
-    report = verify_convolution(5, 3, 2, coeff_closed_sequence(5, 3, 2))
+    report = verify_convolution(5, 3, coeff_closed_sequence(5, 3, 2))
     assert report.ok
     assert [check.observed for check in report.checks] == [1, 1]
-    assert verify_convolution(6, 2, 4, coeff_closed_sequence(6, 2, 4)).ok
+    assert verify_convolution(6, 2, coeff_closed_sequence(6, 2, 4)).ok
 
 
 def test_verify_convolution_reports_bad_sequences():
-    doctored = CoefficientSequence(5, 3, (1, -2), "recurrence")
-    report = verify_convolution(5, 3, 2, doctored)
+    report = verify_convolution(5, 3, (1, -2))
     assert not report.ok
+    assert [check.label for check in report.checks] == ["h=1", "h=2"]
     assert report.failures()[0].label == "h=2"
     with pytest.raises(ValueError):
-        verify_convolution(5, 3, 9, doctored)
+        verify_convolution(3, 5, (1,))
 
 
 def test_vandermonde_examples():

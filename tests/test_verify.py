@@ -1,11 +1,10 @@
 """The shared verify checks must report failures when a route is wrong."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from symex import coeffs, esp, polyexpand, verify
+from symex import coeffs, esp, polyexpand, series, verify
 
 
 @pytest.fixture
@@ -29,16 +28,34 @@ def test_convolution_checks_report_a_planted_defect(monkeypatch):
     recurrence = coeffs.coeff_recurrence
 
     def wrong_c2_at_n6(n, i, h_max):
-        seq = recurrence(n, i, h_max)
+        values = recurrence(n, i, h_max)
         if n != 6:
-            return seq
-        return replace(seq, values=(seq.values[0], seq.values[1] + 1, *seq.values[2:]))
+            return values
+        return (values[0], values[1] + 1, *values[2:])
 
     monkeypatch.setattr(coeffs, "coeff_recurrence", wrong_c2_at_n6)
     routes, by_recurrence, by_closed = verify.convolution_checks()
     assert routes.failures == tuple((6, i) for i in range(1, 7))
     assert by_recurrence.failures == tuple((6, i, "h=2") for i in range(1, 7))
     assert by_closed.passed and by_closed.detail == "210 (n,i) pairs, h<=12"
+
+
+def wrong_c3_at_n5(closed):
+    return lambda n, i, h: closed(n, i, h) + (n == 5 and h == 3)
+
+
+def test_gf_checks_report_a_planted_defect(monkeypatch):
+    monkeypatch.setattr(series, "coeff_closed", wrong_c3_at_n5(coeffs.coeff_closed))
+    untransformed, transformed = verify.gf_checks(30)
+    assert untransformed.failures == transformed.failures == tuple((5, i) for i in range(1, 6))
+    assert untransformed.detail == transformed.detail == "78 (n,i) pairs, T=30"
+
+
+def test_vandermonde_check_reports_a_planted_defect(monkeypatch):
+    monkeypatch.setattr(coeffs, "coeff_closed", wrong_c3_at_n5(coeffs.coeff_closed))
+    check = verify.vandermonde_check()
+    assert check.failures == tuple((5, i, "term k=2") for i in range(1, 6))
+    assert check.detail == "210 (n,i) pairs, h=12"
 
 
 def test_layer_checks_report_a_planted_defect(monkeypatch, cold_layer_tables):
