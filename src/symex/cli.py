@@ -153,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
     checks = [check for name in names for check in SUITES[name](rng, args.truncation)]
-    passed = sum(1 for check in checks if check.passed)
+    passed = sum(1 for check in checks if check.ok)
     all_ok = passed == len(checks)
 
     if args.json:
@@ -162,14 +162,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "truncation": args.truncation,
             "rng": "mersenne-twister",
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+            "checks": [{"name": c.name, "passed": c.ok, "detail": c.detail} for c in checks],
             "passed": all_ok,
         }
         print(json.dumps(payload))
     else:
         print(f"verify suite={args.suite} seed={args.seed} truncation={args.truncation} rng=mersenne-twister")
         for check in checks:
-            print(f"{'PASS' if check.passed else 'FAIL'} {check.name} ({check.detail})")
+            print(f"{'PASS' if check.ok else 'FAIL'} {check.name} ({check.detail})")
         print(f"result: {'PASS' if all_ok else 'FAIL'} ({passed}/{len(checks)} checks)")
     return 0 if all_ok else 1
 

@@ -263,17 +263,12 @@ METHODS: dict[str, Callable[[RootSet, int], int]] = {
 }
 
 
-def esp_compare(roots: RootSet, i: int, methods: Sequence[str] = tuple(METHODS)) -> dict[str, int]:
-    """Run each named method once on the same input and return
+def esp_compare(roots: RootSet, i: int) -> dict[str, int]:
+    """Run every method of METHODS once on the same input and return
     {method: value}; callers compare the values for agreement."""
     if not 1 <= i <= roots.n:
         raise ExtractionDomainError(f"need 1 <= i <= n, got i={i}, n={roots.n}")
-    if not methods:
-        raise ValueError("need at least one method")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
-    return {method: METHODS[method](roots, i) for method in methods}
+    return {method: run(roots, i) for method, run in METHODS.items()}
 
 
 def specialize(family: str, rows: int) -> list[list[int]]:

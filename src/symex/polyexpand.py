@@ -8,6 +8,11 @@ their support subset gives the layer decomposition whose top layer
 (support size i, total power i) is exactly e_i.  The layer check builds
 each order-i, support-size-s table of exponent vectors and their i!-scaled
 coefficients once per process and shares it across every root set.
+
+Signs follow the signed-Stirling expansion of the falling factorial: at
+order 4 the two-element coefficients are +22/4!, -18/4!, +4/4!, +6/4!, and
+the all-ones coefficient is +1, which pins the convention; the alternative
+listing -22/4!, +18/4!, -4/4!, -6/4! is inconsistent with that +1.
 """
 
 from __future__ import annotations
@@ -27,16 +32,7 @@ from .rootset import RootSet
 __all__ = [
     "monomial_coefficient",
     "verify_layer_decomposition",
-    "SIGN_CONVENTION_NOTE",
 ]
-
-SIGN_CONVENTION_NOTE = (
-    "coefficient signs follow the signed-Stirling expansion of the falling "
-    "factorial: at order 4 the two-element coefficients are +22/4!, -18/4!, "
-    "+4/4!, +6/4!, and the all-ones coefficient is +1, which pins the "
-    "convention; the alternative listing -22/4!, +18/4!, -4/4!, -6/4! is "
-    "inconsistent with that +1 and is not used"
-)
 
 
 def monomial_coefficient(i: int, exponents: tuple[int, ...]) -> Fraction:
@@ -104,5 +100,4 @@ def verify_layer_decomposition(roots: RootSet, i: int) -> Report:
     report = Report()
     report.add("full expansion", binomial_first(roots.total, i), Fraction(total_scaled, fact_i))
     report.add(f"top layer s=p={i}", esp_direct(roots, i), Fraction(top_scaled, fact_i))
-    report.notes.append(SIGN_CONVENTION_NOTE)
     return report

@@ -1,7 +1,8 @@
-"""Pass/fail reports produced by the identity verifiers.
+"""The one result type of every verified identity.
 
-A report keeps every intermediate value, not just a boolean, so a failure
-can be diagnosed from the expected and observed values of its checks.
+A per-instance verifier returns a Report that keeps every intermediate
+value.  A sweep in `symex.verify` returns a named Report; over instances it
+keeps only the failing ones, each with its expected and observed values.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 class Check:
     """One verified equality: label plus expected and observed values."""
 
-    label: str
+    label: object
     expected: object
     observed: object
 
@@ -24,14 +25,15 @@ class Check:
 
 @dataclass
 class Report:
+    name: str = ""
+    detail: str = ""
     checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return all(check.ok for check in self.checks)
 
-    def add(self, label: str, expected: object, observed: object) -> None:
+    def add(self, label: object, expected: object, observed: object) -> None:
         self.checks.append(Check(label, expected, observed))
 
     def failures(self) -> list[Check]:

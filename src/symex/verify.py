@@ -1,26 +1,26 @@
 """The identity sweeps that `symex verify` runs and the acceptance tests assert on.
 
-Each sweep checks one identity the sieve rests on over a fixed range and
-returns a SuiteCheck naming the range and listing every failing instance.
-Randomized sweeps draw from the `rng` they are given, so a caller that
-shares one generator across sweeps gets the same draws every run.
+Each sweep checks one identity over a fixed range and returns a `Report`
+whose detail says what was swept.  Over instances it adds a check, labelled
+by the instance, only for a failing one; over a fixed list it adds every
+value.  Randomized sweeps draw from the `rng` they are given, so a caller
+that shares one generator gets the same draws every run.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterable
 
 # Routes are called through their home modules, so a patch or wrapper on
 # `symex.esp.esp_extraction` and the like also sees the calls made here.
 from . import bigcomb, coeffs, esp, polyexpand, series, subsets
+from .report import Report
 from .rootset import RootSet
 
 __all__ = [
-    "SuiteCheck",
     "SUITES",
     "equivalence_exhaustive",
     "equivalence_random",
@@ -35,19 +35,6 @@ __all__ = [
 # Largest n and sieve index h of the coefficient grids.
 COEFF_N_MAX = 20
 COEFF_H = 12
-
-
-@dataclass(frozen=True)
-class SuiteCheck:
-    """One swept identity: its name, what was swept, and the failing instances."""
-
-    name: str
-    detail: str
-    failures: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 def _random_roots(rng: random.Random, n_low: int, n_high: int, m_max: int) -> RootSet:
@@ -65,141 +52,133 @@ def _pairs(n_max: int) -> list[tuple[int, int]]:
     return [(n, i) for n in range(1, n_max + 1) for i in range(1, n + 1)]
 
 
-def _routes_agree(root_sets, sieve: Callable[[RootSet], list[int]]) -> tuple[int, tuple]:
-    """Definition, recurrence and sieve(roots), the sieve's e_0..e_n, at orders 1..n
-    of each set; returns the instance count and the failing (roots, i).  The exhaustive
-    sweep checks the all-orders sieve, the random sweep the per-order one."""
+def _sweep(report: Report, cases: Iterable[tuple], verifier: Callable[..., Report], tagged: bool = False) -> None:
+    """Add each case's first failing check of verifier(*case), labelled by the case (plus its label if `tagged`)."""
+    for case in cases:
+        failures = verifier(*case).failures()
+        if failures:
+            first = failures[0]
+            report.add((*case, first.label) if tagged else case, first.expected, first.observed)
+
+
+def _routes_agree(name: str, root_sets, sieve: Callable[[RootSet], list[int]]) -> Report:
+    """Definition, recurrence and sieve(roots), the sieve's e_0..e_n, at orders 1..n of
+    each set; a failing (roots, i) expects (e_i, e_i) and observes (sieve, recurrence).
+    The exhaustive sweep checks the all-orders sieve, the random sweep the per-order one."""
+    report = Report(name)
     instances = 0
-    failures = []
     for roots in root_sets:
         per_order = esp.esp_all(roots)
         by_sieve = sieve(roots)
         for i in range(1, roots.n + 1):
             instances += 1
-            if not esp.esp_direct(roots, i) == by_sieve[i] == per_order[i]:
-                failures.append((roots.elements, i))
-    return instances, tuple(failures)
+            by_definition = esp.esp_direct(roots, i)
+            if not by_definition == by_sieve[i] == per_order[i]:
+                report.add((roots.elements, i), (by_definition, by_definition), (by_sieve[i], per_order[i]))
+    report.detail = f"{instances} instances"
+    return report
 
 
-def equivalence_exhaustive() -> SuiteCheck:
-    instances, failures = _routes_agree(_exhaustive_roots(6, 4), lambda roots: esp.esp_extraction_all(roots))
-    return SuiteCheck("equivalence exhaustive n<=6 m<=4", f"{instances} instances", failures)
+def equivalence_exhaustive() -> Report:
+    return _routes_agree("equivalence exhaustive n<=6 m<=4", _exhaustive_roots(6, 4), esp.esp_extraction_all)
 
 
-def equivalence_random(rng: random.Random) -> SuiteCheck:
+def equivalence_random(rng: random.Random) -> Report:
     def per_order(roots):
         return [1] + [esp.esp_extraction(roots, i, explain_limit=0)[0] for i in range(1, roots.n + 1)]
 
-    instances, failures = _routes_agree((_random_roots(rng, 1, 10, 9) for _ in range(300)), per_order)
-    return SuiteCheck("equivalence 300 random sets n<=10 m<=9", f"{instances} instances", failures)
+    root_sets = (_random_roots(rng, 1, 10, 9) for _ in range(300))
+    return _routes_agree("equivalence 300 random sets n<=10 m<=9", root_sets, per_order)
 
 
-def loworder_forms(rng: random.Random) -> SuiteCheck:
+def loworder_forms(rng: random.Random) -> Report:
     """The spelled-out e2..e5 expressions against the definition."""
-    instances = 0
-    failures = []
+    report = Report("spelled-out e2..e5 forms, 20 random sets n in 4..8", "80 instances")
     for _ in range(20):
         roots = _random_roots(rng, 4, 8, 9)
         for i in range(2, 6):
-            instances += 1
-            if esp.esp_loworder(roots, i) != esp.esp_direct(roots, i):
-                failures.append((roots.elements, i))
-    return SuiteCheck("spelled-out e2..e5 forms, 20 random sets n in 4..8", f"{instances} instances", tuple(failures))
+            spelled_out = esp.esp_loworder(roots, i)
+            by_definition = esp.esp_direct(roots, i)
+            if spelled_out != by_definition:
+                report.add((roots.elements, i), by_definition, spelled_out)
+    return report
 
 
-def convolution_checks() -> list[SuiteCheck]:
+def convolution_checks() -> list[Report]:
     """Both coefficient routes agree, and each satisfies the complete convolution."""
     pairs = _pairs(COEFF_N_MAX)
-    mismatched = []
-    bad = {"recurrence": [], "closed_form": []}
-    for n, i in pairs:
-        by_recurrence = coeffs.coeff_recurrence(n, i, COEFF_H)
-        by_closed = coeffs.coeff_closed_sequence(n, i, COEFF_H)
-        if by_recurrence != by_closed:
-            mismatched.append((n, i))
-        for route, values in (("recurrence", by_recurrence), ("closed_form", by_closed)):
-            wrong = coeffs.verify_convolution(n, i, values).failures()
-            if wrong:
-                bad[route].append((n, i, wrong[0].label))
     detail = f"{len(pairs)} (n,i) pairs, h<={COEFF_H}"
-    return [
-        SuiteCheck("recurrence equals closed form", detail, tuple(mismatched)),
-        SuiteCheck("convolution sums = 1 (recurrence route)", detail, tuple(bad["recurrence"])),
-        SuiteCheck("convolution sums = 1 (closed route)", detail, tuple(bad["closed_form"])),
-    ]
-
-
-def vandermonde_check() -> SuiteCheck:
-    pairs = _pairs(COEFF_N_MAX)
-    failures = []
+    routes = Report("recurrence equals closed form", detail)
+    recurrence, closed = {}, {}
     for n, i in pairs:
-        wrong = coeffs.vandermonde_degeneration_check(n, i, COEFF_H).failures()
-        if wrong:
-            failures.append((n, i, wrong[0].label))
-    return SuiteCheck(
-        "vandermonde degeneration sum and term identification",
-        f"{len(pairs)} (n,i) pairs, h={COEFF_H}",
-        tuple(failures),
-    )
+        recurrence[n, i] = coeffs.coeff_recurrence(n, i, COEFF_H)
+        closed[n, i] = coeffs.coeff_closed_sequence(n, i, COEFF_H)
+        if recurrence[n, i] != closed[n, i]:
+            routes.add((n, i), closed[n, i], recurrence[n, i])
+    recurrence_sums = Report("convolution sums = 1 (recurrence route)", detail)
+    _sweep(recurrence_sums, pairs, lambda n, i: coeffs.verify_convolution(n, i, recurrence[n, i]), tagged=True)
+    closed_sums = Report("convolution sums = 1 (closed route)", detail)
+    _sweep(closed_sums, pairs, lambda n, i: coeffs.verify_convolution(n, i, closed[n, i]), tagged=True)
+    return [routes, recurrence_sums, closed_sums]
 
 
-def gf_checks(truncation: int) -> list[SuiteCheck]:
+def vandermonde_check() -> Report:
+    pairs = _pairs(COEFF_N_MAX)
+    report = Report("vandermonde degeneration sum and term identification", f"{len(pairs)} (n,i) pairs, h={COEFF_H}")
+    _sweep(report, pairs, lambda n, i: coeffs.vandermonde_degeneration_check(n, i, COEFF_H), tagged=True)
+    return report
+
+
+def gf_checks(truncation: int) -> list[Report]:
     pairs = _pairs(12)
-    untransformed = tuple(pair for pair in pairs if not series.verify_gf_untransformed(*pair, truncation).ok)
-    transformed = tuple(pair for pair in pairs if not series.verify_gf_transformed(*pair, truncation).ok)
     detail = f"{len(pairs)} (n,i) pairs, T={truncation}"
-    return [
-        SuiteCheck("series identity in powers of x/(1-x)", detail, untransformed),
-        SuiteCheck("substituted series matches closed coefficients", detail, transformed),
-    ]
+    untransformed = Report("series identity in powers of x/(1-x)", detail)
+    _sweep(untransformed, pairs, lambda n, i: series.verify_gf_untransformed(n, i, truncation))
+    transformed = Report("substituted series matches closed coefficients", detail)
+    _sweep(transformed, pairs, lambda n, i: series.verify_gf_transformed(n, i, truncation))
+    return [untransformed, transformed]
 
 
-def layer_checks() -> list[SuiteCheck]:
+def layer_checks() -> list[Report]:
     """Expansion coefficients of the binomial product, and the layer
-    decomposition whose top layer is e_i (with its sign-convention note)."""
+    decomposition whose top layer is e_i.  The order-4 and all-ones values
+    pin the sign convention that `symex.polyexpand` describes."""
     quartet = {
         (1, 1): Fraction(22, 24),
         (2, 1): Fraction(-18, 24),
         (3, 1): Fraction(4, 24),
         (2, 2): Fraction(6, 24),
     }
-    bad_quartet = tuple(lam for lam, want in quartet.items() if polyexpand.monomial_coefficient(4, lam) != want)
-    bad_ones = tuple(i for i in range(1, 9) if polyexpand.monomial_coefficient(i, (1,) * i) != 1)
+    coefficients = Report("order-4 two-element coefficients 22,18,4,6 over 4!", f"{len(quartet)} values")
+    for lam, want in quartet.items():
+        coefficients.add(lam, want, polyexpand.monomial_coefficient(4, lam))
+    ones = Report("all-ones exponent coefficient = 1 for i<=8", "8 values")
+    for i in range(1, 9):
+        ones.add(i, 1, polyexpand.monomial_coefficient(i, (1,) * i))
+    cases = [(roots.elements, i) for roots in _exhaustive_roots(5, 4) for i in range(1, roots.n + 1)]
+    layers = Report("layer decomposition rebuilds the binomial, n<=5 m<=4", f"{len(cases)} instances")
+    _sweep(layers, cases, lambda elements, i: polyexpand.verify_layer_decomposition(RootSet(elements), i))
+    return [coefficients, ones, layers]
 
+
+def multiplicity_check() -> Report:
+    report = Report("superset counts match C(n-t, s-t), n<=8 exhaustive")
     instances = 0
-    failures = []
-    for roots in _exhaustive_roots(5, 4):
-        for i in range(1, roots.n + 1):
-            instances += 1
-            decomposition = polyexpand.verify_layer_decomposition(roots, i)
-            if not decomposition.ok:
-                failures.append((roots.elements, i))
-            if not any("sign" in note for note in decomposition.notes):
-                failures.append(("missing sign-convention note", roots.elements, i))
-    return [
-        SuiteCheck("order-4 two-element coefficients 22,18,4,6 over 4!", f"{len(quartet)} values", bad_quartet),
-        SuiteCheck("all-ones exponent coefficient = 1 for i<=8", "8 values", bad_ones),
-        SuiteCheck("layer decomposition rebuilds the binomial, n<=5 m<=4", f"{instances} instances", tuple(failures)),
-    ]
-
-
-def multiplicity_check() -> SuiteCheck:
-    instances = 0
-    failures = []
     for n in range(1, 9):
         for s in range(n + 1):
             for t in range(s + 1):
                 for fixed in subsets.k_subsets(n, t):
                     instances += 1
-                    if subsets.count_containing_supersets(n, fixed, s) != bigcomb.binomial_first(n - t, s - t):
-                        failures.append((n, fixed, s))
-    return SuiteCheck(
-        "superset counts match C(n-t, s-t), n<=8 exhaustive", f"{instances} instances", tuple(failures)
-    )
+                    counted = subsets.count_containing_supersets(n, fixed, s)
+                    expected = bigcomb.binomial_first(n - t, s - t)
+                    if counted != expected:
+                        report.add((n, fixed, s), expected, counted)
+    report.detail = f"{instances} instances"
+    return report
 
 
 # Suite name -> checks, called as suite(rng, truncation).
-SUITES: dict[str, Callable[[random.Random, int], list[SuiteCheck]]] = {
+SUITES: dict[str, Callable[[random.Random, int], list[Report]]] = {
     "equivalence": lambda rng, truncation: [equivalence_exhaustive(), equivalence_random(rng), loworder_forms(rng)],
     "convolution": lambda rng, truncation: convolution_checks(),
     "vandermonde": lambda rng, truncation: [vandermonde_check()],

@@ -36,8 +36,8 @@ def report(name, failures, detail):
 def report_checks(criterion, checks):
     """One line per shared verify check, then fail on any failing check."""
     for check in checks:
-        print(f"[{'PASS' if check.passed else 'FAIL'}] {criterion}: {check.name} ({check.detail})")
-    failed = [(check.name, check.failures[:3]) for check in checks if not check.passed]
+        print(f"[{'PASS' if check.ok else 'FAIL'}] {criterion}: {check.name} ({check.detail})")
+    failed = [(check.name, check.failures()[:3]) for check in checks if not check.ok]
     assert not failed, f"{criterion}: first failures: {failed}"
 
 

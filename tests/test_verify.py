@@ -16,15 +16,16 @@ def cold_layer_tables():
     polyexpand._layer_table.cache_clear()
 
 
-def test_loworder_forms_report_a_planted_defect(monkeypatch):
+def labels(report):
+    return [check.label for check in report.failures()]
+
+
+def plant_loworder_defect_at_order_4(monkeypatch):
     spelled_out = esp.esp_loworder
     monkeypatch.setattr(esp, "esp_loworder", lambda roots, i: spelled_out(roots, i) + (i == 4))
-    check = verify.loworder_forms(random.Random(42))
-    assert check.detail == "80 instances"
-    assert len(check.failures) == 20 and {i for _, i in check.failures} == {4}
 
 
-def test_convolution_checks_report_a_planted_defect(monkeypatch):
+def plant_c2_defect_at_n6(monkeypatch):
     recurrence = coeffs.coeff_recurrence
 
     def wrong_c2_at_n6(n, i, h_max):
@@ -34,10 +35,36 @@ def test_convolution_checks_report_a_planted_defect(monkeypatch):
         return (values[0], values[1] + 1, *values[2:])
 
     monkeypatch.setattr(coeffs, "coeff_recurrence", wrong_c2_at_n6)
+
+
+def test_loworder_forms_report_a_planted_defect(monkeypatch):
+    plant_loworder_defect_at_order_4(monkeypatch)
+    check = verify.loworder_forms(random.Random(42))
+    assert check.detail == "80 instances"
+    assert len(labels(check)) == 20 and {i for _, i in labels(check)} == {4}
+
+
+def test_convolution_checks_report_a_planted_defect(monkeypatch):
+    plant_c2_defect_at_n6(monkeypatch)
     routes, by_recurrence, by_closed = verify.convolution_checks()
-    assert routes.failures == tuple((6, i) for i in range(1, 7))
-    assert by_recurrence.failures == tuple((6, i, "h=2") for i in range(1, 7))
-    assert by_closed.passed and by_closed.detail == "210 (n,i) pairs, h<=12"
+    assert labels(routes) == [(6, i) for i in range(1, 7)]
+    assert labels(by_recurrence) == [(6, i, "h=2") for i in range(1, 7)]
+    assert by_closed.ok and by_closed.detail == "210 (n,i) pairs, h<=12"
+
+
+def test_a_failing_sweep_carries_its_values(monkeypatch):
+    plant_loworder_defect_at_order_4(monkeypatch)
+    plant_c2_defect_at_n6(monkeypatch)
+    wrong_forms = verify.loworder_forms(random.Random(42)).failures()
+    assert len(wrong_forms) == 20
+    assert all(check.observed == check.expected + 1 for check in wrong_forms)
+    routes, by_recurrence, _ = verify.convolution_checks()
+    first_route, first_sum = routes.failures()[0], by_recurrence.failures()[0]
+    assert first_route.label == (6, 1) and first_route.observed[1] == first_route.expected[1] + 1
+    assert first_sum.label == (6, 1, "h=2") and first_sum.expected == 1 and first_sum.observed != 1
+    # a passing sweep holds no checks, a fixed list holds every value
+    assert verify.vandermonde_check().checks == []
+    assert [len(report.checks) for report in verify.layer_checks()[:2]] == [4, 8]
 
 
 def wrong_c3_at_n5(closed):
@@ -47,14 +74,14 @@ def wrong_c3_at_n5(closed):
 def test_gf_checks_report_a_planted_defect(monkeypatch):
     monkeypatch.setattr(series, "coeff_closed", wrong_c3_at_n5(coeffs.coeff_closed))
     untransformed, transformed = verify.gf_checks(30)
-    assert untransformed.failures == transformed.failures == tuple((5, i) for i in range(1, 6))
+    assert labels(untransformed) == labels(transformed) == [(5, i) for i in range(1, 6)]
     assert untransformed.detail == transformed.detail == "78 (n,i) pairs, T=30"
 
 
 def test_vandermonde_check_reports_a_planted_defect(monkeypatch):
     monkeypatch.setattr(coeffs, "coeff_closed", wrong_c3_at_n5(coeffs.coeff_closed))
     check = verify.vandermonde_check()
-    assert check.failures == tuple((5, i, "term k=2") for i in range(1, 6))
+    assert labels(check) == [(5, i, "term k=2") for i in range(1, 6)]
     assert check.detail == "210 (n,i) pairs, h=12"
 
 
@@ -62,12 +89,22 @@ def test_layer_checks_report_a_planted_defect(monkeypatch, cold_layer_tables):
     multinomial = polyexpand.multinomial
     monkeypatch.setattr(polyexpand, "multinomial", lambda p, parts: multinomial(p, parts) + (parts == (2, 1)))
     quartet, ones, layers = verify.layer_checks()
-    assert quartet.failures == ((2, 1),) and ones.passed
+    assert labels(quartet) == [(2, 1)] and ones.ok
     # m_a^2 m_b enters the expansion at every order from 3 on, so each of those instances fails
     assert layers.detail == "6372 instances"
-    assert layers.failures == tuple(
+    assert labels(layers) == [
         (roots.elements, i) for roots in verify._exhaustive_roots(5, 4) for i in range(3, roots.n + 1)
-    )
+    ]
+
+
+def test_layer_checks_catch_a_flipped_sign_convention(monkeypatch, cold_layer_tables):
+    # the listing -22/4!, +18/4!, -4/4!, -6/4! of the rejected convention, with all-ones -1
+    signed = polyexpand.stirling_first_signed
+    monkeypatch.setattr(polyexpand, "stirling_first_signed", lambda i, p: -signed(i, p))
+    quartet, ones, _ = verify.layer_checks()
+    assert labels(quartet) == [(1, 1), (2, 1), (3, 1), (2, 2)]
+    assert labels(ones) == list(range(1, 9))
+    assert all(check.observed == -check.expected for check in quartet.checks + ones.checks)
 
 
 def test_layer_tables_are_built_once(monkeypatch, cold_layer_tables):
@@ -81,10 +118,10 @@ def test_layer_tables_are_built_once(monkeypatch, cold_layer_tables):
     monkeypatch.setattr(polyexpand, "multinomial", counted)
     # The order-i tables hold every composition of every p = 1..i, 2^i - 1 of
     # them; the 4 + 8 single coefficients are computed on each run.
-    assert all(check.passed for check in verify.layer_checks())
+    assert all(check.ok for check in verify.layer_checks())
     assert len(calls) == sum(2**i - 1 for i in range(1, 6)) + 4 + 8
     calls.clear()
-    assert all(check.passed for check in verify.layer_checks())
+    assert all(check.ok for check in verify.layer_checks())
     assert len(calls) == 4 + 8
 
 
@@ -103,8 +140,6 @@ def test_equivalence_sweeps_report_a_planted_defect_in_the_all_orders_sieve(monk
     monkeypatch.setattr(esp, "_bracket_table", off_by_one)
     exhaustive = verify.equivalence_exhaustive()
     assert exhaustive.detail == "30948 instances"
-    assert exhaustive.failures == tuple(
-        (roots.elements, 2) for roots in verify._exhaustive_roots(6, 4) if roots.n >= 3
-    )
+    assert labels(exhaustive) == [(roots.elements, 2) for roots in verify._exhaustive_roots(6, 4) if roots.n >= 3]
     random_sweep = verify.equivalence_random(random.Random(42))
-    assert random_sweep.passed and random_sweep.detail == "1709 instances"
+    assert random_sweep.ok and random_sweep.detail == "1709 instances"
