@@ -4,11 +4,18 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 failed verification, 2 usage error, 3 domain error (extraction asked
 for i > n).  Big integers are printed as decimal strings in JSON to stay
 exact past 2**53.
+
+`main(argv)` may be called repeatedly in one process: it builds its parser
+on the first call and reuses it.  The parser holds only what is fixed at
+import (the method and suite names, the `cmd_*` functions, `_roots_arg`);
+each command looks its routes and suites up when it runs, and argparse
+sizes its help text to the terminal when it prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import statistics
@@ -44,6 +51,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     i: int = args.i
     if i < 0:
         print("error: --i must be >= 0", file=sys.stderr)
+        return 2
+    if args.explain_limit < 0:
+        print(f"error: --explain-limit must be >= 0, got {args.explain_limit}", file=sys.stderr)
         return 2
 
     if args.method == "all":
@@ -255,7 +265,9 @@ def _roots_arg(text: str) -> RootSet:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and shared by every `main` call, so none may change it."""
     parser = argparse.ArgumentParser(
         prog="symex",
         description="Exact elementary symmetric polynomials via binomial-product extraction.",

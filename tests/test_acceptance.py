@@ -7,11 +7,14 @@ tolerances anywhere.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import symex
 from symex.esp import specialize
 from symex.verify import (
     convolution_checks,
@@ -105,11 +108,18 @@ def test_criterion_8_specialized_triangles():
     report("criterion 8: stirling1 and pascal triangles, rows 1..8", failures, "16 rows")
 
 
+# The directory this process imports symex from, installed or not, so the
+# CLI subprocesses run the same code as the in-process tests.
+SYMEX_ROOT = str(Path(symex.__file__).resolve().parents[1])
+
+
 def run_cli(*argv):
+    path = os.pathsep.join(filter(None, (SYMEX_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "symex", *argv],
         capture_output=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

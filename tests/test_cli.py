@@ -1,10 +1,11 @@
+import argparse
 import json
 import sys
 from collections import Counter
 
 import pytest
 
-from symex import esp, verify
+from symex import cli, esp, verify
 from symex.cli import main
 from symex.rootset import RootSet
 
@@ -72,6 +73,26 @@ def test_compute_explain_text(capsys):
     assert "h=1 weight -1 bracket_total 65" in lines
     assert "  {1,2} sum=5 C(5,3)=10" in lines
     assert lines[-1] == "total 24"
+
+
+def test_compute_rejects_a_negative_explain_limit_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no route may run on a rejected --explain-limit")
+
+    for name in ("esp_extraction", "esp_compare"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setitem(esp.METHODS, "dp", refuse)
+    for extra in (["--explain"], ["--explain", "--json"], [], ["--method", "dp"], ["--method", "all"]):
+        for limit in ("-1", "-7"):
+            code, out, err = run(capsys, "compute", "--roots", "2,3,4", "--i", "3", "--explain-limit", limit, *extra)
+            assert code == 2 and out == ""
+            assert err == f"error: --explain-limit must be >= 0, got {limit}\n"
+
+
+def test_compute_explain_limit_zero_omits_the_detail(capsys):
+    code, out, err = run(capsys, "compute", "--roots", "2,3,4", "--i", "3", "--explain", "--explain-limit", "0")
+    assert code == 0 and err == ""
+    assert "  (per-subset detail omitted: n > explain limit 0)" in out.splitlines()
 
 
 def test_compute_json_schema(capsys):
@@ -347,3 +368,89 @@ def test_specialize_json(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["rows"] == [["1", "1"], ["1", "2", "1"], ["1", "3", "3", "1"]]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def run_any(capsys, argv):
+    """Exit code, stdout and stderr of `main(argv)`, whether it returns or exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def fresh_parser_run(capsys, monkeypatch, argv):
+    """`run_any` with a parser built for this call alone, as before the cache."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        return run_any(capsys, argv)
+
+
+EVERY_SUBCOMMAND = (
+    ("compute", "--roots", "2,3,4", "--i", "3"),
+    ("compute", "--roots", "2,3,4", "--i", "2", "--explain"),
+    ("compute", "--roots", "2,0,4", "--i", "1"),
+    ("coeffs", "--n", "5", "--i", "3"),
+    ("verify", "--suite", "multiplicity"),
+    ("bench", "--n", "4", "--i", "2", "--methods", "dp", "--json"),
+    ("specialize", "--family", "pascal", "--rows", "3"),
+    ("nosuch",),
+)
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    codes = [run_any(capsys, argv)[0] for argv in (EVERY_SUBCOMMAND * 3)[:20]]
+    assert codes[:8] == [0, 0, 2, 0, 0, 0, 0, 2]
+    # the root parser and one subparser per subcommand, once for all 20 calls
+    assert len(built) == 6
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    sequence = [
+        ("compute", "--roots", "2,0,4", "--i", "1"),
+        ("compute", "--help"),
+        ("compute", "--roots", "2,3", "--i", "5"),
+        ("compute", "--roots", "2,3,4", "--i", "3", "--explain"),
+        ("compute", "--roots", "2,0,4", "--i", "1"),
+        ("compute", "--roots", "2,3,4", "--i", "3", "--json"),
+        ("compute", "--roots", "2,3,4,5", "--i", "2", "--method", "all"),
+        ("compute", "--help"),
+        ("coeffs", "--n", "6", "--i", "3", "--h-max", "4"),
+        ("nosuch",),
+        ("specialize", "--family", "stirling1", "--rows", "4"),
+        ("verify", "--suite", "multiplicity"),
+        ("compute", "--roots", "2,3", "--i", "5"),
+        ("compute", "--roots", "2,3,4", "--i", "3", "--explain"),
+        ("nosuch",),
+        ("verify", "--suite", "multiplicity", "--json"),
+    ]
+    reused = [run_any(capsys, argv) for argv in sequence]
+    fresh = [fresh_parser_run(capsys, monkeypatch, argv) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 3, 0, 2, 0, 0, 0, 0, 2, 0, 0, 3, 0, 2, 0]
+
+
+def test_help_follows_the_terminal_width_at_call_time(capsys, monkeypatch):
+    texts = {}
+    for columns in ("200", "40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = run_any(capsys, ["compute", "--help"])
+        assert reused == fresh_parser_run(capsys, monkeypatch, ["compute", "--help"])
+        assert reused[0] == 0 and reused[2] == ""
+        texts.setdefault(columns, reused[1])
+        assert texts[columns] == reused[1]
+    assert texts["40"] != texts["200"]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from symex import coeffs, esp, polyexpand, series, verify
+from symex.cli import main
 
 
 @pytest.fixture
@@ -95,6 +96,18 @@ def test_layer_checks_report_a_planted_defect(monkeypatch, cold_layer_tables):
     assert labels(layers) == [
         (roots.elements, i) for roots in verify._exhaustive_roots(5, 4) for i in range(3, roots.n + 1)
     ]
+
+
+def test_layer_checks_see_a_planted_defect_in_the_definition(monkeypatch, capsys):
+    # The top layer is compared with esp_direct looked up on symex.esp, so a
+    # defect there fails the layers suite as well as equivalence.
+    direct = esp.esp_direct
+    monkeypatch.setattr(esp, "esp_direct", lambda roots, i: direct(roots, i) + (i == 2))
+    _, _, layers = verify.layer_checks()
+    assert labels(layers) == [(roots.elements, 2) for roots in verify._exhaustive_roots(5, 4) if roots.n >= 2]
+    assert len(labels(layers)) == 1360
+    assert main(["verify", "--suite", "layers"]) == 1
+    assert "FAIL layer decomposition rebuilds the binomial" in capsys.readouterr().out
 
 
 def test_layer_checks_catch_a_flipped_sign_convention(monkeypatch, cold_layer_tables):
