@@ -17,8 +17,10 @@ A bracket total sum_{|J|=s} C(sigma_J, i) takes one of two routes.  With
 per-subset detail (n <= explain limit) the C(n, s) subsets are enumerated.
 Without it, _bracket_table gets every total from one Vandermonde DP over
 the roots, B[s][k] += sum_q B[s-1][q] * C(m, k-q), with each row B[s][0..top]
-packed into one integer of b-bit slots, b = n + top * bitlen(N) + 1 where
-N = m_1+...+m_n.  Every slot holds at most C(n, s) * C(N, k) < 2^b, so a
+packed into one integer of b-bit slots,
+b = bitlen(C(n, floor(n/2))) + bitlen(C(N, min(top, floor(N/2)))) + 1 where
+N = m_1+...+m_n.  Every slot holds at most C(n, s) * C(N, k), whose factors
+peak at s = floor(n/2) and k = min(top, floor(N/2)), so each slot is < 2^b, a
 carry never reaches a kept slot and the route costs O(n * top) big-int
 products instead of sum_s C(n, s) binomials.  esp_extraction reads slot i
 of a table with top = i; one table with top = n holds every order's brackets,
@@ -28,8 +30,9 @@ and esp_extraction_all reads each column i of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from typing import Callable, Sequence
 
 from .bigcomb import binomial_first, binomial_second, stirling_first_signed
@@ -168,9 +171,11 @@ def esp_extraction_all(roots: RootSet) -> list[int]:
     return values
 
 
-def _weights(n: int, i: int) -> list[int]:
-    """The additive weight -C_h = (-1)^h * multichoose(n-i+1, h-1) of each bracket h = 1..i-1."""
-    return [(-1) ** h * binomial_second(n - i + 1, h - 1) for h in range(1, i)]
+@lru_cache(maxsize=256)
+def _weights(n: int, i: int) -> tuple[int, ...]:
+    """The additive weight -C_h = (-1)^h * multichoose(n-i+1, h-1) of each bracket h = 1..i-1.
+    Depends on (n, i) only, so each row is built once and shared, immutable."""
+    return tuple((-1) ** h * binomial_second(n - i + 1, h - 1) for h in range(1, i))
 
 
 def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
@@ -178,7 +183,8 @@ def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
     in b-bit slots for s < top, and b.  Adding a root m adds rows[s-1] times the
     packed C(m, 0..min(m, top)), cut to slots 0..top, a factor built once per
     distinct root.  The slot bound needs nonnegative elements."""
-    b = len(elements) + top * sum(elements).bit_length() + 1
+    n, total = len(elements), sum(elements)
+    b = comb(n, n // 2).bit_length() + comb(total, min(top, total // 2)).bit_length() + 1
     keep = (1 << (b * (top + 1))) - 1
     factors = {}
     for m in elements:

@@ -7,7 +7,9 @@ s(i, p) * multinomial(p; lambda) / i!, independent of n.  Grouping terms by
 their support subset gives the layer decomposition whose top layer
 (support size i, total power i) is exactly e_i.  The layer check builds
 each order-i, support-size-s table of exponent vectors and their i!-scaled
-coefficients once per process and shares it across every root set.
+coefficients once per process and shares it across every root set.  Each
+ordered s-tuple of roots has its i!-scaled monomial sum evaluated once and
+cached with its table, so clearing the table cache drops those sums too.
 
 Signs follow the signed-Stirling expansion of the falling factorial: at
 order 4 the two-element coefficients are +22/4!, -18/4!, +4/4!, +6/4!, and
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
-from typing import Iterator
+from typing import Callable, Iterator
 
 # The top layer is compared with `esp.esp_direct` looked up on its home module,
 # so a patch or wrapper on `symex.esp.esp_direct` is seen here too.
@@ -70,16 +72,25 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _layer_table(i: int, s: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+def _layer_table(i: int, s: int) -> Callable[[tuple[int, ...]], int]:
     # Every exponent vector of support size s and total power s..i, with its
     # i!-scaled coefficient s(i, p) * multinomial(p; lambda).  Depends on
-    # (i, s) only, never on the roots.
+    # (i, s) only, never on the roots.  Returns the i!-scaled sum of one
+    # s-tuple's monomials, cached per tuple in the order given (up to 4,096
+    # tuples per table).  Keys are never sorted: the cache assumes no symmetry
+    # of the coefficients, so a defect that breaks it still shows.
     table = [
         (comp, stirling_first_signed(i, p) * multinomial(p, comp))
         for p in range(s, i + 1)
         for comp in _compositions(p, s)
     ]
-    return tuple(zip(*table))
+    exponents, scaled = zip(*table)
+
+    @lru_cache(maxsize=4096)
+    def subset_sum(ms: tuple[int, ...]) -> int:
+        return sum(map(mul, scaled, [math.prod(map(pow, ms, comp)) for comp in exponents]))
+
+    return subset_sum
 
 
 def verify_layer_decomposition(roots: RootSet, i: int) -> Report:
@@ -91,11 +102,7 @@ def verify_layer_decomposition(roots: RootSet, i: int) -> Report:
     # Accumulate i! * coefficient as plain integers; divide once at the end.
     total_scaled = 0
     for s in range(1, i + 1):
-        exponents, scaled = _layer_table(i, s)
-        layer_scaled = 0
-        for ms in combinations(roots.elements, s):
-            monomials = [math.prod(map(pow, ms, comp)) for comp in exponents]
-            layer_scaled += sum(map(mul, scaled, monomials))
+        layer_scaled = sum(map(_layer_table(i, s), combinations(roots.elements, s)))
         total_scaled += layer_scaled
     top_scaled = layer_scaled  # the last layer, s = i
     fact_i = math.factorial(i)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -313,6 +314,61 @@ def test_bracket_totals_build_one_factor_per_distinct_root(monkeypatch):
         sum(binomial_first(sum(combo), 3) for combo in combinations(elements, s)) for s in range(3)
     ]
     assert sorted(calls) == [(1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (3, 3)]
+
+
+def _enumerated_table(elements, top):
+    # sum_{|J|=s} C(sigma_J, k) for s < top and k <= top, enumerated over
+    # sub-multisets: picking j of the c copies of a value is C(c, j) subsets.
+    counts = Counter(elements)
+    rows = [[0] * (top + 1) for _ in range(top)]
+    for picks in product(*(range(count + 1) for count in counts.values())):
+        s = sum(picks)
+        if s < top:
+            ways = math.prod(math.comb(count, j) for count, j in zip(counts.values(), picks))
+            sigma = sum(m * j for m, j in zip(counts, picks))
+            for k in range(top + 1):
+                rows[s][k] += ways * math.comb(sigma, k)
+    return rows
+
+
+def _assert_slots_hold_the_enumerated_table(elements, top):
+    rows, b = esp._bracket_table(elements, top)
+    expected = _enumerated_table(elements, top)
+    # each packed row is exactly its enumerated slots: no slot overflowed into
+    # the next and nothing is left above slot top
+    assert rows == [sum(value << (b * k) for k, value in enumerate(row)) for row in expected]
+    assert all(value < 1 << b for row in expected for value in row)
+    # the slot width never exceeds the earlier bound n + top * bitlen(N) + 1
+    assert b <= len(elements) + top * sum(elements).bit_length() + 1
+
+
+# Narrow roots put top >= N/2, where C(N, k) peaks inside the kept slots.
+mixed_roots = st.one_of(st.integers(1, 3), wide_roots)
+
+
+@given(elements=st.lists(mixed_roots, min_size=1, max_size=8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_bracket_table_slots_hold_the_enumerated_totals(elements, data):
+    top = data.draw(st.integers(1, len(elements) + 1))
+    _assert_slots_hold_the_enumerated_table(tuple(elements), top)
+
+
+def test_bracket_table_slot_width_at_its_edges():
+    small = (3, 1, 4, 1, 5, 9, 2, 6, 5)
+    cases = [
+        (1,) * 12,  # N = n: top >= N/2 from top = 6 on
+        (1, 1, 2),
+        (1,),  # N = 1
+        (7,),  # a single root
+        ((1 << 60) - 1,) * 20,
+        (1 << 80, *small),
+        (*small, 1 << 80),
+    ]
+    for elements in cases:
+        for top in range(1, len(elements) + 2):
+            _assert_slots_hold_the_enumerated_table(elements, top)
+    # all-ones at top = n: slots of C(12, 6) * C(12, 6) < 2^20, against 61 bits before
+    assert esp._bracket_table((1,) * 12, 12)[1] == 21
 
 
 def _per_order_sieve(roots):

@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symex import polyexpand
 from symex.esp import esp_all
@@ -108,3 +110,33 @@ def test_layer_decomposition_outside_the_sweep():
                 assert report.ok
                 assert report.checks[0].observed == math.comb(roots.total, i)
                 assert report.checks[1].observed == per_order[i]
+
+
+def spelled_out_layers(elements, i):
+    # every layer s = 1..i summed monomial by monomial, with no table and no cache
+    return [
+        sum(
+            monomial_coefficient(i, comp) * math.prod(map(pow, ms, comp))
+            for ms in combinations(elements, s)
+            for p in range(s, i + 1)
+            for comp in _compositions(p, s)
+        )
+        for s in range(1, i + 1)
+    ]
+
+
+# A few wide values repeated in any order: the memo sees both (a, b) and (b, a).
+wide_root_sets = st.lists(st.integers(1, 1 << 64), min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=7)
+)
+
+
+@given(elements=wide_root_sets, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_memoized_layers_equal_the_spelled_out_sum(elements, data):
+    i = data.draw(st.integers(1, min(6, len(elements))))
+    layers = spelled_out_layers(elements, i)
+    for ordering in (elements, elements[::-1], elements):
+        report = verify_layer_decomposition(RootSet(tuple(ordering)), i)
+        assert report.checks[0].observed == sum(layers) == math.comb(sum(elements), i)
+        assert report.checks[1].observed == layers[-1]

@@ -1,11 +1,16 @@
 """The shared verify checks must report failures when a route is wrong."""
 
+import itertools
+import math
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from symex import coeffs, esp, polyexpand, series, verify
+from symex import bigcomb, coeffs, esp, polyexpand, series, verify
 from symex.cli import main
+from symex.rootset import RootSet
 
 
 @pytest.fixture
@@ -136,6 +141,84 @@ def test_layer_tables_are_built_once(monkeypatch, cold_layer_tables):
     calls.clear()
     assert all(check.ok for check in verify.layer_checks())
     assert len(calls) == 4 + 8
+
+
+def layer_memo_info():
+    # (evaluations, entries) summed over the subset memos of every swept table, i <= 5
+    infos = [polyexpand._layer_table(i, s).cache_info() for i in range(1, 6) for s in range(1, i + 1)]
+    return sum(info.misses for info in infos), sum(info.currsize for info in infos)
+
+
+def test_layer_checks_evaluate_each_subset_once(monkeypatch, cold_layer_tables):
+    # Each memo key is an ordered s-tuple of roots in 1..4, so the sweep has
+    # sum_{i<=5} sum_{s<=i} 4^s = 1,812 of them.  Order-i, size-s tables hold
+    # C(i, s) exponent vectors, one product each: sum_{i<=5} (5^i - 1) = 3,900.
+    products = []
+
+    def counted(factors):
+        products.append(None)
+        return math.prod(factors)
+
+    monkeypatch.setattr(polyexpand, "math", SimpleNamespace(prod=counted, factorial=math.factorial))
+    assert all(check.ok for check in verify.layer_checks())
+    assert layer_memo_info() == (1812, 1812)
+    assert len(products) == 3900
+    products.clear()
+    reports = verify.layer_checks()
+    assert all(check.ok for check in reports) and reports[2].detail == "6372 instances"
+    assert layer_memo_info() == (1812, 1812)
+    assert products == []
+
+
+def test_planted_layer_defects_show_after_a_warm_sweep(monkeypatch, cold_layer_tables):
+    # A warm, unpatched sweep fills every table and its subset memo.  The one
+    # cache_clear that cold_layer_tables makes must drop both, or the planted
+    # defects of the two tests above would be hidden by the stale sums.
+    for planted in (test_layer_checks_report_a_planted_defect, test_layer_checks_catch_a_flipped_sign_convention):
+        assert all(check.ok for check in verify.layer_checks())
+        with monkeypatch.context() as patch:
+            patch.setattr(polyexpand, "multinomial", lambda p, parts: bigcomb.multinomial(p, parts) + 1)
+            assert verify.layer_checks()[2].ok  # the warm tables do not see a patch
+            polyexpand._layer_table.cache_clear()
+        with monkeypatch.context() as patch:
+            planted(patch, None)
+        polyexpand._layer_table.cache_clear()
+
+
+def test_layer_memo_keeps_each_subset_in_its_order(monkeypatch, cold_layer_tables):
+    # A correct subset sum is symmetric, so only an asymmetric defect shows a
+    # memo that sorts its keys.  With multinomial(3; 2, 1) one too large, the
+    # order-3 total gains a^2 b / 3! for each pair (a, b) in the order given.
+    multinomial = polyexpand.multinomial
+    monkeypatch.setattr(polyexpand, "multinomial", lambda p, parts: multinomial(p, parts) + (parts == (2, 1)))
+    for elements in ((1, 2, 3), (3, 2, 1), (2, 3, 1), (1, 2, 3)):
+        full, _ = polyexpand.verify_layer_decomposition(RootSet(elements), 3).checks
+        extra = sum(a * a * b for a, b in itertools.combinations(elements, 2))
+        assert full.observed - full.expected == Fraction(extra, 6)
+
+
+def test_sieve_weights_are_built_once_per_order(monkeypatch):
+    # The exhaustive sweep reads the rows (n, i) for n <= 6, i <= n: 21 rows of
+    # i - 1 multichoose weights each, 35 in all, built once and shared.
+    calls = []
+
+    def counted(x, k):
+        calls.append((x, k))
+        return bigcomb.binomial_second(x, k)
+
+    esp._weights.cache_clear()
+    monkeypatch.setattr(esp, "binomial_second", counted)
+    assert verify.equivalence_exhaustive().ok
+    assert len(calls) == 35 and esp._weights.cache_info().misses == 21
+    calls.clear()
+    report = verify.equivalence_exhaustive()
+    assert report.ok and report.detail == "30948 instances"
+    assert calls == []
+    random_sweep = verify.equivalence_random(random.Random(42))
+    assert random_sweep.ok and random_sweep.detail == "1709 instances"
+    esp._weights.cache_clear()
+    # a shared row is a tuple, so no caller can change it for the next
+    assert esp._weights(6, 4) == (-1, 3, -6) and esp._weights(6, 4) is esp._weights(6, 4)
 
 
 def test_equivalence_sweeps_report_a_planted_defect_in_the_all_orders_sieve(monkeypatch):
