@@ -46,15 +46,16 @@ def binomial_first(x: int, k: int) -> int:
 
 def binomial_second(x: int, k: int) -> int:
     """Binomial number of the second kind (multichoose): rising factorial
-    x(x+1)...(x+k-1) over k!.  Returns 1 when k = 0, even for x = 0."""
+    x(x+1)...(x+k-1) over k!, which is C(x+k-1, k).  Returns 1 when k = 0,
+    even for x = 0, where that formula would be C(-1, 0), which math.comb
+    refuses."""
     if x < 0:
         raise ValueError(f"multichoose needs a nonnegative base, got {x}")
     if k < 0:
         raise ValueError(f"choice count must be >= 0, got {k}")
-    rising = 1
-    for j in range(k):
-        rising *= x + j
-    return rising // math.factorial(k)
+    if x == 0:
+        return int(k == 0)
+    return math.comb(x + k - 1, k)
 
 
 @lru_cache(maxsize=64)

@@ -15,16 +15,30 @@ each other.
 
 A bracket total sum_{|J|=s} C(sigma_J, i) takes one of two routes.  With
 per-subset detail (n <= explain limit) the C(n, s) subsets are enumerated.
-Without it, _bracket_table gets every total from one Vandermonde DP over
-the roots, B[s][k] += sum_q B[s-1][q] * C(m, k-q), with each row B[s][0..top]
-packed into one integer of b-bit slots,
-b = bitlen(C(n, floor(n/2))) + bitlen(C(N, min(top, floor(N/2)))) + 1 where
-N = m_1+...+m_n.  Every slot holds at most C(n, s) * C(N, k), whose factors
-peak at s = floor(n/2) and k = min(top, floor(N/2)), so each slot is < 2^b, a
-carry never reaches a kept slot and the route costs O(n * top) big-int
-products instead of sum_s C(n, s) binomials.  esp_extraction reads slot i
-of a table with top = i; one table with top = n holds every order's brackets,
-and esp_extraction_all reads each column i of it.
+Without it, the totals come from a support-layer DP over the roots.  By
+Vandermonde, (1+z)^m = 1 + g_m(z) with g_m(z) = (1+z)^m - 1, so
+
+    sum_s y^s sum_k B[s][k] z^k = prod_j (1 + y (1+z)^{m_j})
+                                = sum_t F_t(z) y^t (1+y)^{n-t},
+
+where B[s][k] = sum_{|J|=s} C(sigma_J, k) and F[t][k] = [y^t z^k]
+prod_j (1 + y g_{m_j}(z)) groups the terms of B by their support T, |T| = t.
+Hence B[s][k] = sum_{t<=s} C(n-t, s-t) F[t][k].  g_m has no constant term, so
+F[t][k] = 0 for k < t: _support_rows keeps row t shifted down t slots, only
+F[t][t..top], and each DP product is cut to those top-t+1 slots.  Each row is
+packed into one integer of b-bit slots.  All terms of F are nonnegative and
+sum_t F[t][k] = C(N, k) where N = m_1+...+m_n, so F[t][k] <= C(N, k), and
+B[s][k] <= C(n, s) * C(N, k).  Over k <= top, C(N, k) is largest at
+k = min(top, floor(N/2)), and C(n, s) is largest at s = floor(n/2).  So
+_bracket_totals, which packs F alone, takes
+b = bitlen(C(N, min(top, floor(N/2)))), and _bracket_table, whose rows hold
+B, takes b = bitlen(C(n, floor(n/2))) + that + 1 and runs the DP in those
+wider slots, so the conversion needs no repacking.  Every slot is then
+< 2^b, a carry never reaches a kept slot and the route costs O(n * top)
+big-int products instead of sum_s C(n, s) binomials.
+esp_extraction reads the top slot F[t][i] of each row of a DP with top = i
+and converts those few integers; one table with top = n holds every order's
+brackets, and esp_extraction_all reads each column i of it.
 """
 
 from __future__ import annotations
@@ -33,6 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
+from operator import mul
 from typing import Callable, Sequence
 
 from .bigcomb import binomial_first, binomial_second, stirling_first_signed
@@ -128,8 +143,8 @@ def esp_extraction(
 
     Up to n = explain_limit every bracket enumerates its subsets and keeps
     the per-subset binomials.  Above it, the bracket totals come from the
-    packed DP of the module docstring (_bracket_totals) in polynomial time,
-    with no subset enumerated.
+    support-layer DP of the module docstring (_bracket_totals) in polynomial
+    time, with no subset enumerated.
 
     Orders above n are refused rather than silently extrapolated.
     """
@@ -178,33 +193,55 @@ def _weights(n: int, i: int) -> tuple[int, ...]:
     return tuple((-1) ** h * binomial_second(n - i + 1, h - 1) for h in range(1, i))
 
 
-def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
-    """The packed DP of the module docstring: returns rows, rows[s] = B[s][0..top]
-    in b-bit slots for s < top, and b.  Adding a root m adds rows[s-1] times the
-    packed C(m, 0..min(m, top)), cut to slots 0..top, a factor built once per
-    distinct root.  The slot bound needs nonnegative elements."""
-    n, total = len(elements), sum(elements)
-    b = comb(n, n // 2).bit_length() + comb(total, min(top, total // 2)).bit_length() + 1
-    keep = (1 << (b * (top + 1))) - 1
+@lru_cache(maxsize=256)
+def _conversion(n: int, top: int) -> tuple[tuple[int, ...], ...]:
+    """C(n-t, s-t) for t = 0..s, one row per s < top: B[s] = sum_t C(n-t, s-t) * F[t].
+    Depends on (n, top) only, so each table is built once and shared, immutable."""
+    return tuple(tuple(comb(n - t, s - t) for t in range(s + 1)) for s in range(top))
+
+
+def _support_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
+    """The support-layer DP of the module docstring: rows[t] = F[t][t..top] in
+    b-bit slots for t < top, row t shifted down t slots.  Adding a root m adds
+    to rows[t] the product of rows[t-1] and the packed g_m(z)/z =
+    C(m, 1..min(m, top)), factor and product cut to the top-t+1 slots row t
+    keeps; the factor is built once per distinct root.  Exact when every
+    F[t][k] < 2^b, which needs nonnegative elements."""
+    keep = [(1 << (b * (top - t + 1))) - 1 for t in range(top)]
     factors = {}
     for m in elements:
         if m not in factors:
             factor = 0
-            for k in range(min(m, top), -1, -1):
+            for k in range(min(m, top), 0, -1):
                 factor = factor << b | binomial_first(m, k)
             factors[m] = factor
     rows = [1] + [0] * (top - 1)
     for count, m in enumerate(elements, start=1):
         factor = factors[m]
-        for s in range(min(count, top - 1), 0, -1):
-            rows[s] += (rows[s - 1] * factor) & keep
-    return rows, b
+        for t in range(min(count, top - 1), 0, -1):
+            mask = keep[t]
+            rows[t] += (rows[t - 1] * (factor & mask)) & mask
+    return rows
+
+
+def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
+    """Returns rows, rows[s] = B[s][0..top] in b-bit slots for s < top, and
+    b: each support row moved back up to slots t..top and summed with the
+    coefficients C(n-t, s-t).  Every coefficient is nonnegative and every
+    B[s][k] < 2^b, so the packed sums carry nothing between slots."""
+    n, total = len(elements), sum(elements)
+    b = comb(n, n // 2).bit_length() + comb(total, min(top, total // 2)).bit_length() + 1
+    rows = [row << (b * t) for t, row in enumerate(_support_rows(elements, top, b))]
+    return [sum(map(mul, coefficients, rows)) for coefficients in _conversion(n, top)], b
 
 
 def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
-    """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1: the top slot of each row."""
-    rows, b = _bracket_table(elements, i)
-    return [row >> (b * i) for row in rows]
+    """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1, converted from the top slot
+    F[t][i] of each support row alone, in slots as wide as F needs."""
+    total = sum(elements)
+    b = comb(total, min(i, total // 2)).bit_length()
+    tops = [row >> (b * (i - t)) for t, row in enumerate(_support_rows(elements, i, b))]
+    return [sum(map(mul, coefficients, tops)) for coefficients in _conversion(len(elements), i)]
 
 
 def esp_loworder(roots: RootSet, i: int) -> int:

@@ -54,6 +54,8 @@ def test_binomial_second(x, k, expected):
 def test_binomial_second_rejects_negative_base():
     with pytest.raises(ValueError):
         binomial_second(-1, 2)
+    with pytest.raises(ValueError):
+        binomial_second(3, -1)
 
 
 @given(x=st.integers(-40, 40), k=st.integers(0, 20))
@@ -74,10 +76,21 @@ def test_negation_reflection():
             assert binomial_first(-x, k) == (-1) ** k * binomial_second(x, k)
 
 
+def rising_factorial(x, k):
+    """Oracle: x(x+1)...(x+k-1), multiplied out, with the empty product 1 for k = 0."""
+    out = 1
+    for j in range(k):
+        out *= x + j
+    return out
+
+
 def test_second_kind_as_shifted_first_kind():
+    # binomial_second is math.comb(x+k-1, k), so the oracle is the rising
+    # factorial over k!, not another binomial
     for x in range(31):
         for k in range(16):
-            assert binomial_second(x, k) == binomial_first(x + k - 1, k)
+            expected = rising_factorial(x, k) // math.factorial(k)
+            assert binomial_second(x, k) == expected == binomial_first(x + k - 1, k)
 
 
 def test_stirling_against_expansion_oracle():

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symex import esp
@@ -307,13 +307,13 @@ def test_bracket_totals_build_one_factor_per_distinct_root(monkeypatch):
 
     monkeypatch.setattr(esp, "binomial_first", counted)
     assert esp._bracket_totals((1,) * 8, 5) == [0] * 5
-    assert sorted(calls) == [(1, 0), (1, 1)]
+    assert sorted(calls) == [(1, 1)]
     calls.clear()
     elements = (3, 1, 3, 1, 3)
     assert esp._bracket_totals(elements, 3) == [
         sum(binomial_first(sum(combo), 3) for combo in combinations(elements, s)) for s in range(3)
     ]
-    assert sorted(calls) == [(1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (3, 3)]
+    assert sorted(calls) == [(1, 1), (3, 1), (3, 2), (3, 3)]
 
 
 def _enumerated_table(elements, top):
@@ -369,6 +369,43 @@ def test_bracket_table_slot_width_at_its_edges():
             _assert_slots_hold_the_enumerated_table(elements, top)
     # all-ones at top = n: slots of C(12, 6) * C(12, 6) < 2^20, against 61 bits before
     assert esp._bracket_table((1,) * 12, 12)[1] == 21
+
+
+def _enumerated_support(elements, top):
+    # F[t][k] = sum_{|J|=t} sum_{U subset of J} (-1)^(t-|U|) C(sigma_U, k) for t < top
+    # and k <= top, over sub-multisets: J picks j of the c copies of a value
+    # (C(c, j) index sets) and U picks u of those j (C(j, u) index sets).
+    counts = Counter(elements)
+    rows = [[0] * (top + 1) for _ in range(top)]
+    for picks in product(*(range(count + 1) for count in counts.values())):
+        t = sum(picks)
+        if t >= top:
+            continue
+        ways = math.prod(math.comb(count, j) for count, j in zip(counts.values(), picks))
+        for sub in product(*(range(j + 1) for j in picks)):
+            signed = (-1) ** (t - sum(sub)) * ways * math.prod(math.comb(j, u) for j, u in zip(picks, sub))
+            sigma = sum(m * u for m, u in zip(counts, sub))
+            for k in range(top + 1):
+                rows[t][k] += signed * math.comb(sigma, k)
+    return rows
+
+
+@given(elements=st.lists(mixed_roots, min_size=1, max_size=8))
+@example(elements=[(1 << 60) - 1] * 20)
+@settings(max_examples=60, deadline=None)
+def test_support_rows_hold_the_enumerated_support_sums(elements):
+    n, total = len(elements), sum(elements)
+    support = _enumerated_support(elements, n + 1)
+    # below slot t row t is zero, and every value is within F[t][k] <= C(N, k)
+    assert all(value == 0 for t, row in enumerate(support) for value in row[:t])
+    assert all(0 <= value <= math.comb(total, k) for row in support for k, value in enumerate(row))
+    for top in range(1, n + 2):
+        # the narrowest slots the bound allows, as the per-order sieve packs F
+        b = math.comb(total, min(top, total // 2)).bit_length()
+        rows = esp._support_rows(tuple(elements), top, b)
+        # row t is exactly F[t][t..top], moved down t slots: no slot overflowed
+        # into the next and nothing is left above slot top - t
+        assert rows == [sum(support[t][k] << (b * (k - t)) for k in range(t, top + 1)) for t in range(top)]
 
 
 def _per_order_sieve(roots):
