@@ -1,8 +1,8 @@
 """Exact combinatorial primitives on arbitrary-precision integers.
 
 Generalized binomials (negative upper argument allowed), multichoose,
-falling factorials, signed Stirling numbers of the first kind, and
-multinomials.  Every value is an exact Python int; no floats anywhere.
+signed Stirling numbers of the first kind, and multinomials.  Every value
+is an exact Python int; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
-    "falling_factorial",
     "binomial_first",
     "binomial_second",
     "stirling_first_signed",
@@ -20,28 +19,19 @@ __all__ = [
 ]
 
 
-def falling_factorial(x: int, k: int) -> int:
-    """x(x-1)...(x-k+1), with the empty product 1 for k = 0."""
-    if k < 0:
-        raise ValueError(f"factor count must be >= 0, got {k}")
-    out = 1
-    for j in range(k):
-        out *= x - j
-    return out
-
-
 def binomial_first(x: int, k: int) -> int:
-    """Binomial number of the first kind C(x, k) = falling_factorial(x, k) / k!.
+    """Binomial number of the first kind C(x, k) = x(x-1)...(x-k+1) / k!.
 
     Defined for any integer x (the unique polynomial extension in x), so a
-    negative upper argument is fine.  For 0 <= x < k the falling factorial
-    crosses zero and the result is 0.  The division by k! is always exact.
+    negative upper argument is fine: there C(x, k) = (-1)^k * C(k-x-1, k),
+    the negation of the upper index.  For 0 <= x < k the falling factorial
+    crosses zero and the result is 0.
     """
     if k < 0:
         raise ValueError(f"choice count must be >= 0, got {k}")
     if x >= 0:
         return math.comb(x, k)
-    return falling_factorial(x, k) // math.factorial(k)
+    return (-1) ** k * math.comb(k - x - 1, k)
 
 
 def binomial_second(x: int, k: int) -> int:

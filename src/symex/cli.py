@@ -5,6 +5,15 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 for i > n).  Big integers are printed as decimal strings in JSON to stay
 exact past 2**53.
 
+`compute --explain` prints the value, then `head C(N,i) = <head>`, then for
+each h = 1..i-1 the line `h=<h> weight <w> bracket_total <total>` followed
+by the bracket's detail: one line `  {j_1,...,j_s} sum=<sigma_J> C(<sigma_J>,<i>)=<entry>`
+per (i-h)-subset J, in lexicographic order of J, or above the explain limit
+the line `  (per-subset detail omitted: n > explain limit <limit>)`.  The
+last line is `total <e_i>`.  Each bracket's lines are built in one pass that
+zips the entries with index labels and subset sums taken from
+itertools.combinations in that same order, and every line is printed at once.
+
 `main(argv)` may be called repeatedly in one process: it builds its parser
 on the first call and reuses it.  The parser holds only what is fixed at
 import (the method and suite names, the `cmd_*` functions, `_roots_arg`);
@@ -21,6 +30,8 @@ import random
 import statistics
 import sys
 import time
+from itertools import combinations
+from operator import itemgetter
 from typing import Callable
 
 from .coeffs import coeff_closed_sequence, coeff_recurrence, verify_convolution
@@ -97,19 +108,23 @@ def cmd_compute(args: argparse.Namespace) -> int:
         print(json.dumps(payload))
         return 0
 
-    print(value)
+    lines = [str(value)]
     if args.explain and breakdown is not None:
-        print(f"head C({roots.total},{i}) = {breakdown.head}")
+        lines.append(f"head C({roots.total},{i}) = {breakdown.head}")
+        # The detail follows combinations order, so labels and sums come from combinations too.
+        names = [str(j) for j in range(1, roots.n + 1)]
+        detail_line = "  {{{0}}} sum={1} C({1}," + str(i) + ")={2}"
         for term in breakdown.terms:
-            print(f"h={term.h} weight {term.coefficient} bracket_total {term.bracket_total}")
+            lines.append(f"h={term.h} weight {term.coefficient} bracket_total {term.bracket_total}")
             if term.bracket is None:
-                print(f"  (per-subset detail omitted: n > explain limit {args.explain_limit})")
+                lines.append(f"  (per-subset detail omitted: n > explain limit {args.explain_limit})")
                 continue
-            for indices, entry in term.bracket:
-                subset_sum = sum(roots.elements[j - 1] for j in indices)
-                label = "{" + ",".join(str(j) for j in indices) + "}"
-                print(f"  {label} sum={subset_sum} C({subset_sum},{i})={entry}")
-        print(f"total {breakdown.total}")
+            size = i - term.h
+            labels = map(",".join, combinations(names, size))
+            sums = map(sum, combinations(roots.elements, size))
+            lines.extend(map(detail_line.format, labels, sums, map(itemgetter(1), term.bracket)))
+        lines.append(f"total {breakdown.total}")
+    print("\n".join(lines))
     return 0
 
 

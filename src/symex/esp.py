@@ -45,11 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, prod
 from operator import mul
 from typing import Callable, Sequence
 
+from . import coeffs
 from .bigcomb import binomial_first, binomial_second, stirling_first_signed
 from .rootset import RootSet
 from .subsets import IndexSubset, k_subsets
@@ -124,10 +125,6 @@ class ExtractionBreakdown:
     terms: tuple[BreakdownTerm, ...]
     total: int
 
-    def recomputed_total(self) -> int:
-        """Re-derive the value from the stored parts (self-consistency check)."""
-        return self.head + sum(term.coefficient * term.bracket_total for term in self.terms)
-
 
 def esp_extraction(
     roots: RootSet,
@@ -160,10 +157,11 @@ def esp_extraction(
     head = binomial_first(roots.total, i)
     brackets = {}
     if n <= explain_limit:
-        for h in range(1, i):
-            entries = (binomial_first(sum(combo), i) for combo in combinations(elements, i - h))
-            brackets[i - h] = tuple(zip(k_subsets(n, i - h), entries))
-        totals = {s: sum(entry for _, entry in bracket) for s, bracket in brackets.items()}
+        totals = {}
+        for s in range(1, i):
+            entries = tuple(map(binomial_first, map(sum, combinations(elements, s)), repeat(i)))
+            brackets[s] = tuple(zip(k_subsets(n, s), entries))
+            totals[s] = sum(entries)
     else:
         totals = _bracket_totals(elements, i) if i > 1 else []
     terms = tuple(BreakdownTerm(h, w, totals[i - h], brackets.get(i - h)) for h, w in enumerate(_weights(n, i), start=1))
@@ -188,9 +186,12 @@ def esp_extraction_all(roots: RootSet) -> list[int]:
 
 @lru_cache(maxsize=256)
 def _weights(n: int, i: int) -> tuple[int, ...]:
-    """The additive weight -C_h = (-1)^h * multichoose(n-i+1, h-1) of each bracket h = 1..i-1.
-    Depends on (n, i) only, so each row is built once and shared, immutable."""
-    return tuple((-1) ** h * binomial_second(n - i + 1, h - 1) for h in range(1, i))
+    """The additive weight -C_h of each bracket h = 1..i-1, C_h being the
+    closed-form coefficient that the coefficient verifiers check.  Depends on
+    (n, i) only, so each row is built once and shared, immutable."""
+    if i < 2:
+        return ()
+    return tuple(-c for c in coeffs.coeff_closed_sequence(n, i, i - 1))
 
 
 @lru_cache(maxsize=256)

