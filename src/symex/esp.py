@@ -26,7 +26,16 @@ prod_j (1 + y g_{m_j}(z)) groups the terms of B by their support T, |T| = t.
 Hence B[s][k] = sum_{t<=s} C(n-t, s-t) F[t][k].  g_m has no constant term, so
 F[t][k] = 0 for k < t: _support_rows keeps row t shifted down t slots, only
 F[t][t..top], and each DP product is cut to those top-t+1 slots.  Each row is
-packed into one integer of b-bit slots.  All terms of F are nonnegative and
+returned packed into one integer of b-bit slots.  Two kernels build the same
+rows.  _packed_rows keeps each row packed and multiplies whole rows: one
+big-int product per root and row, which pads every slot to b bits and
+computes the slots above top only to mask them away.  _listed_rows keeps each
+row a list of slots and forms only the kept ones, each a dot product whose
+terms are as wide as their operands, then packs once; it pays a Python step
+per slot instead.  So packing wins on narrow slots and lists win once
+operands are wide.  _kernel_costs predicts both costs from n, top, b and the
+factor lengths, with constants fitted once, and the cheaper kernel runs.
+All terms of F are nonnegative and
 sum_t F[t][k] = C(N, k) where N = m_1+...+m_n, so F[t][k] <= C(N, k), and
 B[s][k] <= C(n, s) * C(N, k).  Over k <= top, C(N, k) is largest at
 k = min(top, floor(N/2)), and C(n, s) is largest at s = floor(n/2).  So
@@ -43,9 +52,10 @@ brackets, and esp_extraction_all reads each column i of it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat
 from math import comb, prod
 from operator import mul
 from typing import Callable, Sequence
@@ -139,9 +149,9 @@ def esp_extraction(
     with weight C_h = (-1)^(h-1) * multichoose(n-i+1, h-1).
 
     Up to n = explain_limit every bracket enumerates its subsets and keeps
-    the per-subset binomials.  Above it, the bracket totals come from the
-    support-layer DP of the module docstring (_bracket_totals) in polynomial
-    time, with no subset enumerated.
+    the per-subset binomials, each math.comb of a nonnegative subset sum.
+    Above it, the bracket totals come from the support-layer DP of the module
+    docstring (_bracket_totals) in polynomial time, with no subset enumerated.
 
     Orders above n are refused rather than silently extrapolated.
     """
@@ -159,7 +169,7 @@ def esp_extraction(
     if n <= explain_limit:
         totals = {}
         for s in range(1, i):
-            entries = tuple(map(binomial_first, map(sum, combinations(elements, s)), repeat(i)))
+            entries = tuple(map(comb, map(sum, combinations(elements, s)), repeat(i)))
             brackets[s] = tuple(zip(k_subsets(n, s), entries))
             totals[s] = sum(entries)
     else:
@@ -204,10 +214,22 @@ def _conversion(n: int, top: int) -> tuple[tuple[int, ...], ...]:
 def _support_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
     """The support-layer DP of the module docstring: rows[t] = F[t][t..top] in
     b-bit slots for t < top, row t shifted down t slots.  Adding a root m adds
-    to rows[t] the product of rows[t-1] and the packed g_m(z)/z =
-    C(m, 1..min(m, top)), factor and product cut to the top-t+1 slots row t
-    keeps; the factor is built once per distinct root.  Exact when every
-    F[t][k] < 2^b, which needs nonnegative elements."""
+    to row t the product of row t-1 and g_m(z)/z = C(m, 1..min(m, top)), cut
+    to the top-t+1 slots row t keeps; the factor is built once per distinct
+    root.  Exact when every F[t][k] < 2^b, which needs nonnegative elements.
+
+    _packed_rows and _listed_rows build the same rows (module docstring);
+    _kernel_costs prices both from sizes alone and the cheaper one runs.
+    Below b * top = _PACKED_BELOW the packed kernel runs unpriced."""
+    if b * top < _PACKED_BELOW:
+        return _packed_rows(elements, top, b)
+    packed, listed = _kernel_costs(len(elements), top, b, [min(m, top) for m in set(elements)])
+    return (_listed_rows if listed < packed else _packed_rows)(elements, top, b)
+
+
+def _packed_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
+    """_support_rows with each row one integer of b-bit slots: the factor is
+    packed too, and factor and product are masked to the slots row t keeps."""
     keep = [(1 << (b * (top - t + 1))) - 1 for t in range(top)]
     factors = {}
     for m in elements:
@@ -223,6 +245,100 @@ def _support_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
             mask = keep[t]
             rows[t] += (rows[t - 1] * (factor & mask)) & mask
     return rows
+
+
+def _listed_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
+    """_support_rows with each row a list of slots: slot j of row t gains
+    sum_q F[t-1][j+1-q] * C(m, q), the dot product of a slice of row t-1 with
+    the reversed factor cut to min(m, top, j+1) terms.  The rows are packed
+    into b-bit slots once, at the end."""
+    factors = {}
+    ends = range(1, top + 1)
+    for m in elements:
+        if m not in factors:
+            reverse = [binomial_first(m, k) for k in range(min(m, top), 0, -1)]
+            length = len(reverse)
+            factors[m] = [max(0, end - length) for end in ends], [reverse[max(0, length - end) :] for end in ends]
+    rows = [[1] + [0] * top] + [[0] * (top - t + 1) for t in range(1, top)]
+    for count, m in enumerate(elements, start=1):
+        starts, tails = factors[m]
+        for t in range(min(count, top - 1), 0, -1):
+            prev = rows[t - 1]
+            rows[t] = [x + sum(map(mul, prev[s:e], f)) for x, s, e, f in zip(rows[t], starts, ends, tails)]
+    packed = []
+    for row in rows:
+        value = 0
+        for slot in reversed(row):
+            value = value << b | slot
+        packed.append(value)
+    return packed
+
+
+# _support_rows runs the packed kernel unpriced while b * top is below this.  On
+# the fit grid no cell there gains more than x1.5 from the list kernel, none
+# there is priced to take it, and every input with n <= 12 and roots below
+# 2^20 stays there.
+_PACKED_BELOW = 5000
+# Nanoseconds per unit of each feature of _kernel_features, fitted once by
+# least squares on the grid in the `layer` section of BENCH_13.json.
+_PACKED_NS = (655.4, 465.8, 196.7, 0.8351)
+_LISTED_NS = (1620.0, 747.1, 17.32, 251.4, 416.5, 138.9, 0.3467)
+
+
+def _mul_cost(x: float, y: float) -> float:
+    """Digit products in one x-digit by y-digit CPython multiplication of
+    30-bit digits: schoolbook below 70 digits, Karatsuba above."""
+    if x < y:
+        x, y = y, x
+    return x * y if y <= 70 else x * 70 * (y / 70) ** 0.585
+
+
+def _kernel_features(n: int, top: int, b: int, lengths: Sequence[int]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """What each kernel of _support_rows does for n roots whose distinct values
+    have factor lengths min(m, top) = `lengths`, from sizes alone: for
+    _packed_rows (roots, factor slots, row steps, digit products) and for
+    _listed_rows (roots, factor slots and slices, digits packed, row steps,
+    slots, slot products, digit products).  The c-th root steps rows
+    1..min(c, top-1), so row t is stepped by n - t + 1 roots, shared among
+    the factor lengths as the distinct roots are.  A factor slot C(m, q) is
+    taken as q * b / top bits wide when m >= top, and at most m bits when
+    m < top; a list slot as a full b-bit slot.  Only estimates, in floats:
+    they pick a kernel and never enter a value."""
+    digits = b / 30 + 1
+    steps = packed_work = slots = products = listed_work = 0.0
+    for length, copies in Counter(lengths).items():
+        bits = [q * b / top for q in range(length + 1)] if length == top else [length] * (length + 1)
+        costs = [_mul_cost(digits, x / 30 + 1) for x in bits[1:]]
+        cost_sums = [0, *accumulate(costs)]
+        weighted_sums = [0, *accumulate(map(mul, costs, range(1, length + 1)))]
+        g_steps = g_packed = g_slots = g_products = g_listed = 0
+        for t in range(1, min(n, top - 1) + 1):
+            width = top - t + 1
+            kept = min(length, width)
+            roots = n - t + 1
+            g_steps += roots
+            g_packed += roots * _mul_cost((width + 1) * digits, ((kept - 1) * b + bits[kept]) / 30 + 1)
+            g_slots += roots * width
+            g_products += roots * kept * (2 * width - kept + 1) // 2
+            g_listed += roots * ((width + 1) * cost_sums[kept] - weighted_sums[kept])
+        share = copies / len(lengths)
+        steps += share * g_steps
+        packed_work += share * g_packed
+        slots += share * g_slots
+        products += share * g_products
+        listed_work += share * g_listed
+    factor_slots = sum(lengths)
+    return (
+        (n, factor_slots, steps, packed_work),
+        (n, factor_slots + len(lengths) * top, top * top * digits, steps, slots, products, listed_work),
+    )
+
+
+def _kernel_costs(n: int, top: int, b: int, lengths: Sequence[int]) -> tuple[float, float]:
+    """Predicted nanoseconds of (_packed_rows, _listed_rows): the features of
+    _kernel_features priced by the fitted constants.  Pure: runs no kernel."""
+    packed, listed = _kernel_features(n, top, b, lengths)
+    return sum(map(mul, _PACKED_NS, packed)), sum(map(mul, _LISTED_NS, listed))
 
 
 def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable
 
 # Routes are called through their home modules, so a patch or wrapper on
@@ -35,6 +35,15 @@ __all__ = [
 # Largest n and sieve index h of the coefficient grids.
 COEFF_N_MAX = 20
 COEFF_H = 12
+
+# Fixed root sets wide enough that the support-layer DP takes its list kernel
+# at some order, so each sieve route is checked on both of its kernels; every
+# other swept set takes the packed kernel.
+WIDE_SETS = (
+    RootSet(((1 << 256) - 1,) * 5),
+    RootSet((3**160, 1, 5**110 + 2, 2, 3**160, 7**90)),
+    RootSet((2**250 + 1, 3**150, 5**100 + 3, 7**85, 11**70)),
+)
 
 
 def _random_roots(rng: random.Random, n_low: int, n_high: int, m_max: int) -> RootSet:
@@ -80,15 +89,16 @@ def _routes_agree(name: str, root_sets, sieve: Callable[[RootSet], list[int]]) -
 
 
 def equivalence_exhaustive() -> Report:
-    return _routes_agree("equivalence exhaustive n<=6 m<=4", _exhaustive_roots(6, 4), esp.esp_extraction_all)
+    root_sets = chain(_exhaustive_roots(6, 4), WIDE_SETS)
+    return _routes_agree(f"equivalence exhaustive n<=6 m<=4, {len(WIDE_SETS)} wide sets", root_sets, esp.esp_extraction_all)
 
 
 def equivalence_random(rng: random.Random) -> Report:
     def per_order(roots):
         return [1] + [esp.esp_extraction(roots, i, explain_limit=0)[0] for i in range(1, roots.n + 1)]
 
-    root_sets = (_random_roots(rng, 1, 10, 9) for _ in range(300))
-    return _routes_agree("equivalence 300 random sets n<=10 m<=9", root_sets, per_order)
+    root_sets = chain((_random_roots(rng, 1, 10, 9) for _ in range(300)), WIDE_SETS)
+    return _routes_agree(f"equivalence 300 random sets n<=10 m<=9, {len(WIDE_SETS)} wide sets", root_sets, per_order)
 
 
 def loworder_forms(rng: random.Random) -> Report:

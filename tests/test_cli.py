@@ -324,8 +324,8 @@ def test_verify_all_stdout_is_pinned(capsys):
     assert code == 0 and err == ""
     assert out.splitlines() == [
         "verify suite=all seed=42 truncation=30 rng=mersenne-twister",
-        "PASS equivalence exhaustive n<=6 m<=4 (30948 instances)",
-        "PASS equivalence 300 random sets n<=10 m<=9 (1709 instances)",
+        "PASS equivalence exhaustive n<=6 m<=4, 3 wide sets (30964 instances)",
+        "PASS equivalence 300 random sets n<=10 m<=9, 3 wide sets (1725 instances)",
         "PASS spelled-out e2..e5 forms, 20 random sets n in 4..8 (80 instances)",
         "PASS recurrence equals closed form (210 (n,i) pairs, h<=12)",
         "PASS convolution sums = 1 (recurrence route) (210 (n,i) pairs, h<=12)",
@@ -346,8 +346,8 @@ def test_verify_all_json_is_pinned(capsys):
     assert code == 0 and err == ""
     assert out == (
         '{"suite": "all", "seed": 42, "truncation": 30, "rng": "mersenne-twister", "checks": ['
-        '{"name": "equivalence exhaustive n<=6 m<=4", "passed": true, "detail": "30948 instances"}, '
-        '{"name": "equivalence 300 random sets n<=10 m<=9", "passed": true, "detail": "1709 instances"}, '
+        '{"name": "equivalence exhaustive n<=6 m<=4, 3 wide sets", "passed": true, "detail": "30964 instances"}, '
+        '{"name": "equivalence 300 random sets n<=10 m<=9, 3 wide sets", "passed": true, "detail": "1725 instances"}, '
         '{"name": "spelled-out e2..e5 forms, 20 random sets n in 4..8", "passed": true, "detail": "80 instances"}, '
         '{"name": "recurrence equals closed form", "passed": true, "detail": "210 (n,i) pairs, h<=12"}, '
         '{"name": "convolution sums = 1 (recurrence route)", "passed": true, "detail": "210 (n,i) pairs, h<=12"}, '

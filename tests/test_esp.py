@@ -422,6 +422,91 @@ def test_support_rows_hold_the_enumerated_support_sums(elements):
         assert rows == [sum(support[t][k] << (b * (k - t)) for k in range(t, top + 1)) for t in range(top)]
 
 
+def _support_width(elements, top):
+    # the slot width _bracket_totals packs F in
+    total = sum(elements)
+    return math.comb(total, min(top, total // 2)).bit_length()
+
+
+def _assert_kernels_agree(elements, top):
+    n = len(elements)
+    narrow = _support_width(elements, top)
+    for b in (narrow, math.comb(n, n // 2).bit_length() + narrow + 1):  # F slots, then B slots
+        assert esp._listed_rows(elements, top, b) == esp._packed_rows(elements, top, b)
+
+
+# Roots of 1..600 bits mixed with 1..3, drawn with repeats: a root below top
+# has a factor shorter than the rows.
+kernel_roots = st.one_of(st.integers(1, 3), st.integers(1, 600).flatmap(lambda w: st.integers(1 << (w - 1), (1 << w) - 1)))
+
+
+@given(
+    elements=st.lists(kernel_roots, min_size=1, max_size=5).flatmap(
+        lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=9)
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_support_kernels_give_equal_rows(elements):
+    for top in range(1, len(elements) + 2):
+        _assert_kernels_agree(tuple(elements), top)
+
+
+def test_support_kernels_agree_at_the_slot_width_edges():
+    # the cases of test_bracket_table_slot_width_at_its_edges
+    small = (3, 1, 4, 1, 5, 9, 2, 6, 5)
+    for elements in ((1,) * 12, (1, 1, 2), (1,), (7,), ((1 << 60) - 1,) * 20, (1 << 80, *small), (*small, 1 << 80)):
+        for top in range(1, len(elements) + 2):
+            _assert_kernels_agree(elements, top)
+
+
+def _kernel_taken(monkeypatch, elements, top, b):
+    taken = []
+    monkeypatch.setattr(esp, "_packed_rows", lambda *args: taken.append("packed"))
+    monkeypatch.setattr(esp, "_listed_rows", lambda *args: taken.append("listed"))
+    esp._support_rows(elements, top, b)
+    return taken
+
+
+def _pinned_cells():
+    rng = random.Random(13)
+    packed = [((9,) * n, top) for n in range(1, 11) for top in range(1, n + 1)]  # the largest random-sweep sets
+    packed.append((tuple(rng.randrange(1 << 19, 1 << 20) for _ in range(12)), 12))  # compute --json at n = 12
+    packed.append((tuple(rng.randint(1, 9) for _ in range(200)), 100))
+    listed = [
+        ((10**400 - 1,) * 12, 12),
+        (((1 << 60) - 1,) * 30, 29),
+        (tuple(rng.randrange(10**399, 10**400) for _ in range(12)), 6),
+    ]
+    return packed, listed
+
+
+def test_support_kernel_choice_is_pinned(monkeypatch):
+    packed, listed = _pinned_cells()
+    for elements, top in packed:
+        assert _kernel_taken(monkeypatch, elements, top, _support_width(elements, top)) == ["packed"], (len(elements), top)
+    for elements, top in listed:
+        assert _kernel_taken(monkeypatch, elements, top, _support_width(elements, top)) == ["listed"], (len(elements), top)
+    # every set of the exhaustive sweep, in the all-orders table's wider slots
+    for n in range(1, 7):
+        for elements in product(range(1, 5), repeat=n):
+            b = math.comb(n, n // 2).bit_length() + _support_width(elements, n) + 1
+            assert _kernel_taken(monkeypatch, elements, n, b) == ["packed"]
+
+
+def test_kernel_estimate_runs_no_kernel(monkeypatch):
+    packed, listed = _pinned_cells()
+    cells = [(len(e), top, _support_width(e, top), [min(m, top) for m in set(e)]) for e, top in packed + listed]
+    before = [esp._kernel_costs(*cell) for cell in cells]
+
+    def refuse(*args):
+        raise AssertionError("the estimate must not run a kernel")
+
+    monkeypatch.setattr(esp, "_packed_rows", refuse)
+    monkeypatch.setattr(esp, "_listed_rows", refuse)
+    assert [esp._kernel_costs(*cell) for cell in cells] == before
+    assert all(cost > 0 for pair in before for cost in pair)
+
+
 def _per_order_sieve(roots):
     return [esp_extraction(roots, i, explain_limit=0)[0] for i in range(roots.n + 1)]
 

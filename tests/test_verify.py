@@ -222,10 +222,10 @@ def test_sieve_weights_are_built_once_per_order(monkeypatch):
     assert len(calls) == 35 and esp._weights.cache_info().misses == 21
     calls.clear()
     report = verify.equivalence_exhaustive()
-    assert report.ok and report.detail == "30948 instances"
+    assert report.ok and report.detail == "30964 instances"
     assert calls == []
     random_sweep = verify.equivalence_random(random.Random(42))
-    assert random_sweep.ok and random_sweep.detail == "1709 instances"
+    assert random_sweep.ok and random_sweep.detail == "1725 instances"
     esp._weights.cache_clear()
     # a shared row is a tuple, so no caller can change it for the next
     assert esp._weights(6, 4) == (-1, 3, -6) and esp._weights(6, 4) is esp._weights(6, 4)
@@ -239,13 +239,13 @@ def test_sieve_weights_are_the_verified_closed_coefficients(monkeypatch, cold_si
     monkeypatch.setattr(coeffs, "coeff_closed", wrong_c3_at_n5(coeffs.coeff_closed))
     expected = [
         (roots.elements, i)
-        for roots in verify._exhaustive_roots(6, 4)
+        for roots in itertools.chain(verify._exhaustive_roots(6, 4), verify.WIDE_SETS)
         if roots.n == 5
         for i in (4, 5)
         if sum(math.comb(sum(combo), i) for combo in itertools.combinations(roots.elements, i - 3))
     ]
     exhaustive = verify.equivalence_exhaustive()
-    assert exhaustive.detail == "30948 instances"
+    assert exhaustive.detail == "30964 instances"
     assert len(expected) > 0 and labels(exhaustive) == expected
     # the spelled-out forms hard-code their weights, so they still agree with the definition
     assert verify.loworder_forms(random.Random(42)).ok
@@ -265,7 +265,49 @@ def test_equivalence_sweeps_report_a_planted_defect_in_the_all_orders_sieve(monk
 
     monkeypatch.setattr(esp, "_bracket_table", off_by_one)
     exhaustive = verify.equivalence_exhaustive()
-    assert exhaustive.detail == "30948 instances"
-    assert labels(exhaustive) == [(roots.elements, 2) for roots in verify._exhaustive_roots(6, 4) if roots.n >= 3]
+    assert exhaustive.detail == "30964 instances"
+    swept = itertools.chain(verify._exhaustive_roots(6, 4), verify.WIDE_SETS)
+    assert labels(exhaustive) == [(roots.elements, 2) for roots in swept if roots.n >= 3]
     random_sweep = verify.equivalence_random(random.Random(42))
-    assert random_sweep.ok and random_sweep.detail == "1709 instances"
+    assert random_sweep.ok and random_sweep.detail == "1725 instances"
+
+
+def _wide(label):
+    return label[0] in {roots.elements for roots in verify.WIDE_SETS}
+
+
+def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
+    runs = {"packed": [], "listed": []}
+    for name, key in (("_packed_rows", "packed"), ("_listed_rows", "listed")):
+        kernel = getattr(esp, name)
+
+        def counted(elements, top, b, kernel=kernel, key=key):
+            runs[key].append(tuple(elements))
+            return kernel(elements, top, b)
+
+        monkeypatch.setattr(esp, name, counted)
+    wide = {roots.elements for roots in verify.WIDE_SETS}
+    for sweep in (verify.equivalence_exhaustive, lambda: verify.equivalence_random(random.Random(42))):
+        assert sweep().ok
+        # the list kernel runs on the wide sets, at least once, and on nothing else
+        assert runs["listed"] and set(runs["listed"]) <= wide
+        assert runs["packed"]
+        runs["listed"].clear()
+        runs["packed"].clear()
+
+
+def test_verify_fails_when_the_list_kernel_factor_is_off_by_one_slot(monkeypatch, capsys):
+    listed = esp._listed_rows
+
+    def shifted(elements, top, b):
+        # the factor C(m, 0..min(m, top)-1), one slot below C(m, 1..min(m, top))
+        with monkeypatch.context() as patch:
+            patch.setattr(esp, "binomial_first", lambda m, k: bigcomb.binomial_first(m, k - 1))
+            return listed(elements, top, b)
+
+    monkeypatch.setattr(esp, "_listed_rows", shifted)
+    assert main(["verify", "--suite", "equivalence"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
+    for report in (verify.equivalence_exhaustive(), verify.equivalence_random(random.Random(42))):
+        assert report.failures() and all(map(_wide, labels(report)))
