@@ -53,12 +53,11 @@ brackets, and esp_extraction_all reads each column i of it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat
 from math import comb, prod
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import coeffs
 from .bigcomb import binomial_first, binomial_second, stirling_first_signed
@@ -112,8 +111,7 @@ def esp_all(roots: RootSet) -> list[int]:
     return values
 
 
-@dataclass(frozen=True)
-class BreakdownTerm:
+class BreakdownTerm(NamedTuple):
     """One sieve bracket: the (i-h)-subset binomials and their signed weight.
 
     `coefficient` is the additive weight: total = head + sum of
@@ -128,12 +126,45 @@ class BreakdownTerm:
     bracket: tuple[tuple[IndexSubset, int], ...] | None
 
 
-@dataclass(frozen=True)
 class ExtractionBreakdown:
+    """The sieve's value term by term: total = head + sum of each term's
+    coefficient * bracket_total.  Immutable, compared and hashed by its fields."""
+
+    __slots__ = ("i", "head", "terms", "total")
     i: int
     head: int
     terms: tuple[BreakdownTerm, ...]
     total: int
+
+    def __init__(self, i: int, head: int, terms: tuple[BreakdownTerm, ...], total: int) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "total", total)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.i, self.head, self.terms, self.total
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return ExtractionBreakdown, self._key()
+
+    def __repr__(self) -> str:
+        return f"ExtractionBreakdown(i={self.i!r}, head={self.head!r}, terms={self.terms!r}, total={self.total!r})"
 
 
 def esp_extraction(

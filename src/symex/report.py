@@ -7,11 +7,10 @@ keeps only the failing ones, each with its expected and observed values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verified equality: label plus expected and observed values."""
 
     label: object
@@ -23,11 +22,23 @@ class Check:
         return self.expected == self.observed
 
 
-@dataclass
 class Report:
-    name: str = ""
-    detail: str = ""
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("name", "detail", "checks")
+
+    def __init__(self, name: str = "", detail: str = "", checks: list[Check] | None = None) -> None:
+        self.name = name
+        self.detail = detail
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.detail, self.checks) == (other.name, other.detail, other.checks)
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __repr__(self) -> str:
+        return f"Report(name={self.name!r}, detail={self.detail!r}, checks={self.checks!r})"
 
     @property
     def ok(self) -> bool:

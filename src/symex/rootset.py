@@ -2,23 +2,43 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class RootSet:
-    """Ordered multiset m_1..m_n of positive integers (repeats allowed)."""
+    """Ordered multiset m_1..m_n of positive integers (repeats allowed).
+    Immutable, compared and hashed by its elements."""
 
+    __slots__ = ("elements",)
     elements: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
+    def __init__(self, elements: tuple[int, ...]) -> None:
+        elements = tuple(elements)
         if not elements:
             raise ValueError("a root set needs at least one element")
         for m in elements:
             if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(f"root set elements must be positive integers, got {m!r}")
+        object.__setattr__(self, "elements", elements)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.elements,))
+
+    def __repr__(self) -> str:
+        return f"RootSet(elements={self.elements!r})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return RootSet, (self.elements,)
 
     @classmethod
     def of(cls, *elements: int) -> "RootSet":

@@ -2,12 +2,16 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symex import cli, esp, verify
@@ -506,3 +510,160 @@ def test_help_follows_the_terminal_width_at_call_time(capsys, monkeypatch):
         texts.setdefault(columns, reused[1])
         assert texts[columns] == reused[1]
     assert texts["40"] != texts["200"]
+
+
+# ---------------------------------------------------------------------------
+# argv routed to the command's own parser
+
+
+def reference_main(argv):
+    """The `main` body with no routing: one full parse, then the command."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except esp.ExtractionDomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def answer(entry, argv):
+    """Exit code, stdout and stderr of `entry(argv)`; bench's timings are masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    if argv[:1] == ["bench"]:
+        text = re.sub(r"\d+\.\d+(e-?\d+)?", "<t>", text)
+    return code, text, err.getvalue()
+
+
+# Values for each option, valid and not; --suite avoids the slow suites.
+OPTION_VALUES = {
+    "--roots": ("2,3,4", "1,1,5,12", "2,0,4", "2,x"),
+    "--i": ("0", "2", "3", "9", "-1", "two"),
+    "--method": ("dp", "direct", "all", "nosuch"),
+    "--explain-limit": ("0", "2", "-1"),
+    "--n": ("4", "6", "0", "x"),
+    "--h-max": ("2", "0"),
+    "--suite": ("multiplicity", "vandermonde", "nosuch"),
+    "--seed": ("7", "x"),
+    "--truncation": ("3", "0"),
+    "--methods": ("dp", "dp,extraction", "nosuch", ""),
+    "--family": ("pascal", "stirling1", "nosuch"),
+    "--rows": ("3", "-1", "x"),
+}
+FLAGS = ("--explain", "--json")
+
+
+@st.composite
+def argv_pieces(draw):
+    kind = draw(st.sampled_from(("value", "value", "value", "flag", "stray", "dashes", "help")))
+    if kind == "flag":
+        return [draw(st.sampled_from(FLAGS))]
+    if kind == "stray":
+        return [draw(st.sampled_from(("x", "7", "compute")))]
+    if kind == "dashes":
+        return ["--"]
+    if kind == "help":
+        return [draw(st.sampled_from(("-h", "--help")))]
+    option = draw(st.sampled_from(sorted(OPTION_VALUES)))
+    value = draw(st.sampled_from(OPTION_VALUES[option]))
+    # an abbreviation keeps the dashes and at least one letter
+    option = option[: draw(st.integers(3, len(option)))]
+    return [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+
+
+# Each command's required options with values that pass, so that some argvs succeed.
+REQUIRED = {
+    "compute": ["--roots", "2,3,4", "--i", "2"],
+    "coeffs": ["--n", "5", "--i", "3"],
+    "verify": ["--suite", "multiplicity"],
+    "bench": ["--n", "4", "--i", "2", "--methods", "dp"],
+    "specialize": ["--family", "pascal", "--rows", "3"],
+    "comp": ["--roots", "2,3,4", "--i", "2"],
+    "nosuch": [],
+    "": [],
+}
+
+
+@st.composite
+def command_argv(draw):
+    command = draw(st.sampled_from(sorted(REQUIRED)))
+    pieces = draw(st.lists(argv_pieces(), max_size=5))
+    if draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), REQUIRED[command])
+    return ([command] if command else []) + [token for piece in pieces for token in piece]
+
+
+@given(argv=command_argv())
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["--help"])
+@example(argv=["comp", "--roots", "2,3", "--i", "1"])
+@example(argv=["nosuch"])
+@example(argv=["--roots", "2,3", "compute", "--i", "1"])
+@example(argv=["compute", "--ro", "2,3,4", "--i", "2"])
+@example(argv=["compute", "--e", "--roots", "2,3", "--i", "1"])
+@example(argv=["compute", "--roots=1,2", "--i=1"])
+@example(argv=["compute", "--roots", "2,3", "--i", "1", "stray"])
+@example(argv=["compute", "stray", "--roots", "2,3", "--i", "1"])
+@example(argv=["compute", "--roots", "2,3", "--i", "1", "--", "x"])
+@example(argv=["compute", "--roots", "2,3", "--", "--i", "1"])
+@example(argv=["compute", "--roots", "2,3", "--i", "1", "--i", "2"])
+@example(argv=["compute", "--roots", "2,3", "--i", "1", "--unknown", "3"])
+@example(argv=["compute", "--roots", "2,x", "--i", "1"])
+@example(argv=["compute", "--roots", "2,3", "--i", "one"])
+@example(argv=["compute", "--roots", "2,3", "--i", "5"])
+@example(argv=["compute", "--roots", "2,3", "--i", "1", "-h"])
+@example(argv=["verify", "--suite", "nosuch"])
+@example(argv=["coeffs", "--n", "4", "--i", "2", "--h-max", "0"])
+@settings(deadline=None, max_examples=150)
+def test_routed_argv_answers_as_the_full_parse(argv):
+    assert answer(main, argv) == answer(reference_main, argv)
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch):
+    for argv in (["compute", "--roots", "2,3,4", "--i", "2", "--json"], ["compute", "--roots", "2,3", "stray"], ["-h"]):
+        monkeypatch.setattr(sys, "argv", ["symex", *argv])
+        assert answer(lambda _: main(), argv) == answer(reference_main, argv)
+
+
+# ---------------------------------------------------------------------------
+# a command imports only what it runs
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def test_compute_imports_only_what_it_runs():
+    # `random` is not asserted on: a site-packages .pth may import it at interpreter start.
+    unused = ("symex.verify", "symex.polyexpand", "symex.series", "fractions", "decimal", "statistics", "dataclasses")
+    script = (
+        "import sys\n"
+        "from symex.cli import main\n"
+        "code = main(['compute', '--roots', '1,2,3', '--i', '2'])\n"
+        f"print(code, sorted(set({unused!r}) & set(sys.modules)))\n"
+    )
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout == "11\n0 []\n"
+
+
+def test_suite_names_are_the_verifier_suites():
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
+    assert cli.SUITES is verify.SUITES
+    with pytest.raises(AttributeError):
+        cli.NO_SUCH_NAME
