@@ -24,6 +24,12 @@ what the full parse would hand it; leftover arguments get the full parse's
 own error.  Every other argv takes the full parse.  A process imports only
 what its command runs: `verify` imports the verifiers, and `bench` its
 timing modules, when they are called.
+
+`verify --suite all` runs its suites through `verify.run_suites`: with two
+CPUs and one thread, the suites that never draw from the seeded rng run in
+one forked child, and their reports are merged back in suite order.  Every
+stdout byte and exit code is the serial loop's, which one CPU (e.g. under
+`taskset -c 0`) or any single suite still runs.
 """
 
 from __future__ import annotations
@@ -180,11 +186,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     import random
 
-    from .verify import SUITES
+    from .verify import SUITES, run_suites
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    rng = random.Random(args.seed)
-    checks = [check for name in names for check in SUITES[name](rng, args.truncation)]
+    checks = run_suites(names, random.Random(args.seed), args.truncation)
     passed = sum(1 for check in checks if check.ok)
     all_ok = passed == len(checks)
 

@@ -5,10 +5,23 @@ whose detail says what was swept.  Over instances it adds a check, labelled
 by the instance, only for a failing one; over a fixed list it adds every
 value.  Randomized sweeps draw from the `rng` they are given, so a caller
 that shares one generator gets the same draws every run.
+
+`run_suites` runs the suites of one `symex verify` call.  Only the suites
+of `SEEDED_SUITES` draw from the rng.  When a call asks for suites on both
+sides, and the process has at least two CPUs in its affinity mask and no
+second thread, it forks once: the parent runs the seeded suites on the
+shared rng while the child runs the others and pickles their reports back
+through a pipe.  The reports are merged in `names` order, so they equal the
+serial loop's.  A child that fails in any way exits non-zero having written
+nothing; then, or if its payload does not load, the parent runs the
+child's suites itself, so a failing suite raises or reports as it does in
+the serial loop (which runs `SUITES` order, seeded suites first).  With one
+CPU (e.g. under `taskset -c 0`), or one side empty, the serial loop runs.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from itertools import chain, product
@@ -22,6 +35,8 @@ from .rootset import RootSet
 
 __all__ = [
     "SUITES",
+    "SEEDED_SUITES",
+    "run_suites",
     "equivalence_exhaustive",
     "equivalence_random",
     "loworder_forms",
@@ -196,3 +211,68 @@ SUITES: dict[str, Callable[[random.Random, int], list[Report]]] = {
     "layers": lambda rng, truncation: layer_checks(),
     "multiplicity": lambda rng, truncation: [multiplicity_check()],
 }
+
+# The suites that draw from the rng; every other suite runs the same on any rng.
+SEEDED_SUITES = ("equivalence",)
+
+
+def run_suites(names: list[str], rng: random.Random, truncation: int) -> list[Report]:
+    """The reports of SUITES[name](rng, truncation) for each name in turn.  With
+    suites on both sides of SEEDED_SUITES, the unseeded ones run in a forked child."""
+    unseeded = [name for name in names if name not in SEEDED_SUITES]
+    if not 0 < len(unseeded) < len(names) or not _may_fork():
+        return _serial(names, rng, truncation)
+    import pickle
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return _serial(names, rng, truncation)
+    if pid == 0:
+        # The child never returns into the caller: it runs no atexit handler,
+        # flushes no inherited stdio buffer, and on failure writes nothing.
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps([SUITES[name](rng, truncation) for name in unseeded], pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            seeded = [SUITES[name](rng, truncation) for name in names if name in SEEDED_SUITES]
+            payload = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    try:
+        forked = pickle.loads(payload) if status == 0 else None
+    except Exception:
+        forked = None
+    if forked is None:
+        # Run the failed child's suites here, to report or raise as the serial loop does.
+        forked = [SUITES[name](rng, truncation) for name in unseeded]
+    seeded_reports, forked_reports = iter(seeded), iter(forked)
+    return [report for name in names for report in next(seeded_reports if name in SEEDED_SUITES else forked_reports)]
+
+
+def _serial(names: list[str], rng: random.Random, truncation: int) -> list[Report]:
+    return [report for name in names for report in SUITES[name](rng, truncation)]
+
+
+def _may_fork() -> bool:
+    """Whether a child can run beside this process: two CPUs in its affinity
+    mask (no such call on macOS or Windows) and no second thread to lose in the child."""
+    import threading
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity is not None and len(affinity(0)) >= 2 and threading.active_count() == 1

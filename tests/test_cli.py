@@ -647,7 +647,9 @@ SRC = str(Path(cli.__file__).resolve().parents[1])
 
 def test_compute_imports_only_what_it_runs():
     # `random` is not asserted on: a site-packages .pth may import it at interpreter start.
-    unused = ("symex.verify", "symex.polyexpand", "symex.series", "fractions", "decimal", "statistics", "dataclasses")
+    unused = (
+        "symex.verify", "symex.polyexpand", "symex.series", "fractions", "decimal", "statistics", "dataclasses", "pickle"
+    )
     script = (
         "import sys\n"
         "from symex.cli import main\n"

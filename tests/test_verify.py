@@ -2,7 +2,12 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -296,7 +301,7 @@ def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
         runs["packed"].clear()
 
 
-def test_verify_fails_when_the_list_kernel_factor_is_off_by_one_slot(monkeypatch, capsys):
+def plant_list_kernel_slot_defect(monkeypatch):
     listed = esp._listed_rows
 
     def shifted(elements, top, b):
@@ -306,8 +311,208 @@ def test_verify_fails_when_the_list_kernel_factor_is_off_by_one_slot(monkeypatch
             return listed(elements, top, b)
 
     monkeypatch.setattr(esp, "_listed_rows", shifted)
+
+
+def test_verify_fails_when_the_list_kernel_factor_is_off_by_one_slot(monkeypatch, capsys):
+    plant_list_kernel_slot_defect(monkeypatch)
     assert main(["verify", "--suite", "equivalence"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
     for report in (verify.equivalence_exhaustive(), verify.equivalence_random(random.Random(42))):
         assert report.failures() and all(map(_wide, labels(report)))
+
+
+# ---------------------------------------------------------------------------
+# run_suites: the unseeded suites in one forked child, merged as the serial loop runs them
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def serial_and_forked(monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) with one CPU and with two, and the forks made with two."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    runs = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        runs.append((main(argv), *capsys.readouterr()))
+        assert_no_child_left()
+    return runs, len(forks)
+
+
+@pytest.mark.parametrize("seed", ["42", "7", "1"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_two_processes_print_the_serial_bytes(monkeypatch, capsys, seed, json_flag):
+    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all", "--seed", seed, *json_flag])
+    assert forks == 1 and serial[0] == 0 and forked == serial
+
+
+def test_two_processes_print_the_serial_bytes_when_child_suites_fail(monkeypatch, capsys, cold_sieve_weights):
+    closed = coeffs.coeff_closed
+    monkeypatch.setattr(coeffs, "coeff_closed", lambda n, i, h: closed(n, i, h) + 1)
+    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
+    assert forks == 1 and forked == serial
+    assert serial[0] == 1 and "FAIL recurrence equals closed form" in serial[1]
+
+
+def test_two_processes_print_the_serial_bytes_when_equivalence_fails(monkeypatch, capsys):
+    plant_list_kernel_slot_defect(monkeypatch)
+    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all", "--json"])
+    assert forks == 1 and forked == serial
+    assert serial[0] == 1 and '"passed": false, "detail": "30964 instances"' in serial[1]
+
+
+class Undrawable:
+    """An rng whose every draw raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the rng: {name}")
+
+
+def test_seeded_suites_are_suites_and_a_draw_is_caught():
+    assert set(verify.SEEDED_SUITES) <= set(verify.SUITES)
+    with pytest.raises(AssertionError, match="drew from the rng"):
+        verify.loworder_forms(Undrawable())
+
+
+@pytest.mark.parametrize("name", [name for name in verify.SUITES if name not in verify.SEEDED_SUITES])
+def test_unseeded_suites_never_draw_from_the_rng(name):
+    reports = verify.SUITES[name](Undrawable(), 30)
+    assert reports and all(report.ok for report in reports)
+
+
+@pytest.fixture
+def quick_equivalence(monkeypatch):
+    # A seeded stand-in that draws from the rng, so the fork's edge cases run in milliseconds.
+    monkeypatch.setitem(verify.SUITES, "equivalence", lambda rng, truncation: [verify.loworder_forms(rng)])
+
+
+def test_a_child_suite_that_raises_gives_the_serial_error(monkeypatch, capsys, quick_equivalence):
+    def planted(rng, truncation):
+        raise ArithmeticError("planted")
+
+    monkeypatch.setitem(verify.SUITES, "gf", planted)
+    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
+    assert forks == 1 and forked == serial == (1, "", "error: planted\n")
+
+
+def test_a_child_that_exits_early_gives_the_full_serial_output(monkeypatch, capsys, quick_equivalence):
+    parent, multiplicity = os.getpid(), verify.SUITES["multiplicity"]
+
+    def dies_in_the_child(rng, truncation):
+        if os.getpid() != parent:
+            os._exit(7)
+        return multiplicity(rng, truncation)
+
+    monkeypatch.setitem(verify.SUITES, "multiplicity", dies_in_the_child)
+    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
+    assert forks == 1 and forked == serial and serial[0] == 0
+    assert serial[1].endswith("result: PASS (11/11 checks)\n")
+
+
+def test_a_child_that_exits_non_zero_after_writing_is_not_trusted(monkeypatch, capsys, quick_equivalence):
+    parent, exit_now, multiplicity = os.getpid(), os._exit, verify.SUITES["multiplicity"]
+    runs_here = []
+
+    def counted(rng, truncation):
+        if os.getpid() == parent:
+            runs_here.append(truncation)
+        return multiplicity(rng, truncation)
+
+    monkeypatch.setitem(verify.SUITES, "multiplicity", counted)
+    # Only the child calls os._exit; it now exits 3 after writing its reports.
+    monkeypatch.setattr(os, "_exit", lambda status: exit_now(3))
+    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
+    assert forks == 1 and forked == serial and serial[0] == 0
+    assert len(runs_here) == 2  # once serially, once in place of the child
+
+
+def test_an_interrupted_parent_kills_and_reaps_the_child(monkeypatch, quick_equivalence):
+    parent = os.getpid()
+
+    def interrupted(rng, truncation):
+        raise KeyboardInterrupt
+
+    def stalls_in_the_child(rng, truncation):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return []
+
+    monkeypatch.setitem(verify.SUITES, "equivalence", interrupted)
+    monkeypatch.setitem(verify.SUITES, "convolution", stalls_in_the_child)
+    set_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_suites(list(verify.SUITES), random.Random(42), 30)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def refuse_to_fork():
+    raise AssertionError("forked")
+
+
+def test_a_failed_fork_runs_the_serial_loop(monkeypatch, capsys, quick_equivalence):
+    def no_fork():
+        raise BlockingIOError("no process slots")
+
+    (serial, _), _ = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert (main(["verify", "--suite", "all"]), *capsys.readouterr()) == serial
+
+
+def test_a_single_suite_runs_in_this_process(monkeypatch, capsys):
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    assert main(["verify", "--suite", "gf"]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS (2/2 checks)\n")
+
+
+def test_a_process_with_a_second_thread_runs_serially(monkeypatch, capsys, quick_equivalence):
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert main(["verify", "--suite", "all"]) == 0
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert capsys.readouterr().out.endswith("result: PASS (11/11 checks)\n")
+
+
+def test_the_child_flushes_no_inherited_buffer_and_runs_no_exit_handler():
+    script = (
+        "import atexit, os, random, sys\n"
+        "from symex import verify\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
+        "verify.SUITES['equivalence'] = lambda rng, truncation: [verify.loworder_forms(rng)]\n"
+        "atexit.register(print, 'exit handler')\n"
+        "sys.stdout.write('buffered ')\n"
+        "reports = verify.run_suites(['equivalence', 'vandermonde'], random.Random(42), 30)\n"
+        "print([report.ok for report in reports], len(forks))\n"
+    )
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "buffered [True, True] 1\nexit handler\n", "")
