@@ -3,6 +3,14 @@
 Generalized binomials (negative upper argument allowed), multichoose,
 signed Stirling numbers of the first kind, and multinomials.  Every value
 is an exact Python int; no floats anywhere.
+
+_stirling_row and _stirling_second_row are the cached rows s(i, 0..i) and
+S(a, 0..a) of the two Stirling triangles, one tuple per row, so a caller
+that needs rows 0..top holds O(top^2) entries.  They are inverse lower
+triangular matrices: sum_a S(k, a) s(a, r) = [k == r].  The Newton-Girard
+route of symex.esp reads both: x^a = sum_r S(a, r) x(x-1)...(x-r+1) turns
+the power sums of the roots into those of (1+z)^m - 1, and s turns powers
+back into binomials.
 """
 
 from __future__ import annotations
@@ -48,13 +56,24 @@ def binomial_second(x: int, k: int) -> int:
     return math.comb(x + k - 1, k)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _stirling_row(i: int) -> tuple[int, ...]:
     # Row i holds s(i, p) for p = 0..i, built upward from row 0 by
     # s(j, p) = s(j-1, p-1) - (j-1)*s(j-1, p): a loop, so no recursion limit.
     row = [1]
     for j in range(1, i + 1):
         row = [left - (j - 1) * above for left, above in zip([0, *row], [*row, 0])]
+    return tuple(row)
+
+
+@lru_cache(maxsize=128)
+def _stirling_second_row(a: int) -> tuple[int, ...]:
+    # Row a holds S(a, r) for r = 0..a, the number of ways to split a labelled
+    # items into r nonempty blocks, built upward from row 0 by
+    # S(j, r) = S(j-1, r-1) + r*S(j-1, r).
+    row = [1]
+    for _ in range(a):
+        row = [left + r * above for r, left, above in zip(range(len(row) + 1), [0, *row], [*row, 0])]
     return tuple(row)
 
 

@@ -15,52 +15,84 @@ each other.
 
 A bracket total sum_{|J|=s} C(sigma_J, i) takes one of two routes.  With
 per-subset detail (n <= explain limit) the C(n, s) subsets are enumerated.
-Without it, the totals come from a support-layer DP over the roots.  By
-Vandermonde, (1+z)^m = 1 + g_m(z) with g_m(z) = (1+z)^m - 1, so
+Without it, the totals come from support-layer rows.  By Vandermonde,
+(1+z)^m = 1 + g_m(z) with g_m(z) = (1+z)^m - 1, so
 
     sum_s y^s sum_k B[s][k] z^k = prod_j (1 + y (1+z)^{m_j})
                                 = sum_t F_t(z) y^t (1+y)^{n-t},
 
-where B[s][k] = sum_{|J|=s} C(sigma_J, k) and F[t][k] = [y^t z^k]
-prod_j (1 + y g_{m_j}(z)) groups the terms of B by their support T, |T| = t.
-Hence B[s][k] = sum_{t<=s} C(n-t, s-t) F[t][k].  g_m has no constant term, so
+where B[s][k] = sum_{|J|=s} C(sigma_J, k) and F_t = [y^t] prod_j (1 + y g_{m_j})
+= e_t(g_{m_1}, ..., g_{m_n}), the t-th elementary symmetric polynomial of
+the series g, groups the terms of B by their support T, |T| = t.  Hence
+B[s][k] = sum_{t<=s} C(n-t, s-t) F[t][k].  g_m has no constant term, so
 F[t][k] = 0 for k < t: _support_rows keeps row t shifted down t slots, only
-F[t][t..top], and each DP product is cut to those top-t+1 slots.  Each row is
-returned packed into one integer of b-bit slots.  Two kernels build the same
-rows.  _packed_rows keeps each row packed and multiplies whole rows: one
-big-int product per root and row, which pads every slot to b bits and
-computes the slots above top only to mask them away.  _listed_rows keeps each
-row a list of slots and forms only the kept ones, each a dot product whose
-terms are as wide as their operands, then packs once; it pays a Python step
-per slot instead.  So packing wins on narrow slots and lists win once
-operands are wide.  _kernel_costs predicts both costs from n, top, b and the
-factor lengths, with constants fitted once, and the cheaper kernel runs.
-All terms of F are nonnegative and
-sum_t F[t][k] = C(N, k) where N = m_1+...+m_n, so F[t][k] <= C(N, k), and
-B[s][k] <= C(n, s) * C(N, k).  Over k <= top, C(N, k) is largest at
-k = min(top, floor(N/2)), and C(n, s) is largest at s = floor(n/2).  So
-_bracket_totals, which packs F alone, takes
+F[t][t..top], and every product is cut to those top-t+1 slots.  Each row is
+returned packed into one integer of slots as wide as the route needs.
+
+Three routes build the same rows.  Two are DP kernels that add the roots one
+at a time, F_t += g_m F_{t-1}, which takes about n * top - top^2/2 products.
+_packed_rows keeps each row packed and multiplies whole rows: one big-int
+product per root and row, which pads every slot to b bits and computes the
+slots above top only to mask them away.  _listed_rows keeps each row a list
+of slots and forms only the kept ones, each a dot product whose terms are as
+wide as their operands, then packs once; it pays a Python step per slot
+instead.  So packing wins on narrow slots and lists win once operands are
+wide.  The third, _newton_rows, uses the Newton-Girard identities
+(I. G. Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., 1995,
+section I.2) on the power sums P_r = sum_j g_{m_j}^r:
+
+    t * F_t = sum_{r=1..t} (-1)^(r-1) P_r F_{t-r},
+
+top(top-1)/2 products whatever n is, most of the saving falling on the
+widest rows (small t).  P_r has a closed form in the power sums of the roots,
+p_a = sum_j m_j^a.  By the binomial theorem
+[z^k] g_m^r = sum_q (-1)^(r-q) C(r, q) C(qm, k); C(x, k) = sum_a s(k, a) x^a / k!
+with s the signed Stirling numbers of the first kind, and
+sum_q (-1)^(r-q) C(r, q) q^a = r! S(a, r) with S those of the second kind, so
+
+    P_r[k] = (r!/k!) sum_{a=r..k} S(a, r) s(k, a) p_a,
+
+zero for k < r, so P_r is kept shifted down r slots as well.
+
+Slot widths.  All terms of F are nonnegative and sum_t F[t][k] = C(N, k)
+where N = m_1+...+m_n, so F[t][k] <= C(N, k), and B[s][k] <= C(n, s) * C(N, k).
+Over k <= top, C(N, k) is largest at k = min(top, floor(N/2)), and C(n, s) is
+largest at s = floor(n/2).  So _bracket_totals, which packs F alone, takes
 b = bitlen(C(N, min(top, floor(N/2)))), and _bracket_table, whose rows hold
-B, takes b = bitlen(C(n, floor(n/2))) + that + 1 and runs the DP in those
-wider slots, so the conversion needs no repacking.  Every slot is then
-< 2^b, a carry never reaches a kept slot and the route costs O(n * top)
-big-int products instead of sum_s C(n, s) binomials.
-esp_extraction reads the top slot F[t][i] of each row of a DP with top = i
-and converts those few integers; one table with top = n holds every order's
-brackets, and esp_extraction_all reads each column i of it.
+B, takes b = bitlen(C(n, floor(n/2))) + that + 1 and builds the rows in those
+wider slots, so the conversion needs no repacking.  Every slot of a DP row is
+then < 2^b, a carry never reaches a kept slot, and the DP kernels run in b-bit
+slots.  The Newton route has signs and its P_r slots can exceed any such
+bound (P_r[k] can reach n * C(r * max m, k)), so it reasons modulo
+M = 2^(w * (top-t+1)) for row t in w-bit slots instead.  A packed integer is
+its slot polynomial evaluated at 2^w, exactly, whatever the size of its
+slots; so the alternating sum of the cut products is congruent mod M to the
+slots of t * F_t, and those lie in [0, t * 2^b).  With w = b + bitlen(top-1)
+every such slot is < 2^w, so the sum reduced mod M is exactly t * F_t packed,
+and dividing it by t is exact.  _support_rows returns the width it used.
+
+Each route costs polynomially many big-int products instead of
+sum_s C(n, s) binomials.  Which one runs (_support_rows): below
+b * top = _NEWTON_ABOVE the packed DP; below _PACKED_BELOW Newton when every
+root is at least top (so no g_m is shorter than a row) and the packed DP
+otherwise; from there on a fitted cost estimate prices the list kernel
+against Newton, or against the packed DP where Newton may not run, and the
+cheaper one runs.  esp_extraction reads the top slot F[t][i] of each row
+with top = i and converts those few integers; one table with top = n holds
+every order's brackets, and esp_extraction_all reads each column i of it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations, repeat, zip_longest
 from math import comb, prod
-from operator import mul
+from operator import and_, lshift, mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import coeffs
-from .bigcomb import binomial_first, binomial_second, stirling_first_signed
+from .bigcomb import _stirling_row, _stirling_second_row, binomial_first, binomial_second, stirling_first_signed
 from .rootset import RootSet
 from .subsets import IndexSubset, k_subsets
 
@@ -242,20 +274,26 @@ def _conversion(n: int, top: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(comb(n - t, s - t) for t in range(s + 1)) for s in range(top))
 
 
-def _support_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
-    """The support-layer DP of the module docstring: rows[t] = F[t][t..top] in
-    b-bit slots for t < top, row t shifted down t slots.  Adding a root m adds
-    to row t the product of row t-1 and g_m(z)/z = C(m, 1..min(m, top)), cut
-    to the top-t+1 slots row t keeps; the factor is built once per distinct
-    root.  Exact when every F[t][k] < 2^b, which needs nonnegative elements.
+def _support_rows(elements: Sequence[int], top: int, b: int) -> tuple[list[int], int]:
+    """The support-layer rows of the module docstring, rows[t] = F[t][t..top]
+    for t < top with row t shifted down t slots, and the slot width they are
+    packed in.  Exact when every F[t][k] < 2^b, which needs nonnegative
+    elements.
 
-    _packed_rows and _listed_rows build the same rows (module docstring);
-    _kernel_costs prices both from sizes alone and the cheaper one runs.
-    Below b * top = _PACKED_BELOW the packed kernel runs unpriced."""
-    if b * top < _PACKED_BELOW:
-        return _packed_rows(elements, top, b)
-    packed, listed = _kernel_costs(len(elements), top, b, [min(m, top) for m in set(elements)])
-    return (_listed_rows if listed < packed else _packed_rows)(elements, top, b)
+    Three routes build the same rows.  _packed_rows and _listed_rows step a
+    DP once per root, in b-bit slots.  _newton_rows builds row t from t power
+    sums, in b + bitlen(top-1) bits, and may run only when every root is at
+    least top and b * top >= _NEWTON_ABOVE.  Below b * top = _PACKED_BELOW
+    that is enough to take it, and the packed DP runs otherwise; from there
+    on _listed_is_cheaper prices the list kernel against the other one."""
+    area = b * top
+    newton = area >= _NEWTON_ABOVE and min(elements) >= top
+    if area >= _PACKED_BELOW and _listed_is_cheaper(len(elements), top, b, [min(m, top) for m in set(elements)], newton):
+        return _listed_rows(elements, top, b), b
+    if newton:
+        width = b + (top - 1).bit_length()
+        return _newton_rows(elements, top, width), width
+    return _packed_rows(elements, top, b), b
 
 
 def _packed_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
@@ -305,11 +343,51 @@ def _listed_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
     return packed
 
 
-# _support_rows runs the packed kernel unpriced while b * top is below this.  On
-# the fit grid no cell there gains more than x1.5 from the list kernel, none
-# there is priced to take it, and every input with n <= 12 and roots below
-# 2^20 stays there.
+def _newton_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
+    """_support_rows by the Newton-Girard identities of the module docstring:
+    t * F_t = sum_{r=1..t} (-1)^(r-1) P_r * F_{t-r}, each operand cut to the
+    top-t+1 slots row t keeps, the sum reduced mod 2^(b*(top-t+1)) and
+    divided by t.  Exact when every t * F[t][k] < 2^b."""
+    power_sums = _power_sums(elements, top, b)
+    rows = [1]
+    for t in range(1, top):
+        keep = (1 << (b * (top - t + 1))) - 1
+        products = list(map(mul, map(and_, power_sums[1 : t + 1], repeat(keep)), map(and_, reversed(rows), repeat(keep))))
+        rows.append((sum(products[::2]) - sum(products[1::2]) & keep) // t)
+    return rows
+
+
+def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
+    """P_r = sum_j g_{m_j}^r for r < top, shifted down r slots, P_r[r..top] packed
+    in b-bit slots, with P_0 = 0.  From the closed form of the module
+    docstring, top!/r! * P_r = sum_a S(a, r) p_a U_a, where U_a packs
+    s(k, a) * top!/k! for k <= top: every sum is exact in integers, so the
+    division by top!/r! is exact too.  A slot of P_r may exceed 2^b; the
+    value is still sum_k P_r[k] 2^(b(k-r))."""
+    sums, powers = [len(elements), sum(elements)], elements
+    for _ in range(1, top):
+        powers = list(map(mul, powers, elements))
+        sums.append(sum(powers))
+    factorials = list(accumulate(range(1, top + 1), mul, initial=1))
+    ratios = [factorials[top] // f for f in factorials]
+    shifts = range(0, b * (top + 1), b)
+    # zip_longest turns the cached rows into columns s(0..top, a) and S(0..top, r)
+    falling = zip_longest(*map(_stirling_row, range(top + 1)), fillvalue=0)
+    weighted = [p * sum(map(lshift, map(mul, column, ratios), shifts)) for p, column in zip(sums, falling)]
+    second = zip_longest(*map(_stirling_second_row, range(top + 1)), fillvalue=0)
+    return [sum(map(mul, column, weighted)) // ratios[r] >> (b * r) if r else 0 for r, column in zip(range(top), second)]
+
+
+# _support_rows runs the list kernel only from this b * top on.  On the fit grid
+# no cell below gains more than x1.5 from it, none there is priced to take it,
+# and every input with n <= 12 and roots below 2^20 stays there.
 _PACKED_BELOW = 5000
+# From this b * top on, _support_rows takes the Newton route where every root is
+# at least top.  Read from the `newton_guard` bins of BENCH_16.json: from here up
+# Newton takes at most 0.56 of the packed DP's summed time per bin, and below
+# lie every table and cell of verify's exhaustive and random sweeps (b * top
+# at most 144 and 430), which stay on the packed DP.
+_NEWTON_ABOVE = 1000
 # Nanoseconds per unit of each feature of _kernel_features, fitted once by
 # least squares on the grid in the `layer` section of BENCH_13.json.
 _PACKED_NS = (655.4, 465.8, 196.7, 0.8351)
@@ -325,8 +403,8 @@ def _mul_cost(x: float, y: float) -> float:
 
 
 def _kernel_features(n: int, top: int, b: int, lengths: Sequence[int]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """What each kernel of _support_rows does for n roots whose distinct values
-    have factor lengths min(m, top) = `lengths`, from sizes alone: for
+    """What each DP kernel of _support_rows does for n roots whose distinct
+    values have factor lengths min(m, top) = `lengths`, from sizes alone: for
     _packed_rows (roots, factor slots, row steps, digit products) and for
     _listed_rows (roots, factor slots and slices, digits packed, row steps,
     slots, slot products, digit products).  The c-th root steps rows
@@ -334,42 +412,92 @@ def _kernel_features(n: int, top: int, b: int, lengths: Sequence[int]) -> tuple[
     the factor lengths as the distinct roots are.  A factor slot C(m, q) is
     taken as q * b / top bits wide when m >= top, and at most m bits when
     m < top; a list slot as a full b-bit slot.  Only estimates, in floats:
-    they pick a kernel and never enter a value."""
+    they pick a route and never enter a value."""
     digits = b / 30 + 1
-    steps = packed_work = slots = products = listed_work = 0.0
+    roots, widths = _stepped_rows(n, top)
+    packed_work = products = listed_work = 0.0
     for length, copies in Counter(lengths).items():
         bits = [q * b / top for q in range(length + 1)] if length == top else [length] * (length + 1)
         costs = [_mul_cost(digits, x / 30 + 1) for x in bits[1:]]
         cost_sums = [0, *accumulate(costs)]
         weighted_sums = [0, *accumulate(map(mul, costs, range(1, length + 1)))]
-        g_steps = g_packed = g_slots = g_products = g_listed = 0
-        for t in range(1, min(n, top - 1) + 1):
-            width = top - t + 1
+        g_packed = g_products = g_listed = 0
+        for count, width in zip(roots, widths):
             kept = min(length, width)
-            roots = n - t + 1
-            g_steps += roots
-            g_packed += roots * _mul_cost((width + 1) * digits, ((kept - 1) * b + bits[kept]) / 30 + 1)
-            g_slots += roots * width
-            g_products += roots * kept * (2 * width - kept + 1) // 2
-            g_listed += roots * ((width + 1) * cost_sums[kept] - weighted_sums[kept])
+            g_packed += count * _mul_cost((width + 1) * digits, ((kept - 1) * b + bits[kept]) / 30 + 1)
+            g_products += count * kept * (2 * width - kept + 1) // 2
+            g_listed += count * ((width + 1) * cost_sums[kept] - weighted_sums[kept])
         share = copies / len(lengths)
-        steps += share * g_steps
         packed_work += share * g_packed
-        slots += share * g_slots
         products += share * g_products
         listed_work += share * g_listed
     factor_slots = sum(lengths)
+    steps, slots = sum(roots), sum(map(mul, roots, widths))
     return (
         (n, factor_slots, steps, packed_work),
         (n, factor_slots + len(lengths) * top, top * top * digits, steps, slots, products, listed_work),
     )
 
 
-def _kernel_costs(n: int, top: int, b: int, lengths: Sequence[int]) -> tuple[float, float]:
-    """Predicted nanoseconds of (_packed_rows, _listed_rows): the features of
-    _kernel_features priced by the fitted constants.  Pure: runs no kernel."""
+def _stepped_rows(n: int, top: int) -> tuple[range, range]:
+    # row t = 1..min(n, top-1) is stepped by n - t + 1 roots and keeps top - t + 1 slots
+    rows = min(n, top - 1)
+    return range(n, n - rows, -1), range(top, top - rows, -1)
+
+
+def _newton_features(n: int, top: int, b: int) -> tuple[float, ...]:
+    """What _newton_rows does in b-bit rows, in the features of _packed_rows:
+    (roots, power-sum slots, products, digit products).  Row t takes t
+    products of two operands of x_t = (top-t+1) * digits digits, digits
+    counted in slots bitlen(top-1) bits wider; _mul_cost(x_t, x_t) is x_t^2
+    up to 70 digits and 70^0.415 * x_t^1.585 above, so the digit products
+    take two prefix sums over the rows, split where x_t passes 70."""
+    digits = (b + (top - 1).bit_length()) / 30 + 1
+    karatsuba, schoolbook = _newton_row_sums(top)
+    wide = max(0, min(top - 1, top - int(70 // digits)))
+    work = 70**0.415 * digits**1.585 * karatsuba[wide] + digits * digits * (schoolbook[-1] - schoolbook[wide])
+    return n, top * (top + 1) // 2 - 1, top * (top - 1) // 2, work
+
+
+@lru_cache(maxsize=256)
+def _newton_row_sums(top: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # prefix sums over rows t = 1..top-1 of t * w^1.585 and t * w^2, w = top-t+1
+    rows = range(1, top)
+    widths = range(top, 1, -1)
+    karatsuba = tuple(accumulate(map(mul, rows, map(pow, widths, repeat(1.585))), initial=0.0))
+    schoolbook = tuple(accumulate(map(mul, rows, map(mul, widths, widths)), initial=0.0))
+    return karatsuba, schoolbook
+
+
+def _price(constants: Sequence[float], features: Sequence[float]) -> float:
+    return sum(map(mul, constants, features))
+
+
+def _kernel_costs(n: int, top: int, b: int, lengths: Sequence[int]) -> tuple[float, float, float]:
+    """Predicted nanoseconds of (_packed_rows, _listed_rows, _newton_rows): the
+    features of _kernel_features and _newton_features priced by the fitted
+    constants, Newton's by _packed_rows's.  Pure: runs no kernel."""
     packed, listed = _kernel_features(n, top, b, lengths)
-    return sum(map(mul, _PACKED_NS, packed)), sum(map(mul, _LISTED_NS, listed))
+    return _price(_PACKED_NS, packed), _price(_LISTED_NS, listed), _price(_PACKED_NS, _newton_features(n, top, b))
+
+
+def _listed_is_cheaper(n: int, top: int, b: int, lengths: Sequence[int], newton: bool) -> bool:
+    """Whether _kernel_costs prices _listed_rows below its rival, _newton_rows
+    if `newton` (every length is top) and else _packed_rows.  Against Newton
+    the listed features before digit products are priced first: every
+    constant is nonnegative, so that part is a lower bound of the listed
+    cost, and when it already reaches Newton's the digit products are never
+    estimated."""
+    if newton:
+        rival = _price(_PACKED_NS, _newton_features(n, top, b))
+        roots, widths = _stepped_rows(n, top)
+        spans = sum(map(mul, roots, map(comb, range(top + 1, top + 1 - len(widths), -1), repeat(2))))
+        counts = (n, 2 * top * len(lengths), top * top * (b / 30 + 1), sum(roots), sum(map(mul, roots, widths)), spans)
+        if _price(_LISTED_NS, counts) >= rival:
+            return False
+        return _kernel_costs(n, top, b, lengths)[1] < rival
+    packed, listed = _kernel_features(n, top, b, lengths)
+    return _price(_LISTED_NS, listed) < _price(_PACKED_NS, packed)
 
 
 def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
@@ -379,7 +507,8 @@ def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
     B[s][k] < 2^b, so the packed sums carry nothing between slots."""
     n, total = len(elements), sum(elements)
     b = comb(n, n // 2).bit_length() + comb(total, min(top, total // 2)).bit_length() + 1
-    rows = [row << (b * t) for t, row in enumerate(_support_rows(elements, top, b))]
+    support, b = _support_rows(elements, top, b)
+    rows = [row << (b * t) for t, row in enumerate(support)]
     return [sum(map(mul, coefficients, rows)) for coefficients in _conversion(n, top)], b
 
 
@@ -388,7 +517,8 @@ def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
     F[t][i] of each support row alone, in slots as wide as F needs."""
     total = sum(elements)
     b = comb(total, min(i, total // 2)).bit_length()
-    tops = [row >> (b * (i - t)) for t, row in enumerate(_support_rows(elements, i, b))]
+    support, b = _support_rows(elements, i, b)
+    tops = [row >> (b * (i - t)) for t, row in enumerate(support)]
     return [sum(map(mul, coefficients, tops)) for coefficients in _conversion(len(elements), i)]
 
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symex.bigcomb import (
+    _stirling_second_row,
     binomial_first,
     binomial_second,
     multinomial,
@@ -124,6 +125,28 @@ def test_stirling_generates_falling_factorial():
         for i in range(11):
             total = sum(stirling_first_signed(i, p) * n**p for p in range(i + 1))
             assert total == falling_factorial(n, i)
+
+
+def test_stirling_second_kind_against_its_explicit_sum():
+    # S(a, r) = (1/r!) sum_q (-1)^(r-q) C(r, q) q^a: surjections of a onto r, over r!
+    for a in range(31):
+        row = _stirling_second_row(a)
+        assert len(row) == a + 1
+        for r in range(a + 1):
+            surjections = sum((-1) ** (r - q) * math.comb(r, q) * q**a for q in range(r + 1))
+            assert row[r] * math.factorial(r) == surjections
+    assert _stirling_second_row(4) == (0, 1, 7, 6, 1)
+
+
+def test_stirling_triangles_are_inverse():
+    # sum_a S(k, a) s(a, r) = [k == r] and sum_a s(k, a) S(a, r) = [k == r], up to 30
+    size = 31
+    second = [list(_stirling_second_row(a)) + [0] * (size - a - 1) for a in range(size)]
+    first = [[stirling_first_signed(i, p) for p in range(size)] for i in range(size)]
+    for k in range(size):
+        for r in range(size):
+            assert sum(second[k][a] * first[a][r] for a in range(size)) == (k == r)
+            assert sum(first[k][a] * second[a][r] for a in range(size)) == (k == r)
 
 
 @pytest.mark.parametrize(

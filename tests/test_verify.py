@@ -282,23 +282,27 @@ def _wide(label):
 
 
 def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
-    runs = {"packed": [], "listed": []}
-    for name, key in (("_packed_rows", "packed"), ("_listed_rows", "listed")):
-        kernel = getattr(esp, name)
+    # all three support-row routes: both DP kernels and the Newton-Girard route
+    routes = ("packed", "listed", "newton")
+    runs = {route: [] for route in routes}
+    for route in routes:
+        kernel = getattr(esp, f"_{route}_rows")
 
-        def counted(elements, top, b, kernel=kernel, key=key):
-            runs[key].append(tuple(elements))
+        def counted(elements, top, b, kernel=kernel, route=route):
+            runs[route].append(tuple(elements))
             return kernel(elements, top, b)
 
-        monkeypatch.setattr(esp, name, counted)
+        monkeypatch.setattr(esp, f"_{route}_rows", counted)
     wide = {roots.elements for roots in verify.WIDE_SETS}
     for sweep in (verify.equivalence_exhaustive, lambda: verify.equivalence_random(random.Random(42))):
         assert sweep().ok
-        # the list kernel runs on the wide sets, at least once, and on nothing else
-        assert runs["listed"] and set(runs["listed"]) <= wide
+        # the list kernel and the Newton route run on the wide sets, at least
+        # once each, and on nothing else
+        for route in ("listed", "newton"):
+            assert runs[route] and set(runs[route]) <= wide, route
         assert runs["packed"]
-        runs["listed"].clear()
-        runs["packed"].clear()
+        for taken in runs.values():
+            taken.clear()
 
 
 def plant_list_kernel_slot_defect(monkeypatch):
@@ -320,6 +324,26 @@ def test_verify_fails_when_the_list_kernel_factor_is_off_by_one_slot(monkeypatch
     assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
     for report in (verify.equivalence_exhaustive(), verify.equivalence_random(random.Random(42))):
         assert report.failures() and all(map(_wide, labels(report)))
+
+
+def plant_newton_defect(monkeypatch):
+    power_sums = esp._power_sums
+
+    def shifted(elements, top, b):
+        # every P_r one slot up: P_r[k] where P_r[k-1] belongs
+        return [value << b for value in power_sums(elements, top, b)]
+
+    monkeypatch.setattr(esp, "_power_sums", shifted)
+
+
+def test_verify_fails_when_the_newton_power_sums_are_off_by_one_slot(monkeypatch, capsys):
+    plant_newton_defect(monkeypatch)
+    assert main(["verify", "--suite", "equivalence"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
+    # only the wide sets take the Newton route, so only they fail
+    report = verify.equivalence_random(random.Random(42))
+    assert report.failures() and all(map(_wide, labels(report)))
 
 
 # ---------------------------------------------------------------------------
