@@ -29,15 +29,11 @@ F[t][k] = 0 for k < t: _support_rows keeps row t shifted down t slots, only
 F[t][t..top], and every product is cut to those top-t+1 slots.  Each row is
 returned packed into one integer of slots as wide as the route needs.
 
-Three routes build the same rows.  Two are DP kernels that add the roots one
-at a time, F_t += g_m F_{t-1}, which takes about n * top - top^2/2 products.
-_packed_rows keeps each row packed and multiplies whole rows: one big-int
-product per root and row, which pads every slot to b bits and computes the
-slots above top only to mask them away.  _listed_rows keeps each row a list
-of slots and forms only the kept ones, each a dot product whose terms are as
-wide as their operands, then packs once; it pays a Python step per slot
-instead.  So packing wins on narrow slots and lists win once operands are
-wide.  The third, _newton_rows, uses the Newton-Girard identities
+Two routes build the same rows.  _packed_rows is a DP that adds the roots
+one at a time, F_t += g_m F_{t-1}, with each row packed and multiplied whole:
+one big-int product per root and row, about n * top - top^2/2 in all, which
+pads every slot to b bits and computes the slots above top only to mask them
+away.  _newton_rows uses the Newton-Girard identities
 (I. G. Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., 1995,
 section I.2) on the power sums P_r = sum_j g_{m_j}^r:
 
@@ -61,7 +57,7 @@ largest at s = floor(n/2).  So _bracket_totals, which packs F alone, takes
 b = bitlen(C(N, min(top, floor(N/2)))), and _bracket_table, whose rows hold
 B, takes b = bitlen(C(n, floor(n/2))) + that + 1 and builds the rows in those
 wider slots, so the conversion needs no repacking.  Every slot of a DP row is
-then < 2^b, a carry never reaches a kept slot, and the DP kernels run in b-bit
+then < 2^b, a carry never reaches a kept slot, and the DP runs in b-bit
 slots.  The Newton route has signs and its P_r slots can exceed any such
 bound (P_r[k] can reach n * C(r * max m, k)), so it reasons modulo
 M = 2^(w * (top-t+1)) for row t in w-bit slots instead.  A packed integer is
@@ -72,19 +68,16 @@ every such slot is < 2^w, so the sum reduced mod M is exactly t * F_t packed,
 and dividing it by t is exact.  _support_rows returns the width it used.
 
 Each route costs polynomially many big-int products instead of
-sum_s C(n, s) binomials.  Which one runs (_support_rows): below
-b * top = _NEWTON_ABOVE the packed DP; below _PACKED_BELOW Newton when every
-root is at least top (so no g_m is shorter than a row) and the packed DP
-otherwise; from there on a fitted cost estimate prices the list kernel
-against Newton, or against the packed DP where Newton may not run, and the
-cheaper one runs.  esp_extraction reads the top slot F[t][i] of each row
-with top = i and converts those few integers; one table with top = n holds
-every order's brackets, and esp_extraction_all reads each column i of it.
+sum_s C(n, s) binomials.  One rule picks the route (_support_rows): Newton
+from b * top = _NEWTON_ABOVE on when every root is at least top (so no g_m
+is shorter than a row), the packed DP otherwise.  esp_extraction reads the
+top slot F[t][i] of each row with top = i and converts those few integers;
+one table with top = n holds every order's brackets, and esp_extraction_all
+reads each column i of it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat, zip_longest
 from math import comb, prod
@@ -278,19 +271,10 @@ def _support_rows(elements: Sequence[int], top: int, b: int) -> tuple[list[int],
     """The support-layer rows of the module docstring, rows[t] = F[t][t..top]
     for t < top with row t shifted down t slots, and the slot width they are
     packed in.  Exact when every F[t][k] < 2^b, which needs nonnegative
-    elements.
-
-    Three routes build the same rows.  _packed_rows and _listed_rows step a
-    DP once per root, in b-bit slots.  _newton_rows builds row t from t power
-    sums, in b + bitlen(top-1) bits, and may run only when every root is at
-    least top and b * top >= _NEWTON_ABOVE.  Below b * top = _PACKED_BELOW
-    that is enough to take it, and the packed DP runs otherwise; from there
-    on _listed_is_cheaper prices the list kernel against the other one."""
-    area = b * top
-    newton = area >= _NEWTON_ABOVE and min(elements) >= top
-    if area >= _PACKED_BELOW and _listed_is_cheaper(len(elements), top, b, [min(m, top) for m in set(elements)], newton):
-        return _listed_rows(elements, top, b), b
-    if newton:
+    elements.  One rule picks the route: _newton_rows, in b + bitlen(top-1)-bit
+    slots, where every root is at least top and b * top >= _NEWTON_ABOVE;
+    else _packed_rows, in b-bit slots."""
+    if b * top >= _NEWTON_ABOVE and min(elements) >= top:
         width = b + (top - 1).bit_length()
         return _newton_rows(elements, top, width), width
     return _packed_rows(elements, top, b), b
@@ -314,33 +298,6 @@ def _packed_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
             mask = keep[t]
             rows[t] += (rows[t - 1] * (factor & mask)) & mask
     return rows
-
-
-def _listed_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
-    """_support_rows with each row a list of slots: slot j of row t gains
-    sum_q F[t-1][j+1-q] * C(m, q), the dot product of a slice of row t-1 with
-    the reversed factor cut to min(m, top, j+1) terms.  The rows are packed
-    into b-bit slots once, at the end."""
-    factors = {}
-    ends = range(1, top + 1)
-    for m in elements:
-        if m not in factors:
-            reverse = [binomial_first(m, k) for k in range(min(m, top), 0, -1)]
-            length = len(reverse)
-            factors[m] = [max(0, end - length) for end in ends], [reverse[max(0, length - end) :] for end in ends]
-    rows = [[1] + [0] * top] + [[0] * (top - t + 1) for t in range(1, top)]
-    for count, m in enumerate(elements, start=1):
-        starts, tails = factors[m]
-        for t in range(min(count, top - 1), 0, -1):
-            prev = rows[t - 1]
-            rows[t] = [x + sum(map(mul, prev[s:e], f)) for x, s, e, f in zip(rows[t], starts, ends, tails)]
-    packed = []
-    for row in rows:
-        value = 0
-        for slot in reversed(row):
-            value = value << b | slot
-        packed.append(value)
-    return packed
 
 
 def _newton_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
@@ -378,126 +335,12 @@ def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
     return [sum(map(mul, column, weighted)) // ratios[r] >> (b * r) if r else 0 for r, column in zip(range(top), second)]
 
 
-# _support_rows runs the list kernel only from this b * top on.  On the fit grid
-# no cell below gains more than x1.5 from it, none there is priced to take it,
-# and every input with n <= 12 and roots below 2^20 stays there.
-_PACKED_BELOW = 5000
 # From this b * top on, _support_rows takes the Newton route where every root is
 # at least top.  Read from the `newton_guard` bins of BENCH_16.json: from here up
 # Newton takes at most 0.56 of the packed DP's summed time per bin, and below
 # lie every table and cell of verify's exhaustive and random sweeps (b * top
 # at most 144 and 430), which stay on the packed DP.
 _NEWTON_ABOVE = 1000
-# Nanoseconds per unit of each feature of _kernel_features, fitted once by
-# least squares on the grid in the `layer` section of BENCH_13.json.
-_PACKED_NS = (655.4, 465.8, 196.7, 0.8351)
-_LISTED_NS = (1620.0, 747.1, 17.32, 251.4, 416.5, 138.9, 0.3467)
-
-
-def _mul_cost(x: float, y: float) -> float:
-    """Digit products in one x-digit by y-digit CPython multiplication of
-    30-bit digits: schoolbook below 70 digits, Karatsuba above."""
-    if x < y:
-        x, y = y, x
-    return x * y if y <= 70 else x * 70 * (y / 70) ** 0.585
-
-
-def _kernel_features(n: int, top: int, b: int, lengths: Sequence[int]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """What each DP kernel of _support_rows does for n roots whose distinct
-    values have factor lengths min(m, top) = `lengths`, from sizes alone: for
-    _packed_rows (roots, factor slots, row steps, digit products) and for
-    _listed_rows (roots, factor slots and slices, digits packed, row steps,
-    slots, slot products, digit products).  The c-th root steps rows
-    1..min(c, top-1), so row t is stepped by n - t + 1 roots, shared among
-    the factor lengths as the distinct roots are.  A factor slot C(m, q) is
-    taken as q * b / top bits wide when m >= top, and at most m bits when
-    m < top; a list slot as a full b-bit slot.  Only estimates, in floats:
-    they pick a route and never enter a value."""
-    digits = b / 30 + 1
-    roots, widths = _stepped_rows(n, top)
-    packed_work = products = listed_work = 0.0
-    for length, copies in Counter(lengths).items():
-        bits = [q * b / top for q in range(length + 1)] if length == top else [length] * (length + 1)
-        costs = [_mul_cost(digits, x / 30 + 1) for x in bits[1:]]
-        cost_sums = [0, *accumulate(costs)]
-        weighted_sums = [0, *accumulate(map(mul, costs, range(1, length + 1)))]
-        g_packed = g_products = g_listed = 0
-        for count, width in zip(roots, widths):
-            kept = min(length, width)
-            g_packed += count * _mul_cost((width + 1) * digits, ((kept - 1) * b + bits[kept]) / 30 + 1)
-            g_products += count * kept * (2 * width - kept + 1) // 2
-            g_listed += count * ((width + 1) * cost_sums[kept] - weighted_sums[kept])
-        share = copies / len(lengths)
-        packed_work += share * g_packed
-        products += share * g_products
-        listed_work += share * g_listed
-    factor_slots = sum(lengths)
-    steps, slots = sum(roots), sum(map(mul, roots, widths))
-    return (
-        (n, factor_slots, steps, packed_work),
-        (n, factor_slots + len(lengths) * top, top * top * digits, steps, slots, products, listed_work),
-    )
-
-
-def _stepped_rows(n: int, top: int) -> tuple[range, range]:
-    # row t = 1..min(n, top-1) is stepped by n - t + 1 roots and keeps top - t + 1 slots
-    rows = min(n, top - 1)
-    return range(n, n - rows, -1), range(top, top - rows, -1)
-
-
-def _newton_features(n: int, top: int, b: int) -> tuple[float, ...]:
-    """What _newton_rows does in b-bit rows, in the features of _packed_rows:
-    (roots, power-sum slots, products, digit products).  Row t takes t
-    products of two operands of x_t = (top-t+1) * digits digits, digits
-    counted in slots bitlen(top-1) bits wider; _mul_cost(x_t, x_t) is x_t^2
-    up to 70 digits and 70^0.415 * x_t^1.585 above, so the digit products
-    take two prefix sums over the rows, split where x_t passes 70."""
-    digits = (b + (top - 1).bit_length()) / 30 + 1
-    karatsuba, schoolbook = _newton_row_sums(top)
-    wide = max(0, min(top - 1, top - int(70 // digits)))
-    work = 70**0.415 * digits**1.585 * karatsuba[wide] + digits * digits * (schoolbook[-1] - schoolbook[wide])
-    return n, top * (top + 1) // 2 - 1, top * (top - 1) // 2, work
-
-
-@lru_cache(maxsize=256)
-def _newton_row_sums(top: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # prefix sums over rows t = 1..top-1 of t * w^1.585 and t * w^2, w = top-t+1
-    rows = range(1, top)
-    widths = range(top, 1, -1)
-    karatsuba = tuple(accumulate(map(mul, rows, map(pow, widths, repeat(1.585))), initial=0.0))
-    schoolbook = tuple(accumulate(map(mul, rows, map(mul, widths, widths)), initial=0.0))
-    return karatsuba, schoolbook
-
-
-def _price(constants: Sequence[float], features: Sequence[float]) -> float:
-    return sum(map(mul, constants, features))
-
-
-def _kernel_costs(n: int, top: int, b: int, lengths: Sequence[int]) -> tuple[float, float, float]:
-    """Predicted nanoseconds of (_packed_rows, _listed_rows, _newton_rows): the
-    features of _kernel_features and _newton_features priced by the fitted
-    constants, Newton's by _packed_rows's.  Pure: runs no kernel."""
-    packed, listed = _kernel_features(n, top, b, lengths)
-    return _price(_PACKED_NS, packed), _price(_LISTED_NS, listed), _price(_PACKED_NS, _newton_features(n, top, b))
-
-
-def _listed_is_cheaper(n: int, top: int, b: int, lengths: Sequence[int], newton: bool) -> bool:
-    """Whether _kernel_costs prices _listed_rows below its rival, _newton_rows
-    if `newton` (every length is top) and else _packed_rows.  Against Newton
-    the listed features before digit products are priced first: every
-    constant is nonnegative, so that part is a lower bound of the listed
-    cost, and when it already reaches Newton's the digit products are never
-    estimated."""
-    if newton:
-        rival = _price(_PACKED_NS, _newton_features(n, top, b))
-        roots, widths = _stepped_rows(n, top)
-        spans = sum(map(mul, roots, map(comb, range(top + 1, top + 1 - len(widths), -1), repeat(2))))
-        counts = (n, 2 * top * len(lengths), top * top * (b / 30 + 1), sum(roots), sum(map(mul, roots, widths)), spans)
-        if _price(_LISTED_NS, counts) >= rival:
-            return False
-        return _kernel_costs(n, top, b, lengths)[1] < rival
-    packed, listed = _kernel_features(n, top, b, lengths)
-    return _price(_LISTED_NS, listed) < _price(_PACKED_NS, packed)
 
 
 def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:

@@ -51,9 +51,10 @@ __all__ = [
 COEFF_N_MAX = 20
 COEFF_H = 12
 
-# Fixed root sets wide enough that the support-layer rows take the list kernel
-# at some order and the Newton-Girard route at another, so each sieve route is
-# checked on all three; every other swept set takes the packed kernel.
+# Fixed root sets wide enough that the support-layer rows reach the slots where
+# the Newton-Girard route may run.  The first and third take it at some orders;
+# the second, whose roots 1 and 2 keep it off Newton, takes the packed DP there.
+# Every other swept set takes the packed DP in narrow slots.
 WIDE_SETS = (
     RootSet(((1 << 256) - 1,) * 5),
     RootSet((3**160, 1, 5**110 + 2, 2, 3**160, 7**90)),

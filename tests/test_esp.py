@@ -430,40 +430,20 @@ def _support_width(elements, top):
     return math.comb(total, min(top, total // 2)).bit_length()
 
 
-def _assert_kernels_agree(elements, top):
-    n = len(elements)
-    narrow = _support_width(elements, top)
-    for b in (narrow, math.comb(n, n // 2).bit_length() + narrow + 1):  # F slots, then B slots
-        assert esp._listed_rows(elements, top, b) == esp._packed_rows(elements, top, b)
-
-
 # Roots of 1..600 bits mixed with 1..3, drawn with repeats: a root below top
 # has a factor shorter than the rows.
 kernel_roots = st.one_of(st.integers(1, 3), st.integers(1, 600).flatmap(lambda w: st.integers(1 << (w - 1), (1 << w) - 1)))
 
 
-@given(
-    elements=st.lists(kernel_roots, min_size=1, max_size=5).flatmap(
-        lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=9)
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_support_kernels_give_equal_rows(elements):
-    for top in range(1, len(elements) + 2):
-        _assert_kernels_agree(tuple(elements), top)
-
-
-def test_support_kernels_agree_at_the_slot_width_edges():
-    # the cases of test_bracket_table_slot_width_at_its_edges
-    small = (3, 1, 4, 1, 5, 9, 2, 6, 5)
-    for elements in ((1,) * 12, (1, 1, 2), (1,), (7,), ((1 << 60) - 1,) * 20, (1 << 80, *small), (*small, 1 << 80)):
-        for top in range(1, len(elements) + 2):
-            _assert_kernels_agree(elements, top)
-
-
 def _newton_width(top, b):
     # the slots _support_rows gives the Newton route: t * F[t][k] < 2^b * t
     return b + (top - 1).bit_length()
+
+
+def _narrowed(rows, width, b):
+    # rows of width-bit slots moved into b-bit slots, each slot kept whole
+    slot, top = (1 << width) - 1, len(rows)
+    return [sum((row >> (width * k) & slot) << (b * k) for k in range(top - t + 1)) for t, row in enumerate(rows)]
 
 
 @given(elements=st.lists(mixed_roots, min_size=1, max_size=7))
@@ -488,9 +468,15 @@ def test_newton_rows_hold_the_enumerated_support_sums(elements):
 @settings(max_examples=30, deadline=None)
 def test_newton_rows_equal_the_packed_rows_on_kernel_roots(elements):
     elements = tuple(elements)
-    for top in range(1, len(elements) + 2):
-        b = _newton_width(top, _support_width(elements, top))
-        assert esp._newton_rows(elements, top, b) == esp._packed_rows(elements, top, b)
+    n = len(elements)
+    for top in range(1, n + 2):
+        narrow = _support_width(elements, top)
+        for b in (narrow, math.comb(n, n // 2).bit_length() + narrow + 1):  # F slots, then B slots
+            width = _newton_width(top, b)
+            rows = esp._newton_rows(elements, top, width)
+            assert rows == esp._packed_rows(elements, top, width)
+            # and the packed DP in the b-bit slots themselves
+            assert _narrowed(rows, width, b) == esp._packed_rows(elements, top, b)
 
 
 def _power_sum_slots(elements, top):
@@ -512,10 +498,13 @@ def test_newton_route_at_the_slot_width_edges():
     for elements in ((1,) * 12, (1, 1, 2), (1,), (7,), ((1 << 60) - 1,) * 20, (1 << 80, *small), (*small, 1 << 80)):
         closed_form = _power_sum_slots(elements, len(elements) + 1)
         for top in range(1, len(elements) + 2):
-            b = _newton_width(top, _support_width(elements, top))
+            narrow = _support_width(elements, top)
+            b = _newton_width(top, narrow)
             rows = esp._newton_rows(elements, top, b)
-            # the packed DP's rows, which the other edge tests hold to the enumerated table
+            # the packed DP's rows, which the other edge tests hold to the enumerated
+            # table, in these slots and in the narrower ones _bracket_totals packs F in
             assert rows == esp._packed_rows(elements, top, b)
+            assert _narrowed(rows, b, narrow) == esp._packed_rows(elements, top, narrow)
             slot = (1 << b) - 1
             # the one bound the route needs: every slot of t * F_t fits
             assert all(t * (rows[t] >> (b * k) & slot) < 1 << b for t in range(top) for k in range(top - t + 1))
@@ -531,7 +520,7 @@ def test_newton_route_at_the_slot_width_edges():
     assert overflowed > 0
 
 
-ROUTES = ("packed", "listed", "newton")
+ROUTES = ("packed", "newton")
 
 
 def _kernel_taken(monkeypatch, elements, top, b):
@@ -553,19 +542,19 @@ def _pinned_cells():
     # short factors: one root below top keeps a sieve_compact-like cell on the DP
     packed += [((3, *_random_roots(rng, n - 1, bits)), top) for n, bits, top in ((14, 30, 6), (16, 24, 9), (18, 20, 12))]
     # wide roots near i = n, and a wide set with short factors
-    listed = [
+    newton = [
         ((10**400 - 1,) * 12, 12),
         (((1 << 60) - 1,) * 30, 29),
         (tuple(rng.randrange(10**399, 10**400) for _ in range(18)), 17),
-        ((3**160, 1, 5**110 + 2, 2, 3**160, 7**90), 6),
     ]
-    # sieve_compact-like cells, n 14..18 and root widths 20..40, unpriced and priced
-    newton = [(_random_roots(rng, n, bits), top) for n, bits, top in ((14, 20, 9), (15, 25, 8), (16, 30, 6), (17, 35, 12), (18, 40, 16), (16, 40, 14))]
+    packed.append(((3**160, 1, 5**110 + 2, 2, 3**160, 7**90), 6))
+    # sieve_compact-like cells, n 14..18 and root widths 20..40
+    newton += [(_random_roots(rng, n, bits), top) for n, bits, top in ((14, 20, 9), (15, 25, 8), (16, 30, 6), (17, 35, 12), (18, 40, 16), (16, 40, 14))]
     newton.append((tuple(rng.randrange(1 << 19, 1 << 20) for _ in range(12)), 12))  # compute --method at n = 12
     newton.append((tuple(rng.randrange(10**399, 10**400) for _ in range(12)), 6))
     newton.append(((10, *_random_roots(rng, 15, 30)), 10))  # the smallest root equal to top
     newton.append((((1 << 500) - 1,) * 40, 20))
-    return {"packed": packed, "listed": listed, "newton": newton}
+    return {"packed": packed, "newton": newton}
 
 
 def test_support_kernel_choice_is_pinned(monkeypatch):
@@ -579,74 +568,12 @@ def test_support_kernel_choice_is_pinned(monkeypatch):
             assert _kernel_taken(monkeypatch, elements, n, b) == ["packed"]
 
 
-def test_support_rows_price_nothing_below_the_packed_guard(monkeypatch):
-    # below _PACKED_BELOW the choice reads n, top, b and the smallest root only
-    def refuse(*args):
-        raise AssertionError("priced below _PACKED_BELOW")
-
-    monkeypatch.setattr(esp, "_kernel_costs", refuse)
-    cells = [cell for cells in _pinned_cells().values() for cell in cells]
-    below = [(e, top) for e, top in cells if _support_width(e, top) * top < esp._PACKED_BELOW]
-    assert len(below) > 50
-    for elements, top in below:
-        assert len(_kernel_taken(monkeypatch, elements, top, _support_width(elements, top))) == 1
-
-
 def test_route_guards_sit_at_their_constants(monkeypatch):
-    # b * top = _NEWTON_ABOVE opens the Newton route and b * top = _PACKED_BELOW
-    # the pricing, each at exactly its constant (top = 8, so b = area / 8)
-    assert (esp._NEWTON_ABOVE, esp._PACKED_BELOW) == (1000, 5000)
-    priced = []
-    monkeypatch.setattr(esp, "_listed_is_cheaper", lambda *args: priced.append(args))
-    for area, route, prices in ((992, "packed", 0), (1000, "newton", 0), (4992, "newton", 0), (5000, "newton", 1)):
-        priced.clear()
+    # b * top = _NEWTON_ABOVE opens the Newton route, at exactly its constant
+    # (top = 8, so b = area / 8)
+    assert esp._NEWTON_ABOVE == 1000
+    for area, route in ((992, "packed"), (1000, "newton"), (4992, "newton"), (5000, "newton")):
         assert _kernel_taken(monkeypatch, (1 << 40,) * 8, 8, area // 8) == [route], area
-        assert len(priced) == prices, area
-
-
-def test_estimate_features_of_one_cell_are_pinned():
-    # n = 2, top = 2, b = 30: digits = 2; one factor length 2, slots of 15 and 30 bits
-    assert esp._kernel_features(2, 2, 30, [2]) == ((2, 2, 2, 36.0), (2, 4, 8.0, 2, 4, 6.0, 20.0))
-    digits = 31 / 30 + 1  # one bit wider for Newton
-    assert esp._newton_features(2, 2, 30) == pytest.approx((2, 2, 1, (2 * digits) ** 2))
-    # schoolbook up to 70 digits a side, Karatsuba above
-    assert esp._mul_cost(70, 80) == 5600
-    assert esp._mul_cost(71, 71) == pytest.approx(71 * 70 * (71 / 70) ** 0.585)
-    # Newton's digit products split its rows where an operand passes 70 digits
-    for top in (3, 8, 17):
-        for b in range(0, 3000, 7):
-            digits = (b + (top - 1).bit_length()) / 30 + 1
-            rows = sum(t * esp._mul_cost((top - t + 1) * digits, (top - t + 1) * digits) for t in range(1, top))
-            assert esp._newton_features(2, top, b)[3] == pytest.approx(rows), (top, b)
-
-
-def test_priced_choice_is_the_cheapest_priced_route():
-    # _listed_is_cheaper may stop at a lower bound of the listed cost; it
-    # must still answer as the three prices of _kernel_costs do
-    rng = random.Random(16)
-    for _ in range(400):
-        n = rng.randint(1, 40)
-        top = rng.randint(2, n + 1)
-        b = rng.randint(1, 40000 // top)
-        newton = rng.random() < 0.6
-        lengths = [top] * rng.randint(1, n) if newton else [rng.randint(1, top) for _ in range(rng.randint(1, n))]
-        packed, listed, newton_cost = esp._kernel_costs(n, top, b, lengths)
-        assert esp._listed_is_cheaper(n, top, b, lengths, newton) == (listed < (newton_cost if newton else packed))
-
-
-def test_kernel_estimate_runs_no_kernel(monkeypatch):
-    cells = [cell for cells in _pinned_cells().values() for cell in cells]
-    cells = [(len(e), top, _support_width(e, top), [min(m, top) for m in set(e)]) for e, top in cells]
-    before = [esp._kernel_costs(*cell) for cell in cells]
-
-    def refuse(*args):
-        raise AssertionError("the estimate must not run a kernel")
-
-    for route in ROUTES:
-        monkeypatch.setattr(esp, f"_{route}_rows", refuse)
-    monkeypatch.setattr(esp, "_power_sums", refuse)
-    assert [esp._kernel_costs(*cell) for cell in cells] == before
-    assert all(len(costs) == 3 and all(cost > 0 for cost in costs) for costs in before)
 
 
 def _per_order_sieve(roots):

@@ -282,48 +282,26 @@ def _wide(label):
 
 
 def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
-    # all three support-row routes: both DP kernels and the Newton-Girard route
-    routes = ("packed", "listed", "newton")
-    runs = {route: [] for route in routes}
-    for route in routes:
+    # both support-row routes: the packed DP and the Newton-Girard route
+    runs = {"packed": [], "newton": []}
+    for route in runs:
         kernel = getattr(esp, f"_{route}_rows")
 
         def counted(elements, top, b, kernel=kernel, route=route):
-            runs[route].append(tuple(elements))
+            runs[route].append((tuple(elements), b * top))
             return kernel(elements, top, b)
 
         monkeypatch.setattr(esp, f"_{route}_rows", counted)
     wide = {roots.elements for roots in verify.WIDE_SETS}
     for sweep in (verify.equivalence_exhaustive, lambda: verify.equivalence_random(random.Random(42))):
         assert sweep().ok
-        # the list kernel and the Newton route run on the wide sets, at least
-        # once each, and on nothing else
-        for route in ("listed", "newton"):
-            assert runs[route] and set(runs[route]) <= wide, route
-        assert runs["packed"]
+        # the Newton route runs on the wide sets, at least once, and on nothing else
+        assert runs["newton"] and {elements for elements, _ in runs["newton"]} <= wide
+        # WIDE_SETS[1]'s roots 1 and 2 keep it off Newton: it is the one set
+        # whose packed rows reach the wide slots where Newton may run
+        assert {elements for elements, area in runs["packed"] if area >= esp._NEWTON_ABOVE} == {verify.WIDE_SETS[1].elements}
         for taken in runs.values():
             taken.clear()
-
-
-def plant_list_kernel_slot_defect(monkeypatch):
-    listed = esp._listed_rows
-
-    def shifted(elements, top, b):
-        # the factor C(m, 0..min(m, top)-1), one slot below C(m, 1..min(m, top))
-        with monkeypatch.context() as patch:
-            patch.setattr(esp, "binomial_first", lambda m, k: bigcomb.binomial_first(m, k - 1))
-            return listed(elements, top, b)
-
-    monkeypatch.setattr(esp, "_listed_rows", shifted)
-
-
-def test_verify_fails_when_the_list_kernel_factor_is_off_by_one_slot(monkeypatch, capsys):
-    plant_list_kernel_slot_defect(monkeypatch)
-    assert main(["verify", "--suite", "equivalence"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
-    for report in (verify.equivalence_exhaustive(), verify.equivalence_random(random.Random(42))):
-        assert report.failures() and all(map(_wide, labels(report)))
 
 
 def plant_newton_defect(monkeypatch):
@@ -342,8 +320,8 @@ def test_verify_fails_when_the_newton_power_sums_are_off_by_one_slot(monkeypatch
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
     # only the wide sets take the Newton route, so only they fail
-    report = verify.equivalence_random(random.Random(42))
-    assert report.failures() and all(map(_wide, labels(report)))
+    for report in (verify.equivalence_exhaustive(), verify.equivalence_random(random.Random(42))):
+        assert report.failures() and all(map(_wide, labels(report)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +371,7 @@ def test_two_processes_print_the_serial_bytes_when_child_suites_fail(monkeypatch
 
 
 def test_two_processes_print_the_serial_bytes_when_equivalence_fails(monkeypatch, capsys):
-    plant_list_kernel_slot_defect(monkeypatch)
+    plant_newton_defect(monkeypatch)
     (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all", "--json"])
     assert forks == 1 and forked == serial
     assert serial[0] == 1 and '"passed": false, "detail": "30964 instances"' in serial[1]
