@@ -6,17 +6,22 @@ by the instance, only for a failing one; over a fixed list it adds every
 value.  Randomized sweeps draw from the `rng` they are given, so a caller
 that shares one generator gets the same draws every run.
 
-`run_suites` runs the suites of one `symex verify` call.  Only the suites
-of `SEEDED_SUITES` draw from the rng.  When a call asks for suites on both
-sides, and the process has at least two CPUs in its affinity mask and no
-second thread, it forks once: the parent runs the seeded suites on the
-shared rng while the child runs the others and pickles their reports back
-through a pipe.  The reports are merged in `names` order, so they equal the
-serial loop's.  A child that fails in any way exits non-zero having written
-nothing; then, or if its payload does not load, the parent runs the
-child's suites itself, so a failing suite raises or reports as it does in
-the serial loop (which runs `SUITES` order, seeded suites first).  With one
-CPU (e.g. under `taskset -c 0`), or one side empty, the serial loop runs.
+Two places split their work with one forked child, through `_forked`:
+`run_suites` runs the suites outside `SEEDED_SUITES` in a child while this
+process runs the seeded ones on the shared rng, and the loop behind both
+equivalence sweeps runs every other root set in a child (the random sweep
+draws all its sets first, so the rng ends as the serial run leaves it).
+So during `verify --suite all` up to three processes share two CPUs.  The
+results are merged in suite order and in set order, so every report equals
+the serial one.  A split forks only when the process has at least two CPUs
+in its affinity mask and no second thread.  The child always ends in
+`os._exit`; one that fails in any way exits non-zero having written
+nothing, and then, or if its payload does not load, this process runs the
+child's half itself.  If this process's own half raises an `Exception`,
+the child is killed and the whole split reruns serially (`run_suites`
+first puts the rng back as it was), so what raises is what the serial run
+raises; an interrupt kills and reaps the child and propagates.  With one
+CPU (e.g. under `taskset -c 0`) everything runs serially in one process.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, islice, product
+from operator import itemgetter
 from typing import Callable, Iterable
 
 # Routes are called through their home modules, so a patch or wrapper on
@@ -86,35 +92,52 @@ def _sweep(report: Report, cases: Iterable[tuple], verifier: Callable[..., Repor
             report.add((*case, first.label) if tagged else case, first.expected, first.observed)
 
 
-def _routes_agree(name: str, root_sets, sieve: Callable[[RootSet], list[int]]) -> Report:
+def _routes_agree(name: str, root_sets: Callable[[], Iterable[RootSet]], sieve: Callable[[RootSet], list[int]]) -> Report:
     """Definition, recurrence and sieve(roots), the sieve's e_0..e_n, at orders 1..n of
-    each set; a failing (roots, i) expects (e_i, e_i) and observes (sieve, recurrence).
-    The exhaustive sweep checks the all-orders sieve, the random sweep the per-order one."""
-    report = Report(name)
-    instances = 0
-    for roots in root_sets:
+    each set of root_sets(); a failing (roots, i) expects (e_i, e_i) and observes (sieve,
+    recurrence).  The exhaustive sweep checks the all-orders sieve, the random sweep the
+    per-order one.  Sets at odd positions run in a forked child when `_forked` can."""
+
+    def every_other(start: int) -> tuple[int, list[tuple]]:
+        return _disagreements(islice(enumerate(root_sets()), start, None, 2), sieve)
+
+    halves = _forked(lambda: every_other(0), lambda: every_other(1)) or [_disagreements(enumerate(root_sets()), sieve)]
+    report = Report(name, f"{sum(instances for instances, _ in halves)} instances")
+    # A stable sort by position keeps each set's failing orders in order.
+    for _, label, expected, observed in sorted(chain.from_iterable(failed for _, failed in halves), key=itemgetter(0)):
+        report.add(label, expected, observed)
+    return report
+
+
+def _disagreements(numbered_sets: Iterable[tuple[int, RootSet]], sieve: Callable[[RootSet], list[int]]) -> tuple[int, list[tuple]]:
+    """The instance count and the (position, label, expected, observed) of each failing instance."""
+    instances, failed = 0, []
+    for position, roots in numbered_sets:
         per_order = esp.esp_all(roots)
         by_sieve = sieve(roots)
         for i in range(1, roots.n + 1):
             instances += 1
             by_definition = esp.esp_direct(roots, i)
             if not by_definition == by_sieve[i] == per_order[i]:
-                report.add((roots.elements, i), (by_definition, by_definition), (by_sieve[i], per_order[i]))
-    report.detail = f"{instances} instances"
-    return report
+                failed.append((position, (roots.elements, i), (by_definition, by_definition), (by_sieve[i], per_order[i])))
+    return instances, failed
 
 
 def equivalence_exhaustive() -> Report:
-    root_sets = chain(_exhaustive_roots(6, 4), WIDE_SETS)
-    return _routes_agree(f"equivalence exhaustive n<=6 m<=4, {len(WIDE_SETS)} wide sets", root_sets, esp.esp_extraction_all)
+    return _routes_agree(
+        f"equivalence exhaustive n<=6 m<=4, {len(WIDE_SETS)} wide sets",
+        lambda: chain(_exhaustive_roots(6, 4), WIDE_SETS),
+        esp.esp_extraction_all,
+    )
 
 
 def equivalence_random(rng: random.Random) -> Report:
     def per_order(roots):
         return [1] + [esp.esp_extraction(roots, i, explain_limit=0)[0] for i in range(1, roots.n + 1)]
 
-    root_sets = chain((_random_roots(rng, 1, 10, 9) for _ in range(300)), WIDE_SETS)
-    return _routes_agree(f"equivalence 300 random sets n<=10 m<=9, {len(WIDE_SETS)} wide sets", root_sets, per_order)
+    # Every set is drawn here, before any fork, so the rng ends as the serial run leaves it.
+    drawn = [_random_roots(rng, 1, 10, 9) for _ in range(300)] + list(WIDE_SETS)
+    return _routes_agree(f"equivalence 300 random sets n<=10 m<=9, {len(WIDE_SETS)} wide sets", lambda: drawn, per_order)
 
 
 def loworder_forms(rng: random.Random) -> Report:
@@ -220,9 +243,26 @@ SEEDED_SUITES = ("equivalence",)
 def run_suites(names: list[str], rng: random.Random, truncation: int) -> list[Report]:
     """The reports of SUITES[name](rng, truncation) for each name in turn.  With
     suites on both sides of SEEDED_SUITES, the unseeded ones run in a forked child."""
+    seeded = [name for name in names if name in SEEDED_SUITES]
     unseeded = [name for name in names if name not in SEEDED_SUITES]
-    if not 0 < len(unseeded) < len(names) or not _may_fork():
-        return _serial(names, rng, truncation)
+    if seeded and unseeded:
+        state = rng.getstate()
+        halves = _forked(lambda: [SUITES[name](rng, truncation) for name in seeded],
+                         lambda: [SUITES[name](rng, truncation) for name in unseeded])
+        if halves is not None:
+            seeded_reports, unseeded_reports = map(iter, halves)
+            return [report for name in names for report in next(seeded_reports if name in SEEDED_SUITES else unseeded_reports)]
+        rng.setstate(state)
+    return [report for name in names for report in SUITES[name](rng, truncation)]
+
+
+def _forked(here: Callable[[], object], there: Callable[[], object]) -> tuple | None:
+    """(here(), there()), with there() run in a forked child while this process
+    runs here(), or None when the caller must run both serially instead: no
+    fork was allowed or made, or here() raised an Exception.  A child that
+    fails has its half run here, so that it reports or raises as serially."""
+    if not _may_fork():
+        return None
     import pickle
     import signal
 
@@ -232,42 +272,37 @@ def run_suites(names: list[str], rng: random.Random, truncation: int) -> list[Re
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return _serial(names, rng, truncation)
+        return None
     if pid == 0:
         # The child never returns into the caller: it runs no atexit handler,
         # flushes no inherited stdio buffer, and on failure writes nothing.
         status = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps([SUITES[name](rng, truncation) for name in unseeded], pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(there(), pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
-        try:
-            seeded = [SUITES[name](rng, truncation) for name in names if name in SEEDED_SUITES]
-            payload = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
+    payload = None
     try:
-        forked = pickle.loads(payload) if status == 0 else None
+        with open(read_fd, "rb") as pipe:
+            mine = here()
+            payload = pipe.read()
     except Exception:
-        forked = None
-    if forked is None:
-        # Run the failed child's suites here, to report or raise as the serial loop does.
-        forked = [SUITES[name](rng, truncation) for name in unseeded]
-    seeded_reports, forked_reports = iter(seeded), iter(forked)
-    return [report for name in names for report in next(seeded_reports if name in SEEDED_SUITES else forked_reports)]
-
-
-def _serial(names: list[str], rng: random.Random, truncation: int) -> list[Report]:
-    return [report for name in names for report in SUITES[name](rng, truncation)]
+        return None
+    finally:
+        if payload is None:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if status == 0:
+        try:
+            return mine, pickle.loads(payload)
+        except Exception:
+            pass
+    return mine, there()
 
 
 def _may_fork() -> bool:

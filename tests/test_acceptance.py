@@ -123,14 +123,15 @@ def run_cli(*argv):
     )
 
 
-def test_criterion_9_cli_determinism_and_bench_agreement():
+def test_criterion_9_cli_determinism_and_bench_agreement(serial_verify):
     failures = []
 
+    # A fresh CLI process against the session's one serial in-process run.
     first = run_cli("verify", "--suite", "all", "--seed", "42")
-    second = run_cli("verify", "--suite", "all", "--seed", "42")
-    if first.returncode != 0 or second.returncode != 0:
-        failures.append(("verify exit codes", first.returncode, second.returncode))
-    if first.stdout != second.stdout:
+    second_code, second_out, _ = serial_verify("verify", "--suite", "all", "--seed", "42")
+    if first.returncode != 0 or second_code != 0:
+        failures.append(("verify exit codes", first.returncode, second_code))
+    if first.stdout != second_out.encode():
         failures.append(("verify stdout differs between runs",))
 
     bench = run_cli("bench", "--json")

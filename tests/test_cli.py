@@ -323,8 +323,9 @@ def test_verify_json(capsys):
     assert all(check["passed"] for check in payload["checks"])
 
 
-def test_verify_all_stdout_is_pinned(capsys):
-    code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "42")
+def test_verify_all_stdout_is_pinned(serial_verify):
+    # the serial run; the two-CPU runs must print the same bytes (tests/test_verify.py)
+    code, out, err = serial_verify("verify", "--suite", "all", "--seed", "42")
     assert code == 0 and err == ""
     assert out.splitlines() == [
         "verify suite=all seed=42 truncation=30 rng=mersenne-twister",
@@ -345,8 +346,8 @@ def test_verify_all_stdout_is_pinned(capsys):
     ]
 
 
-def test_verify_all_json_is_pinned(capsys):
-    code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "42", "--json")
+def test_verify_all_json_is_pinned(serial_verify):
+    code, out, err = serial_verify("verify", "--suite", "all", "--seed", "42", "--json")
     assert code == 0 and err == ""
     assert out == (
         '{"suite": "all", "seed": 42, "truncation": 30, "rng": "mersenne-twister", "checks": ['

@@ -269,12 +269,18 @@ def test_equivalence_sweeps_report_a_planted_defect_in_the_all_orders_sieve(monk
         return rows, b
 
     monkeypatch.setattr(esp, "_bracket_table", off_by_one)
+    # With two CPUs the failing sets sit in both halves of the split, so the
+    # labels show that the child's failures are merged back in set order.
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
     exhaustive = verify.equivalence_exhaustive()
     assert exhaustive.detail == "30964 instances"
     swept = itertools.chain(verify._exhaustive_roots(6, 4), verify.WIDE_SETS)
     assert labels(exhaustive) == [(roots.elements, 2) for roots in swept if roots.n >= 3]
     random_sweep = verify.equivalence_random(random.Random(42))
     assert random_sweep.ok and random_sweep.detail == "1725 instances"
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def _wide(label):
@@ -282,7 +288,8 @@ def _wide(label):
 
 
 def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
-    # both support-row routes: the packed DP and the Newton-Girard route
+    # both support-row routes: the packed DP and the Newton-Girard route.  The
+    # calls are counted in this process, so the sweeps run with one CPU here.
     runs = {"packed": [], "newton": []}
     for route in runs:
         kernel = getattr(esp, f"_{route}_rows")
@@ -294,7 +301,9 @@ def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
         monkeypatch.setattr(esp, f"_{route}_rows", counted)
     wide = {roots.elements for roots in verify.WIDE_SETS}
     for sweep in (verify.equivalence_exhaustive, lambda: verify.equivalence_random(random.Random(42))):
-        assert sweep().ok
+        set_cpus(monkeypatch, 1)
+        report = sweep()
+        assert report.ok
         # the Newton route runs on the wide sets, at least once, and on nothing else
         assert runs["newton"] and {elements for elements, _ in runs["newton"]} <= wide
         # WIDE_SETS[1]'s roots 1 and 2 keep it off Newton: it is the one set
@@ -302,6 +311,8 @@ def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
         assert {elements for elements, area in runs["packed"] if area >= esp._NEWTON_ABOVE} == {verify.WIDE_SETS[1].elements}
         for taken in runs.values():
             taken.clear()
+        set_cpus(monkeypatch, 2)
+        assert sweep() == report
 
 
 def plant_newton_defect(monkeypatch):
@@ -319,26 +330,29 @@ def test_verify_fails_when_the_newton_power_sums_are_off_by_one_slot(monkeypatch
     assert main(["verify", "--suite", "equivalence"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
-    # only the wide sets take the Newton route, so only they fail
-    for report in (verify.equivalence_exhaustive(), verify.equivalence_random(random.Random(42))):
-        assert report.failures() and all(map(_wide, labels(report)))
+    # Only the wide sets take the Newton route, so only they fail: WIDE_SETS[0]
+    # and [2], at orders 2..5.  Both CPU counts give the same labels, in set order.
+    for sweep in (verify.equivalence_exhaustive, lambda: verify.equivalence_random(random.Random(42))):
+        set_cpus(monkeypatch, 1)
+        report = sweep()
+        assert labels(report) == [(verify.WIDE_SETS[w].elements, i) for w in (0, 2) for i in range(2, 6)]
+        set_cpus(monkeypatch, 2)
+        assert sweep() == report
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
-# run_suites: the unseeded suites in one forked child, merged as the serial loop runs them
+# The two fork sites: run_suites runs the unseeded suites in one forked child,
+# and each equivalence sweep runs every other root set in one, both merged as
+# the serial run orders them.
 
 
 def set_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def serial_and_forked(monkeypatch, capsys, argv):
-    """(exit code, stdout, stderr) of main(argv) with one CPU and with two, and the forks made with two."""
+def count_forks(monkeypatch):
+    """The list that each later os.fork call appends its caller's pid to."""
     forks = []
     fork = os.fork
 
@@ -347,33 +361,87 @@ def serial_and_forked(monkeypatch, capsys, argv):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
-    runs = []
-    for cpus in (1, 2):
-        set_cpus(monkeypatch, cpus)
-        runs.append((main(argv), *capsys.readouterr()))
-        assert_no_child_left()
-    return runs, len(forks)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def forked_run(monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) with two CPUs, and the forks it made."""
+    forks = count_forks(monkeypatch)
+    set_cpus(monkeypatch, 2)
+    run = (main(argv), *capsys.readouterr())
+    assert_no_child_left()
+    return run, len(forks)
+
+
+def serial_and_forked(monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) with one CPU and with two, and the forks made with two."""
+    set_cpus(monkeypatch, 1)
+    serial = (main(argv), *capsys.readouterr())
+    assert_no_child_left()
+    forked, forks = forked_run(monkeypatch, capsys, argv)
+    return (serial, forked), forks
 
 
 @pytest.mark.parametrize("seed", ["42", "7", "1"])
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-def test_two_processes_print_the_serial_bytes(monkeypatch, capsys, seed, json_flag):
-    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all", "--seed", seed, *json_flag])
-    assert forks == 1 and serial[0] == 0 and forked == serial
+def test_two_processes_print_the_serial_bytes(monkeypatch, capsys, serial_verify, seed, json_flag):
+    argv = ["verify", "--suite", "all", "--seed", seed, *json_flag]
+    serial = serial_verify(*argv)
+    forked, forks = forked_run(monkeypatch, capsys, argv)
+    # one child for the unseeded suites, one for each equivalence sweep
+    assert forks == 3 and serial[0] == 0 and forked == serial
+
+
+def test_two_processes_print_the_serial_bytes_of_the_equivalence_suite(monkeypatch, capsys, serial_verify):
+    argv = ["verify", "--suite", "equivalence", "--seed", "7"]
+    serial = serial_verify(*argv)
+    forked, forks = forked_run(monkeypatch, capsys, argv)
+    # a single suite runs in this process, and each of its sweeps forks once
+    assert forks == 2 and serial[0] == 0 and forked == serial
+
+
+def test_two_cpu_sweeps_equal_their_serial_reports(monkeypatch, serial_verify):
+    recorded = {seed: serial_verify.sweeps(seed) for seed in ("42", "7", "1")}
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert verify.equivalence_exhaustive() == recorded["42"][0]
+    parent, sieve = os.getpid(), esp.esp_extraction
+
+    def dies_in_the_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(7)
+        return sieve(*args, **kwargs)
+
+    for child_dies in (False, True):
+        if child_dies:
+            # A dead child's sets are run here: the ones drawn before the fork, not new draws.
+            monkeypatch.setattr(esp, "esp_extraction", dies_in_the_child)
+        for seed, (_, random_report, state) in recorded.items():
+            rng = random.Random(int(seed))
+            assert verify.equivalence_random(rng) == random_report
+            # every set is drawn before the fork, so the rng ends in the serial state
+            assert rng.getstate() == state
+    assert len(forks) == 7
+    assert_no_child_left()
 
 
 def test_two_processes_print_the_serial_bytes_when_child_suites_fail(monkeypatch, capsys, cold_sieve_weights):
     closed = coeffs.coeff_closed
     monkeypatch.setattr(coeffs, "coeff_closed", lambda n, i, h: closed(n, i, h) + 1)
     (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
-    assert forks == 1 and forked == serial
+    assert forks == 3 and forked == serial
     assert serial[0] == 1 and "FAIL recurrence equals closed form" in serial[1]
 
 
 def test_two_processes_print_the_serial_bytes_when_equivalence_fails(monkeypatch, capsys):
     plant_newton_defect(monkeypatch)
     (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all", "--json"])
-    assert forks == 1 and forked == serial
+    assert forks == 3 and forked == serial
     assert serial[0] == 1 and '"passed": false, "detail": "30964 instances"' in serial[1]
 
 
@@ -396,85 +464,164 @@ def test_unseeded_suites_never_draw_from_the_rng(name):
     assert reports and all(report.ok for report in reports)
 
 
-@pytest.fixture
-def quick_equivalence(monkeypatch):
-    # A seeded stand-in that draws from the rng, so the fork's edge cases run in milliseconds.
-    monkeypatch.setitem(verify.SUITES, "equivalence", lambda rng, truncation: [verify.loworder_forms(rng)])
+# Small root sets for the sweep site: 14 sets of n <= 3, m <= 2, then the wide ones.
+def few_exhaustive_roots(n_max, m_max, exhaustive_roots=verify._exhaustive_roots):
+    return exhaustive_roots(3, 2)
 
 
-def test_a_child_suite_that_raises_gives_the_serial_error(monkeypatch, capsys, quick_equivalence):
-    def planted(rng, truncation):
-        raise ArithmeticError("planted")
+class Site:
+    """A quick `verify` call whose one fork is at the named site, set up on
+    `patch`.  plant(side, action) calls action() each time the work planted on
+    that side of the split has run, in whichever process ran it.  Serially, the
+    child's side runs first at the sweep site and last at the suites site."""
 
-    monkeypatch.setitem(verify.SUITES, "gf", planted)
-    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
-    assert forks == 1 and forked == serial == (1, "", "error: planted\n")
+    def __init__(self, name, patch):
+        self.name, self.patch = name, patch
+        if name == "suites":
+            # A seeded stand-in that draws from the rng, so each run takes milliseconds.
+            patch.setitem(verify.SUITES, "equivalence", lambda rng, truncation: [verify.loworder_forms(rng)])
+            self.argv, self.checks = ["verify", "--suite", "all"], 11
+        else:
+            # verify --suite equivalence runs in this process; only its one sweep forks.
+            patch.setattr(verify, "_exhaustive_roots", few_exhaustive_roots)
+            patch.setitem(verify.SUITES, "equivalence", lambda rng, truncation: [verify.equivalence_exhaustive()])
+            self.argv, self.checks = ["verify", "--suite", "equivalence"], 1
+
+    def plant(self, side, action):
+        if self.name == "suites":
+            name = "equivalence" if side == "parent" else "multiplicity"
+            suite = verify.SUITES[name]
+
+            def planted_suite(rng, truncation):
+                reports = suite(rng, truncation)
+                action()
+                return reports
+
+            self.patch.setitem(verify.SUITES, name, planted_suite)
+        else:
+            # the set at position 2 runs in this process, the one at position 1 in the child
+            planted = list(itertools.chain(few_exhaustive_roots(6, 4), verify.WIDE_SETS))[2 if side == "parent" else 1]
+            sieve = esp.esp_extraction_all
+
+            def planted_sieve(roots):
+                values = sieve(roots)
+                if roots == planted:
+                    action()
+                return values
+
+            self.patch.setattr(esp, "esp_extraction_all", planted_sieve)
 
 
-def test_a_child_that_exits_early_gives_the_full_serial_output(monkeypatch, capsys, quick_equivalence):
-    parent, multiplicity = os.getpid(), verify.SUITES["multiplicity"]
-
-    def dies_in_the_child(rng, truncation):
-        if os.getpid() != parent:
-            os._exit(7)
-        return multiplicity(rng, truncation)
-
-    monkeypatch.setitem(verify.SUITES, "multiplicity", dies_in_the_child)
-    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
-    assert forks == 1 and forked == serial and serial[0] == 0
-    assert serial[1].endswith("result: PASS (11/11 checks)\n")
+def sites(monkeypatch):
+    """Each fork site in turn, with every patch of the one before undone."""
+    for name in ("suites", "sweep"):
+        yield Site(name, monkeypatch)
+        monkeypatch.undo()
 
 
-def test_a_child_that_exits_non_zero_after_writing_is_not_trusted(monkeypatch, capsys, quick_equivalence):
-    parent, exit_now, multiplicity = os.getpid(), os._exit, verify.SUITES["multiplicity"]
-    runs_here = []
-
-    def counted(rng, truncation):
-        if os.getpid() == parent:
-            runs_here.append(truncation)
-        return multiplicity(rng, truncation)
-
-    monkeypatch.setitem(verify.SUITES, "multiplicity", counted)
-    # Only the child calls os._exit; it now exits 3 after writing its reports.
-    monkeypatch.setattr(os, "_exit", lambda status: exit_now(3))
-    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
-    assert forks == 1 and forked == serial and serial[0] == 0
-    assert len(runs_here) == 2  # once serially, once in place of the child
+def test_a_child_that_exits_early_gives_the_full_serial_output(monkeypatch, capsys):
+    parent = os.getpid()
+    for site in sites(monkeypatch):
+        site.plant("child", lambda: os.getpid() != parent and os._exit(7))
+        (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
+        assert forks == 1 and forked == serial and serial[0] == 0
+        assert serial[1].endswith(f"result: PASS ({site.checks}/{site.checks} checks)\n")
 
 
-def test_an_interrupted_parent_kills_and_reaps_the_child(monkeypatch, quick_equivalence):
+def test_a_child_that_exits_non_zero_after_writing_is_not_trusted(monkeypatch, capsys):
+    parent, exit_now = os.getpid(), os._exit
+    for site in sites(monkeypatch):
+        runs_here = []
+        site.plant("child", lambda: os.getpid() == parent and runs_here.append(None))
+        # Only the child calls os._exit; it now exits 3 after writing its half.
+        monkeypatch.setattr(os, "_exit", lambda status: exit_now(3))
+        (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
+        assert forks == 1 and forked == serial and serial[0] == 0
+        assert len(runs_here) == 2  # once serially, once in place of the child
+
+
+def planted_error(side):
+    def action():
+        raise ArithmeticError(f"planted on the {side}'s side")
+
+    return action
+
+
+def test_a_child_suite_that_raises_gives_the_serial_error(monkeypatch, capsys):
+    # The child's failed half is rerun here, where it raises as serially.
+    for site in sites(monkeypatch):
+        site.plant("child", planted_error("child"))
+        (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
+        assert forks == 1 and forked == serial == (1, "", "error: planted on the child's side\n")
+
+
+def test_a_parent_half_that_raises_reruns_serially(monkeypatch, capsys):
+    # Alone, the raise in this process's half is the serial run's error too.
+    # Planted on both sides, the child's comes first in the sweep's set order,
+    # so only the serial rerun of the whole split gives the serial error.
+    for sides in (["parent"], ["parent", "child"]):
+        for site in sites(monkeypatch):
+            for side in sides:
+                site.plant(side, planted_error(side))
+            first = "child" if site.name == "sweep" and len(sides) == 2 else "parent"
+            (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
+            assert forks == 1 and forked == serial == (1, "", f"error: planted on the {first}'s side\n")
+
+
+def test_a_parent_half_that_fails_once_reruns_from_the_same_draws(monkeypatch):
+    # The seeded suites have drawn from the rng when they raise, so the serial
+    # rerun starts from the state the split started from.
+    site = Site("suites", monkeypatch)
+    set_cpus(monkeypatch, 1)
+    rng = random.Random(42)
+    serial = verify.run_suites(list(verify.SUITES), rng, 30), rng.getstate()
+    raised = []
+
+    def once():
+        if not raised:
+            raised.append(None)
+            raise ArithmeticError("transient")
+
+    site.plant("parent", once)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    rng = random.Random(42)
+    assert (verify.run_suites(list(verify.SUITES), rng, 30), rng.getstate()) == serial
+    assert raised and len(forks) == 1
+    assert_no_child_left()
+
+
+def test_an_interrupted_parent_kills_and_reaps_the_child(monkeypatch):
     parent = os.getpid()
 
-    def interrupted(rng, truncation):
+    def interrupted():
         raise KeyboardInterrupt
 
-    def stalls_in_the_child(rng, truncation):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return []
-
-    monkeypatch.setitem(verify.SUITES, "equivalence", interrupted)
-    monkeypatch.setitem(verify.SUITES, "convolution", stalls_in_the_child)
-    set_cpus(monkeypatch, 2)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        verify.run_suites(list(verify.SUITES), random.Random(42), 30)
-    assert time.monotonic() - start < 30
-    assert_no_child_left()
+    for site in sites(monkeypatch):
+        site.plant("parent", interrupted)
+        site.plant("child", lambda: os.getpid() != parent and time.sleep(60))
+        set_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(site.argv)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
 
 def refuse_to_fork():
     raise AssertionError("forked")
 
 
-def test_a_failed_fork_runs_the_serial_loop(monkeypatch, capsys, quick_equivalence):
+def test_a_failed_fork_runs_the_serial_loop(monkeypatch, capsys):
     def no_fork():
         raise BlockingIOError("no process slots")
 
-    (serial, _), _ = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
-    set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert (main(["verify", "--suite", "all"]), *capsys.readouterr()) == serial
+    for site in sites(monkeypatch):
+        (serial, _), _ = serial_and_forked(monkeypatch, capsys, site.argv)
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert (main(site.argv), *capsys.readouterr()) == serial
+        assert_no_child_left()
 
 
 def test_a_single_suite_runs_in_this_process(monkeypatch, capsys):
@@ -484,19 +631,23 @@ def test_a_single_suite_runs_in_this_process(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("result: PASS (2/2 checks)\n")
 
 
-def test_a_process_with_a_second_thread_runs_serially(monkeypatch, capsys, quick_equivalence):
-    set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", refuse_to_fork)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait)
-    waiter.start()
-    try:
-        assert main(["verify", "--suite", "all"]) == 0
-    finally:
-        release.set()
-        waiter.join(timeout=10)
-    assert not waiter.is_alive()
-    assert capsys.readouterr().out.endswith("result: PASS (11/11 checks)\n")
+def test_a_process_with_a_second_thread_runs_serially(monkeypatch, capsys):
+    for site in sites(monkeypatch):
+        set_cpus(monkeypatch, 1)
+        serial = (main(site.argv), *capsys.readouterr())
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", refuse_to_fork)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert (main(site.argv), *capsys.readouterr()) == serial
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert serial[0] == 0 and serial[1].endswith(f"result: PASS ({site.checks}/{site.checks} checks)\n")
+        assert_no_child_left()
 
 
 def test_the_child_flushes_no_inherited_buffer_and_runs_no_exit_handler():
@@ -507,9 +658,12 @@ def test_the_child_flushes_no_inherited_buffer_and_runs_no_exit_handler():
         "fork, forks = os.fork, []\n"
         "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
         "verify.SUITES['equivalence'] = lambda rng, truncation: [verify.loworder_forms(rng)]\n"
+        "exhaustive_roots = verify._exhaustive_roots\n"
+        "verify._exhaustive_roots = lambda n_max, m_max: exhaustive_roots(3, 2)\n"
         "atexit.register(print, 'exit handler')\n"
         "sys.stdout.write('buffered ')\n"
         "reports = verify.run_suites(['equivalence', 'vandermonde'], random.Random(42), 30)\n"
+        "reports.append(verify.equivalence_exhaustive())\n"
         "print([report.ok for report in reports], len(forks))\n"
     )
     src = os.path.dirname(os.path.dirname(verify.__file__))
@@ -517,4 +671,4 @@ def test_the_child_flushes_no_inherited_buffer_and_runs_no_exit_handler():
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path}
     )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "buffered [True, True] 1\nexit handler\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "buffered [True, True, True] 2\nexit handler\n", "")
