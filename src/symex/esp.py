@@ -74,6 +74,30 @@ is shorter than a row), the packed DP otherwise.  esp_extraction reads the
 top slot F[t][i] of each row with top = i and converts those few integers;
 one table with top = n holds every order's brackets, and esp_extraction_all
 reads each column i of it.
+
+A table of B (_bracket_table) takes one of two routes, by one rule.  From
+b * top = _DIRECT_BELOW on it converts the support rows as above.  Below
+it, where a table costs more in Python steps than in big-int work, it fills
+B directly (_direct_rows), with Kronecker substitution in both variables
+(D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44, 2009).  The product in the first
+identity, taken one root at a time, is B_s += (1+z)^m B_{s-1} for every s,
+so all rows go into one integer X, row s in b-bit slots from bit s * stride
+on, and each root costs one product with f_m = (1+z)^m cut after z^top in
+b-bit slots:
+
+    X = (X + (X * f_m << stride)) & keep,
+
+where keep holds slots 0..top of rows 0..top-1.  The stride is
+b * (2 * top + 2) + 1.  Every partial B[s][k] is below its final value, so
+below 2^b, and so is every slot of f_m (C(m, k) <= C(N, k)).  So a row is
+below 2^(b(top+1)), f_m below 2^(b(min(m, top)+1)), and their product below
+2^(b(top + min(m, top) + 2)) <= 2^(stride-1); adding row s of X, also below
+that, gives less than 2^stride, so nothing carries into the next row.  In
+the low b(top+1) bits of each row, the new slots k <= top are sums of
+nonnegative terms below 2^b, so no carry reaches them from below and the
+mask leaves exactly the new B[s][0..top].  The route keeps the b of the
+table, since _DIRECT_BELOW <= _NEWTON_ABOVE.
 """
 
 from __future__ import annotations
@@ -280,20 +304,24 @@ def _support_rows(elements: Sequence[int], top: int, b: int) -> tuple[list[int],
     return _packed_rows(elements, top, b), b
 
 
+@lru_cache(maxsize=256)
+def _binomial_factor(m: int, top: int, b: int) -> int:
+    """(1+z)^m cut after z^top, C(m, k) in b-bit slot k for k <= min(m, top).
+    Depends on (m, top, b) only, so each factor is built once and shared."""
+    factor = 0
+    for k in range(min(m, top), 0, -1):
+        factor = factor << b | binomial_first(m, k)
+    return factor << b | 1
+
+
 def _packed_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
-    """_support_rows with each row one integer of b-bit slots: the factor is
-    packed too, and factor and product are masked to the slots row t keeps."""
+    """_support_rows with each row one integer of b-bit slots: the factor g_m
+    is packed too, _binomial_factor one slot down, and factor and product are
+    masked to the slots row t keeps."""
     keep = [(1 << (b * (top - t + 1))) - 1 for t in range(top)]
-    factors = {}
-    for m in elements:
-        if m not in factors:
-            factor = 0
-            for k in range(min(m, top), 0, -1):
-                factor = factor << b | binomial_first(m, k)
-            factors[m] = factor
     rows = [1] + [0] * (top - 1)
     for count, m in enumerate(elements, start=1):
-        factor = factors[m]
+        factor = _binomial_factor(m, top, b) >> b
         for t in range(min(count, top - 1), 0, -1):
             mask = keep[t]
             rows[t] += (rows[t - 1] * (factor & mask)) & mask
@@ -338,21 +366,55 @@ def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
 # From this b * top on, _support_rows takes the Newton route where every root is
 # at least top.  Read from the `newton_guard` bins of BENCH_16.json: from here up
 # Newton takes at most 0.56 of the packed DP's summed time per bin, and below
-# lie every table and cell of verify's exhaustive and random sweeps (b * top
-# at most 144 and 430), which stay on the packed DP.
+# lie every cell of verify's random sweep (b * top at most 430), which stays
+# on the packed DP.
 _NEWTON_ABOVE = 1000
+
+
+# Below this b * top, _bracket_table fills its rows directly (_direct_rows).
+# Read from the `table_grid` bins of BENCH_19.json: the direct route takes at
+# most 0.82 of the support route's summed time per bin below 500, 1.03-1.06
+# at 500-600, and 1.3 or more above.  496 = 16 * 31 sits just below, where
+# both edges 495 and 496 are b * top of tables with several rows (499 is
+# prime).  Every table of verify's exhaustive sweep (b * top at most 144) lies
+# below it and every wide set (6,245 and up) above it.
+_DIRECT_BELOW = 496
 
 
 def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
     """Returns rows, rows[s] = B[s][0..top] in b-bit slots for s < top, and
-    b: each support row moved back up to slots t..top and summed with the
-    coefficients C(n-t, s-t).  Every coefficient is nonnegative and every
+    b.  Below b * top = _DIRECT_BELOW the rows come from _direct_rows.  From
+    there on each support row is moved back up to slots t..top and summed
+    with the coefficients C(n-t, s-t).  Every coefficient is nonnegative and every
     B[s][k] < 2^b, so the packed sums carry nothing between slots."""
     n, total = len(elements), sum(elements)
     b = comb(n, n // 2).bit_length() + comb(total, min(top, total // 2)).bit_length() + 1
+    if b * top < _DIRECT_BELOW:
+        return _direct_rows(elements, top, b), b
     support, b = _support_rows(elements, top, b)
     rows = [row << (b * t) for t, row in enumerate(support)]
     return [sum(map(mul, coefficients, rows)) for coefficients in _conversion(n, top)], b
+
+
+def _direct_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
+    """B[s][0..top] for s < top in b-bit slots, by B_s += (1+z)^m B_{s-1} for
+    each root m and every s at once: the rows sit in one integer, row s from
+    bit s * stride on, so one product with _binomial_factor(m, top, b) moves
+    every row's update up one row.  Exact when every B[s][k] < 2^b."""
+    stride, keep, row = _direct_layout(top, b)
+    table = 1
+    for m in elements:
+        table = (table + (table * _binomial_factor(m, top, b) << stride)) & keep
+    return [table >> (stride * s) & row for s in range(top)]
+
+
+@lru_cache(maxsize=256)
+def _direct_layout(top: int, b: int) -> tuple[int, int, int]:
+    """The stride of _direct_rows, b * (2 * top + 2) + 1 bits as the module
+    docstring proves; the mask of slots 0..top of rows 0..top-1; and that of
+    one row.  Depends on (top, b) only, so each layout is built once."""
+    stride, row = b * (2 * top + 2) + 1, (1 << (b * (top + 1))) - 1
+    return stride, sum(row << (stride * s) for s in range(top)), row
 
 
 def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:

@@ -10,7 +10,8 @@ Two places split their work with one forked child, through `_forked`:
 `run_suites` runs the suites outside `SEEDED_SUITES` in a child while this
 process runs the seeded ones on the shared rng, and the loop behind both
 equivalence sweeps runs every other root set in a child (the random sweep
-draws all its sets first, so the rng ends as the serial run leaves it).
+draws all its sets first, so the rng ends as the serial run leaves it, and
+each side builds the RootSets of its own sets only).
 So during `verify --suite all` up to three processes share two CPUs.  The
 results are merged in suite order and in set order, so every report equals
 the serial one.  A split forks only when the process has at least two CPUs
@@ -60,7 +61,10 @@ COEFF_H = 12
 # Fixed root sets wide enough that the support-layer rows reach the slots where
 # the Newton-Girard route may run.  The first and third take it at some orders;
 # the second, whose roots 1 and 2 keep it off Newton, takes the packed DP there.
-# Every other swept set takes the packed DP in narrow slots.
+# All three tables lie above esp._DIRECT_BELOW, so both sweeps also check the
+# support rows and their conversion.  Every exhaustive set's table is filled
+# directly, and every random set's brackets come from the packed DP in narrow
+# slots.
 WIDE_SETS = (
     RootSet(((1 << 256) - 1,) * 5),
     RootSet((3**160, 1, 5**110 + 2, 2, 3**160, 7**90)),
@@ -68,15 +72,14 @@ WIDE_SETS = (
 )
 
 
-def _random_roots(rng: random.Random, n_low: int, n_high: int, m_max: int) -> RootSet:
+# Both give root tuples, not RootSets, so a sweep builds only the sets it checks.
+def _random_roots(rng: random.Random, n_low: int, n_high: int, m_max: int) -> tuple[int, ...]:
     n = rng.randint(n_low, n_high)
-    return RootSet(tuple(rng.randint(1, m_max) for _ in range(n)))
+    return tuple(rng.randint(1, m_max) for _ in range(n))
 
 
-def _exhaustive_roots(n_max: int, m_max: int):
-    for n in range(1, n_max + 1):
-        for tup in product(range(1, m_max + 1), repeat=n):
-            yield RootSet(tup)
+def _exhaustive_roots(n_max: int, m_max: int) -> Iterable[tuple[int, ...]]:
+    return chain.from_iterable(product(range(1, m_max + 1), repeat=n) for n in range(1, n_max + 1))
 
 
 def _pairs(n_max: int) -> list[tuple[int, int]]:
@@ -92,11 +95,12 @@ def _sweep(report: Report, cases: Iterable[tuple], verifier: Callable[..., Repor
             report.add((*case, first.label) if tagged else case, first.expected, first.observed)
 
 
-def _routes_agree(name: str, root_sets: Callable[[], Iterable[RootSet]], sieve: Callable[[RootSet], list[int]]) -> Report:
+def _routes_agree(name: str, root_sets: Callable[[], Iterable[tuple[int, ...]]], sieve: Callable[[RootSet], list[int]]) -> Report:
     """Definition, recurrence and sieve(roots), the sieve's e_0..e_n, at orders 1..n of
-    each set of root_sets(); a failing (roots, i) expects (e_i, e_i) and observes (sieve,
-    recurrence).  The exhaustive sweep checks the all-orders sieve, the random sweep the
-    per-order one.  Sets at odd positions run in a forked child when `_forked` can."""
+    the set of each root tuple of root_sets(); a failing (elements, i) expects (e_i, e_i)
+    and observes (sieve, recurrence).  The exhaustive sweep checks the all-orders sieve,
+    the random sweep the per-order one.  Sets at odd positions run in a forked child
+    when `_forked` can, and each process builds the RootSets of its own positions only."""
 
     def every_other(start: int) -> tuple[int, list[tuple]]:
         return _disagreements(islice(enumerate(root_sets()), start, None, 2), sieve)
@@ -109,24 +113,25 @@ def _routes_agree(name: str, root_sets: Callable[[], Iterable[RootSet]], sieve: 
     return report
 
 
-def _disagreements(numbered_sets: Iterable[tuple[int, RootSet]], sieve: Callable[[RootSet], list[int]]) -> tuple[int, list[tuple]]:
+def _disagreements(numbered_roots: Iterable[tuple[int, tuple[int, ...]]], sieve: Callable[[RootSet], list[int]]) -> tuple[int, list[tuple]]:
     """The instance count and the (position, label, expected, observed) of each failing instance."""
     instances, failed = 0, []
-    for position, roots in numbered_sets:
+    for position, elements in numbered_roots:
+        roots = RootSet(elements)
         per_order = esp.esp_all(roots)
         by_sieve = sieve(roots)
         for i in range(1, roots.n + 1):
             instances += 1
             by_definition = esp.esp_direct(roots, i)
             if not by_definition == by_sieve[i] == per_order[i]:
-                failed.append((position, (roots.elements, i), (by_definition, by_definition), (by_sieve[i], per_order[i])))
+                failed.append((position, (elements, i), (by_definition, by_definition), (by_sieve[i], per_order[i])))
     return instances, failed
 
 
 def equivalence_exhaustive() -> Report:
     return _routes_agree(
         f"equivalence exhaustive n<=6 m<=4, {len(WIDE_SETS)} wide sets",
-        lambda: chain(_exhaustive_roots(6, 4), WIDE_SETS),
+        lambda: chain(_exhaustive_roots(6, 4), (roots.elements for roots in WIDE_SETS)),
         esp.esp_extraction_all,
     )
 
@@ -136,7 +141,7 @@ def equivalence_random(rng: random.Random) -> Report:
         return [1] + [esp.esp_extraction(roots, i, explain_limit=0)[0] for i in range(1, roots.n + 1)]
 
     # Every set is drawn here, before any fork, so the rng ends as the serial run leaves it.
-    drawn = [_random_roots(rng, 1, 10, 9) for _ in range(300)] + list(WIDE_SETS)
+    drawn = [_random_roots(rng, 1, 10, 9) for _ in range(300)] + [roots.elements for roots in WIDE_SETS]
     return _routes_agree(f"equivalence 300 random sets n<=10 m<=9, {len(WIDE_SETS)} wide sets", lambda: drawn, per_order)
 
 
@@ -144,7 +149,7 @@ def loworder_forms(rng: random.Random) -> Report:
     """The spelled-out e2..e5 expressions against the definition."""
     report = Report("spelled-out e2..e5 forms, 20 random sets n in 4..8", "80 instances")
     for _ in range(20):
-        roots = _random_roots(rng, 4, 8, 9)
+        roots = RootSet(_random_roots(rng, 4, 8, 9))
         for i in range(2, 6):
             spelled_out = esp.esp_loworder(roots, i)
             by_definition = esp.esp_direct(roots, i)
@@ -204,9 +209,10 @@ def layer_checks() -> list[Report]:
     ones = Report("all-ones exponent coefficient = 1 for i<=8", "8 values")
     for i in range(1, 9):
         ones.add(i, 1, polyexpand.monomial_coefficient(i, (1,) * i))
-    cases = [(roots.elements, i) for roots in _exhaustive_roots(5, 4) for i in range(1, roots.n + 1)]
+    built = {elements: RootSet(elements) for elements in _exhaustive_roots(5, 4)}
+    cases = [(elements, i) for elements in built for i in range(1, len(elements) + 1)]
     layers = Report("layer decomposition rebuilds the binomial, n<=5 m<=4", f"{len(cases)} instances")
-    _sweep(layers, cases, lambda elements, i: polyexpand.verify_layer_decomposition(RootSet(elements), i))
+    _sweep(layers, cases, lambda elements, i: polyexpand.verify_layer_decomposition(built[elements], i))
     return [coefficients, ones, layers]
 
 

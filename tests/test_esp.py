@@ -312,7 +312,16 @@ def test_compact_sieve_is_polynomial_time(capsys):
     assert elapsed < 5.0
 
 
-def test_bracket_totals_build_one_factor_per_distinct_root(monkeypatch):
+@pytest.fixture
+def cold_factors():
+    # The packed factors live for the whole process: start from none, and drop
+    # any built under a patch so no later test sees them.
+    esp._binomial_factor.cache_clear()
+    yield
+    esp._binomial_factor.cache_clear()
+
+
+def test_bracket_totals_build_one_factor_per_distinct_root(monkeypatch, cold_factors):
     calls = []
 
     def counted(m, k):
@@ -322,6 +331,10 @@ def test_bracket_totals_build_one_factor_per_distinct_root(monkeypatch):
     monkeypatch.setattr(esp, "binomial_first", counted)
     assert esp._bracket_totals((1,) * 8, 5) == [0] * 5
     assert sorted(calls) == [(1, 1)]
+    # the factor is kept: the same table again builds none
+    calls.clear()
+    assert esp._bracket_totals((1,) * 8, 5) == [0] * 5
+    assert calls == []
     calls.clear()
     elements = (3, 1, 3, 1, 3)
     assert esp._bracket_totals(elements, 3) == [
@@ -354,6 +367,60 @@ def _assert_slots_hold_the_enumerated_table(elements, top):
     assert all(value < 1 << b for row in expected for value in row)
     # the slot width never exceeds the earlier bound n + top * bitlen(N) + 1
     assert b <= len(elements) + top * sum(elements).bit_length() + 1
+
+
+def _table_width(elements, top):
+    # the slot width _bracket_table packs B in
+    n, total = len(elements), sum(elements)
+    return math.comb(n, n // 2).bit_length() + math.comb(total, min(top, total // 2)).bit_length() + 1
+
+
+def _tables_of_area(area):
+    # (elements, top) with b * top == area: for each top in 2..16 dividing area,
+    # top = n roots (m, 1, ..., 1) with the smallest m whose slots are area / top
+    # bits wide, where one is (the width never falls as m grows)
+    cells = []
+    for top in range(2, 17):
+        if area % top:
+            continue
+        wide = lambda m: _table_width((m,) + (1,) * (top - 1), top) >= area // top  # noqa: E731
+        low, high = 0, 1
+        while not wide(high):
+            low, high = high, 2 * high
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (low, middle) if wide(middle) else (middle, high)
+        elements = (high,) + (1,) * (top - 1)
+        if _table_width(elements, top) * top == area:
+            cells.append((elements, top))
+    return cells
+
+
+def test_table_routes_agree_at_the_direct_rule(monkeypatch):
+    # b * top = _DIRECT_BELOW - 1 is filled directly, _DIRECT_BELOW from the
+    # support rows; both routes give the same rows in the same b-bit slots
+    assert esp._DIRECT_BELOW == 496 and esp._DIRECT_BELOW <= esp._NEWTON_ABOVE
+    taken = []
+    for route in ("direct", "support"):
+        run = getattr(esp, f"_{route}_rows")
+        monkeypatch.setattr(esp, f"_{route}_rows", lambda *args, run=run, route=route: taken.append(route) or run(*args))
+    rule = esp._DIRECT_BELOW
+    for area, route in ((rule - 1, "direct"), (rule, "support")):
+        cells = _tables_of_area(area)
+        # several tables of several rows on each side
+        assert len(cells) >= 3, area
+        for elements, top in cells:
+            tables = {}
+            for forced, below in (("direct", math.inf), ("support", 0)):
+                monkeypatch.setattr(esp, "_DIRECT_BELOW", below)
+                taken.clear()
+                tables[forced] = esp._bracket_table(elements, top)
+                assert taken == [forced]
+            assert tables["direct"] == tables["support"]
+            monkeypatch.setattr(esp, "_DIRECT_BELOW", rule)
+            taken.clear()
+            _assert_slots_hold_the_enumerated_table(elements, top)
+            assert taken == [route] and tables[route][1] * top == area
 
 
 # Narrow roots put top >= N/2, where C(N, k) peaks inside the kept slots.

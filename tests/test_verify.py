@@ -40,6 +40,11 @@ def labels(report):
     return [check.label for check in report.failures()]
 
 
+def swept_wide():
+    """The root tuples of verify.WIDE_SETS, as the equivalence sweeps take them after their other sets."""
+    return [roots.elements for roots in verify.WIDE_SETS]
+
+
 def plant_loworder_defect_at_order_4(monkeypatch):
     spelled_out = esp.esp_loworder
     monkeypatch.setattr(esp, "esp_loworder", lambda roots, i: spelled_out(roots, i) + (i == 4))
@@ -113,7 +118,7 @@ def test_layer_checks_report_a_planted_defect(monkeypatch, cold_layer_tables):
     # m_a^2 m_b enters the expansion at every order from 3 on, so each of those instances fails
     assert layers.detail == "6372 instances"
     assert labels(layers) == [
-        (roots.elements, i) for roots in verify._exhaustive_roots(5, 4) for i in range(3, roots.n + 1)
+        (elements, i) for elements in verify._exhaustive_roots(5, 4) for i in range(3, len(elements) + 1)
     ]
 
 
@@ -123,7 +128,7 @@ def test_layer_checks_see_a_planted_defect_in_the_definition(monkeypatch, capsys
     direct = esp.esp_direct
     monkeypatch.setattr(esp, "esp_direct", lambda roots, i: direct(roots, i) + (i == 2))
     _, _, layers = verify.layer_checks()
-    assert labels(layers) == [(roots.elements, 2) for roots in verify._exhaustive_roots(5, 4) if roots.n >= 2]
+    assert labels(layers) == [(elements, 2) for elements in verify._exhaustive_roots(5, 4) if len(elements) >= 2]
     assert len(labels(layers)) == 1360
     assert main(["verify", "--suite", "layers"]) == 1
     assert "FAIL layer decomposition rebuilds the binomial" in capsys.readouterr().out
@@ -243,11 +248,11 @@ def test_sieve_weights_are_the_verified_closed_coefficients(monkeypatch, cold_si
     # whose bracket is nonzero fail.
     monkeypatch.setattr(coeffs, "coeff_closed", wrong_c3_at_n5(coeffs.coeff_closed))
     expected = [
-        (roots.elements, i)
-        for roots in itertools.chain(verify._exhaustive_roots(6, 4), verify.WIDE_SETS)
-        if roots.n == 5
+        (elements, i)
+        for elements in itertools.chain(verify._exhaustive_roots(6, 4), swept_wide())
+        if len(elements) == 5
         for i in (4, 5)
-        if sum(math.comb(sum(combo), i) for combo in itertools.combinations(roots.elements, i - 3))
+        if sum(math.comb(sum(combo), i) for combo in itertools.combinations(elements, i - 3))
     ]
     exhaustive = verify.equivalence_exhaustive()
     assert exhaustive.detail == "30964 instances"
@@ -275,8 +280,8 @@ def test_equivalence_sweeps_report_a_planted_defect_in_the_all_orders_sieve(monk
     forks = count_forks(monkeypatch)
     exhaustive = verify.equivalence_exhaustive()
     assert exhaustive.detail == "30964 instances"
-    swept = itertools.chain(verify._exhaustive_roots(6, 4), verify.WIDE_SETS)
-    assert labels(exhaustive) == [(roots.elements, 2) for roots in swept if roots.n >= 3]
+    swept = itertools.chain(verify._exhaustive_roots(6, 4), swept_wide())
+    assert labels(exhaustive) == [(elements, 2) for elements in swept if len(elements) >= 3]
     random_sweep = verify.equivalence_random(random.Random(42))
     assert random_sweep.ok and random_sweep.detail == "1725 instances"
     assert len(forks) == 2
@@ -288,9 +293,10 @@ def _wide(label):
 
 
 def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
-    # both support-row routes: the packed DP and the Newton-Girard route.  The
-    # calls are counted in this process, so the sweeps run with one CPU here.
-    runs = {"packed": [], "newton": []}
+    # both support-row routes, the packed DP and the Newton-Girard route, and
+    # the direct fill of small tables.  The calls are counted in this process,
+    # so the sweeps run with one CPU here.
+    runs = {"direct": [], "packed": [], "newton": []}
     for route in runs:
         kernel = getattr(esp, f"_{route}_rows")
 
@@ -300,19 +306,98 @@ def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
 
         monkeypatch.setattr(esp, f"_{route}_rows", counted)
     wide = {roots.elements for roots in verify.WIDE_SETS}
-    for sweep in (verify.equivalence_exhaustive, lambda: verify.equivalence_random(random.Random(42))):
+    small = list(verify._exhaustive_roots(6, 4))
+    for sweep, filled in ((verify.equivalence_exhaustive, small), (lambda: verify.equivalence_random(random.Random(42)), [])):
+        for taken in runs.values():
+            taken.clear()
         set_cpus(monkeypatch, 1)
         report = sweep()
         assert report.ok
+        # every small exhaustive set's table is filled directly, once, and no
+        # wide set's; the per-order sieve of the random sweep builds no table
+        assert [elements for elements, _ in runs["direct"]] == filled
         # the Newton route runs on the wide sets, at least once, and on nothing else
         assert runs["newton"] and {elements for elements, _ in runs["newton"]} <= wide
         # WIDE_SETS[1]'s roots 1 and 2 keep it off Newton: it is the one set
         # whose packed rows reach the wide slots where Newton may run
         assert {elements for elements, area in runs["packed"] if area >= esp._NEWTON_ABOVE} == {verify.WIDE_SETS[1].elements}
-        for taken in runs.values():
-            taken.clear()
         set_cpus(monkeypatch, 2)
         assert sweep() == report
+
+
+def test_each_sweep_half_builds_only_its_own_root_sets(monkeypatch, serial_verify):
+    recorded = serial_verify.sweeps("42")
+    built = []
+    monkeypatch.setattr(verify, "RootSet", lambda elements: built.append(elements) or RootSet(elements))
+    # serially, one RootSet per swept set: 5,460 small and 3 wide, then 300 random and 3 wide
+    set_cpus(monkeypatch, 1)
+    assert verify.equivalence_exhaustive() == recorded[0] and len(built) == 5463
+    built.clear()
+    assert verify.equivalence_random(random.Random(42)) == recorded[1] and len(built) == 303
+    # split, each half builds the sets at its own positions only: both halves
+    # run here in turn, so that their RootSets are counted
+    per_half = []
+
+    def in_turn(here, there):
+        halves = []
+        for half in (here, there):
+            built.clear()
+            halves.append(half())
+            per_half.append(built[:])
+        return tuple(halves)
+
+    monkeypatch.setattr(verify, "_forked", in_turn)
+    swept = [*verify._exhaustive_roots(6, 4), *swept_wide()]
+    assert verify.equivalence_exhaustive() == recorded[0]
+    assert per_half == [swept[0::2], swept[1::2]] and list(map(len, per_half)) == [2732, 2731]
+    per_half.clear()
+    rng = random.Random(42)
+    assert verify.equivalence_random(rng) == recorded[1] and rng.getstate() == recorded[2]
+    assert list(map(len, per_half)) == [152, 151]
+
+
+def test_layer_checks_build_one_root_set_per_set(monkeypatch, cold_layer_tables):
+    built = []
+    monkeypatch.setattr(verify, "RootSet", lambda elements: built.append(elements) or RootSet(elements))
+    _, _, layers = verify.layer_checks()
+    # 6,372 (set, order) cases from 1,364 sets
+    assert layers.ok and layers.detail == "6372 instances"
+    assert built == list(verify._exhaustive_roots(5, 4)) and len(built) == 1364
+
+
+def plant_direct_factor_defect(monkeypatch):
+    factor = esp._binomial_factor
+
+    def off_by_one(m, top, b):
+        # C(m, 0) read as 2: only the direct fill reads slot 0, as the packed
+        # DP moves every factor one slot down
+        return factor(m, top, b) + 1
+
+    monkeypatch.setattr(esp, "_binomial_factor", off_by_one)
+
+
+def plant_direct_stride_defect(monkeypatch):
+    layout = esp._direct_layout
+
+    def narrow(top, b):
+        # room for one slot above a row, not top + 1 and a guard bit
+        _, _, row = layout(top, b)
+        stride = b * (top + 2) + 1
+        return stride, sum(row << (stride * s) for s in range(top)), row
+
+    monkeypatch.setattr(esp, "_direct_layout", narrow)
+
+
+@pytest.mark.parametrize("plant", [plant_direct_factor_defect, plant_direct_stride_defect])
+def test_verify_fails_when_the_direct_table_route_is_wrong(monkeypatch, capsys, plant):
+    plant(monkeypatch)
+    assert main(["verify", "--suite", "equivalence"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # only the exhaustive sweep builds tables, and only its small sets are filled directly
+    assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "PASS", "PASS", "result:"]
+    set_cpus(monkeypatch, 1)
+    failed = labels(verify.equivalence_exhaustive())
+    assert failed and not any(map(_wide, failed))
 
 
 def plant_newton_defect(monkeypatch):
@@ -500,7 +585,7 @@ class Site:
             self.patch.setitem(verify.SUITES, name, planted_suite)
         else:
             # the set at position 2 runs in this process, the one at position 1 in the child
-            planted = list(itertools.chain(few_exhaustive_roots(6, 4), verify.WIDE_SETS))[2 if side == "parent" else 1]
+            planted = RootSet(list(itertools.chain(few_exhaustive_roots(6, 4), swept_wide()))[2 if side == "parent" else 1])
             sieve = esp.esp_extraction_all
 
             def planted_sieve(roots):

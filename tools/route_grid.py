@@ -3,6 +3,7 @@
     python3 tools/route_grid.py --seed 13
     python3 tools/route_grid.py --seed 13 --reps 3 --out /tmp/grid.json
     python3 tools/route_grid.py --probes --src ../parent/src --out /tmp/parent.json
+    python3 tools/route_grid.py --tables --seed 19
 
 For every cell (elements, top) of the grid below, each route of
 esp._support_rows runs alone on the slot width b = bitlen(C(N, min(top, N//2)))
@@ -34,6 +35,15 @@ on a few fixed wide inputs instead, best of --reps calls each, and stores a
 `probes` section.  With --src it imports symex from another checkout's src/,
 so an older tree can be timed on the same probes.
 
+--tables times the two routes of esp._bracket_table alone instead, each
+forced by setting esp._DIRECT_BELOW around its batches: the direct fill
+(_direct_rows) and the support rows with their conversion.  The cells have
+top = n, for n in TABLE_N: the all-ones set, the set 1..n, and one set of
+random roots of each width 1..12 bits, drawn from --seed.  Both routes share
+the warm factor cache, as repeated tables do.  The direct-over-support time
+by b * top, which places the rule esp._DIRECT_BELOW, is printed and stored
+as the `table_grid` section of --out.
+
 Only the standard library is used; nothing under src/ is written.
 """
 
@@ -62,6 +72,11 @@ GRID_N = (4, 6, 8, 12, 16, 20, 24, 30, 36)
 GRID_WIDTHS = (1, 3, 8, 20, 40, 80, 160, 320, 500)
 GRID_FRACTIONS = (0.3, 0.6, 1.0)
 AREA_BINS = (0, 250, 500, 750, 1000, 1500, 2000, 3000, 5000)
+TABLE_N = (*range(1, 17), 18, 20, 24, 30)
+TABLE_WIDTHS = range(1, 13)
+TABLE_BINS = (0, 150, 300, 400, 450, 500, 550, 600, 750, 1000, 1500, 2500, 5000, 10000, 10**9)
+# esp._DIRECT_BELOW that forces each route of esp._bracket_table
+TABLE_ROUTES = {"direct": float("inf"), "support": 0}
 
 
 def probe_cells() -> list[tuple[str, tuple[int, ...], int]]:
@@ -205,12 +220,85 @@ def guard_bins(rows: list[dict]) -> list[dict]:
     return bins
 
 
+def table_cells(seed: int) -> list[tuple[str, tuple[int, ...]]]:
+    rng = random.Random(seed)
+    cells = []
+    for n in TABLE_N:
+        cells += [("ones", (1,) * n), ("1..n", tuple(range(1, n + 1)))]
+        cells += [(f"random {w}-bit", tuple(rng.randrange(1 << (w - 1), 1 << w) for _ in range(n))) for w in TABLE_WIDTHS]
+    return cells
+
+
+def time_table(elements: tuple[int, ...], reps: int) -> dict:
+    """Best per-call time of _bracket_table with each route forced, top = n."""
+    top, saved, observed = len(elements), esp._DIRECT_BELOW, {}
+    try:
+        for _ in range(reps):
+            for route, below in TABLE_ROUTES.items():
+                esp._DIRECT_BELOW = below
+                observed[route] = min(observed.get(route, float("inf")), best_call_s(esp._bracket_table, (elements, top), 1))
+        tables = {}
+        for route, below in TABLE_ROUTES.items():
+            esp._DIRECT_BELOW = below
+            tables[route] = esp._bracket_table(elements, top)
+    finally:
+        esp._DIRECT_BELOW = saved
+    # the Newton route may widen the slots, so the routes are compared slot by slot
+    slots = {route: [[row >> (b * k) & ((1 << b) - 1) for k in range(top + 1)] for row in rows] for route, (rows, b) in tables.items()}
+    assert slots["direct"] == slots["support"], elements
+    return {"b": tables["direct"][1], "top": top, "observed_s": observed}
+
+
+def table_bins(rows: list[dict]) -> list[dict]:
+    """Direct over support, by b * top."""
+    bins = []
+    for low, high in zip(TABLE_BINS, TABLE_BINS[1:]):
+        cells = [row for row in rows if low <= row["b"] * row["top"] < high]
+        if not cells:
+            continue
+        ratios = [row["observed_s"]["direct"] / row["observed_s"]["support"] for row in cells]
+        bins.append({
+            "b_times_top": [low, high],
+            "cells": len(cells),
+            "direct_over_support": round(sum(row["observed_s"]["direct"] for row in cells) / sum(row["observed_s"]["support"] for row in cells), 3),
+            "direct_slower_cells": sum(ratio > 1 for ratio in ratios),
+            "best_cell_ratio": round(min(ratios), 2),
+            "worst_cell_ratio": round(max(ratios), 2),
+        })
+    return bins
+
+
+def run_tables(args: argparse.Namespace) -> dict:
+    rows = []
+    started = time.perf_counter()
+    for source, elements in table_cells(args.seed):
+        cell = time_table(elements, args.reps)
+        cell.update(source=source, n=len(elements))
+        rows.append(cell)
+    return {
+        "what": "each route of esp._bracket_table timed alone per cell (top = n): the direct fill and the support rows with their conversion; the rule _DIRECT_BELOW",
+        "command": f"python3 tools/route_grid.py --tables --seed {args.seed} --reps {args.reps}",
+        "environment": {"python": platform.python_version(), "platform": platform.platform(), "machine": platform.machine()},
+        "constants": {"direct_below": esp._DIRECT_BELOW, "newton_above": esp._NEWTON_ABOVE},
+        "route_ms": {route: round(sum(row["observed_s"][route] for row in rows) * 1e3, 2) for route in TABLE_ROUTES},
+        "direct_guard": table_bins(rows),
+        "seconds": round(time.perf_counter() - started, 1),
+        "cells_columns": ["source", "n", "b", "b_times_top", "direct_us", "support_us"],
+        "cells": [
+            [row["source"], row["n"], row["b"], row["b"] * row["top"]]
+            + [round(row["observed_s"][route] * 1e6, 2) for route in TABLE_ROUTES]
+            for row in rows
+        ],
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=13, help="seed of the grid's roots")
     parser.add_argument("--reps", type=int, default=5, help="timed batches per route and cell")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json", help="JSON file whose section is written")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_19.json", help="JSON file whose section is written")
     parser.add_argument("--probes", action="store_true", help="time the fixed probes instead of the grid")
+    parser.add_argument("--tables", action="store_true", help="time the two routes of the all-orders table instead of the grid")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ directory to import symex from")
     args = parser.parse_args(argv)
     global esp
@@ -220,6 +308,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.probes:
         document = json.loads(args.out.read_text()) if args.out.exists() else {}
         document["probes"] = {"src": str(args.src), "reps": args.reps, "probes": time_probes(args.reps)}
+        args.out.write_text(json.dumps(document, indent=1) + "\n")
+        return 0
+    if args.tables:
+        tables = run_tables(args)
+        print(json.dumps({key: value for key, value in tables.items() if key not in ("cells", "cells_columns")}, indent=1))
+        document = json.loads(args.out.read_text()) if args.out.exists() else {}
+        document["table_grid"] = tables
         args.out.write_text(json.dumps(document, indent=1) + "\n")
         return 0
 
