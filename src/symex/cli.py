@@ -153,29 +153,17 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     by_closed = coeff_closed_sequence(n, i, h_max)
     convolution = verify_convolution(n, i, by_closed)
     sums = [check.observed for check in convolution.checks]
-
-    rows = [
-        {"h": h, "recurrence": by_recurrence[h - 1], "closed": by_closed[h - 1], "convolution": sums[h - 1]}
-        for h in range(1, h_max + 1)
-    ]
+    rows = zip(range(1, h_max + 1), by_recurrence, by_closed, sums)
     consistent = by_recurrence == by_closed and convolution.ok
 
     if args.json:
-        payload = {
-            "n": n,
-            "i": i,
-            "rows": [
-                {key: (row[key] if key == "h" else str(row[key])) for key in ("h", "recurrence", "closed", "convolution")}
-                for row in rows
-            ],
-            "consistent": consistent,
-        }
-        print(json.dumps(payload))
+        keyed = [{"h": h, "recurrence": str(r), "closed": str(c), "convolution": str(v)} for h, r, c, v in rows]
+        print(json.dumps({"n": n, "i": i, "rows": keyed, "consistent": consistent}))
     else:
         print(f"n={n} i={i}")
         print("h recurrence closed convolution")
         for row in rows:
-            print(f"{row['h']} {row['recurrence']} {row['closed']} {row['convolution']}")
+            print(*row)
     if not consistent:
         print("error: coefficient routes disagree or convolution sum != 1", file=sys.stderr)
         return 1

@@ -175,45 +175,15 @@ class BreakdownTerm(NamedTuple):
     bracket: tuple[tuple[IndexSubset, int], ...] | None
 
 
-class ExtractionBreakdown:
+class ExtractionBreakdown(NamedTuple):
     """The sieve's value term by term: total = head + sum of each term's
-    coefficient * bracket_total.  Immutable, compared and hashed by its fields."""
+    coefficient * bracket_total.  A named tuple of its four fields, like
+    BreakdownTerm."""
 
-    __slots__ = ("i", "head", "terms", "total")
     i: int
     head: int
     terms: tuple[BreakdownTerm, ...]
     total: int
-
-    def __init__(self, i: int, head: int, terms: tuple[BreakdownTerm, ...], total: int) -> None:
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "total", total)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.i, self.head, self.terms, self.total
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return ExtractionBreakdown, self._key()
-
-    def __repr__(self) -> str:
-        return f"ExtractionBreakdown(i={self.i!r}, head={self.head!r}, terms={self.terms!r}, total={self.total!r})"
 
 
 def esp_extraction(
@@ -269,8 +239,10 @@ def esp_extraction_all(roots: RootSet) -> list[int]:
     slot = (1 << b) - 1
     values = [1]
     for i in range(1, n + 1):
-        terms = (weight * (rows[i - h] >> b * i & slot) for h, weight in enumerate(_weights(n, i), start=1))
-        values.append(binomial_first(total, i) + sum(terms))
+        value, shift = binomial_first(total, i), b * i
+        for weight, row in zip(_weights(n, i), rows[i - 1:0:-1]):
+            value += weight * (row >> shift & slot)
+        values.append(value)
     return values
 
 

@@ -30,6 +30,7 @@ from typing import Callable, Iterator
 # so a patch or wrapper on `symex.esp.esp_direct` is seen here too.
 from . import esp
 from .bigcomb import binomial_first, multinomial, stirling_first_signed
+from .coeffs import _check_order
 from .report import Report
 from .rootset import RootSet
 
@@ -96,9 +97,7 @@ def _layer_table(i: int, s: int) -> Callable[[tuple[int, ...]], int]:
 def verify_layer_decomposition(roots: RootSet, i: int) -> Report:
     """Rebuild C(m_1+...+m_n, i) by summing every support layer, and check
     that the top layer (support = power = i) alone is exactly e_i."""
-    n = roots.n
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    _check_order(roots.n, i)
     # Accumulate i! * coefficient as plain integers; divide once at the end.
     total_scaled = 0
     for s in range(1, i + 1):

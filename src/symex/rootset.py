@@ -63,6 +63,3 @@ class RootSet:
     def total(self) -> int:
         """The accumulate m_1 + ... + m_n."""
         return sum(self.elements)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(m) for m in self.elements) + "}"

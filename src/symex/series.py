@@ -10,7 +10,7 @@ directly.
 from __future__ import annotations
 
 from .bigcomb import binomial_first, binomial_second
-from .coeffs import coeff_closed
+from .coeffs import _check_order, coeff_closed
 from .report import Report
 
 __all__ = ["series_mul", "verify_gf_untransformed", "verify_gf_transformed"]
@@ -32,8 +32,7 @@ def series_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def verify_gf_untransformed(n: int, i: int, order: int) -> Report:
     """Compare x(1-x)^(n-i) with sum_k C_k * (x/(1-x))^k coefficient by
     coefficient up to the truncation order, with closed-form C_k."""
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    _check_order(n, i)
     if order < 1:
         raise ValueError(f"need order >= 1, got {order}")
     x = (0, 1) + (0,) * (order - 1)
@@ -56,8 +55,7 @@ def verify_gf_transformed(n: int, i: int, order: int) -> Report:
     the one-larger variant (-1)^k C(n-i+k+1, k) does not satisfy the
     convolution for n > i and is rejected.
     """
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    _check_order(n, i)
     if order < 1:
         raise ValueError(f"need order >= 1, got {order}")
     x = (0, 1) + (0,) * (order - 1)

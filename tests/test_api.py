@@ -112,6 +112,16 @@ def test_breakdowns_compare_and_hash_by_their_fields():
     assert ExtractionBreakdown(0, 1, (), 1) == esp_extraction(RootSet((5,)), 0)[1]
 
 
+def test_a_breakdown_is_a_named_tuple_of_its_four_fields():
+    _, breakdown = esp_extraction(RootSet((2, 3, 4)), 3)
+    i, head, terms, total = breakdown
+    assert (i, head, total) == (3, 84, 24) and terms is breakdown.terms and breakdown[1] == head
+    assert ExtractionBreakdown._fields == ("i", "head", "terms", "total")
+    assert breakdown == tuple(breakdown) == BreakdownTerm(*breakdown)
+    assert breakdown._replace(total=0) == (3, 84, terms, 0)
+    assert breakdown._asdict() == {"i": 3, "head": 84, "terms": terms, "total": 24}
+
+
 def test_report_stays_mutable_and_its_add_patchable(monkeypatch):
     report = Report()
     assert report == Report() and report.checks == [] and report.ok

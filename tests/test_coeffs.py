@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from symex.bigcomb import binomial_first, binomial_second
@@ -8,6 +10,9 @@ from symex.coeffs import (
     vandermonde_degeneration_check,
     verify_convolution,
 )
+from symex.polyexpand import verify_layer_decomposition
+from symex.rootset import RootSet
+from symex.series import verify_gf_transformed, verify_gf_untransformed
 
 
 @pytest.mark.parametrize("n, i, h, expected", [(5, 3, 1, 1), (5, 3, 2, -3), (5, 3, 3, 6), (4, 4, 1, 1), (4, 4, 2, -1)])
@@ -67,6 +72,31 @@ def test_verify_convolution_reports_bad_sequences():
     assert report.failures()[0].label == "h=2"
     with pytest.raises(ValueError):
         verify_convolution(3, 5, (1,))
+
+
+# Each verifier that takes an order i, called as (n, i, truncation order); the
+# coefficient and layer verifiers have no truncation order of their own.
+ORDER_CHECKED = {
+    "verify_convolution": lambda n, i, order: verify_convolution(n, i, (1,) * order),
+    "verify_gf_untransformed": verify_gf_untransformed,
+    "verify_gf_transformed": verify_gf_transformed,
+    "verify_layer_decomposition": lambda n, i, order: verify_layer_decomposition(RootSet(tuple(range(1, n + 1))), i),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_CHECKED)
+def test_every_verifier_refuses_an_order_outside_1_to_n_with_one_message(name):
+    verifier = ORDER_CHECKED[name]
+    for n in (1, 4):
+        assert verifier(n, n, 1).ok
+        for i in (0, n + 1):
+            # A bad truncation order as well (0) still gets the message about i.
+            for order in (2, 0):
+                with pytest.raises(ValueError, match=f"^{re.escape(f'need 1 <= i <= n, got i={i}, n={n}')}$"):
+                    verifier(n, i, order)
+    if name.startswith("verify_gf"):
+        with pytest.raises(ValueError, match="^need order >= 1, got 0$"):
+            verifier(4, 2, 0)
 
 
 def test_vandermonde_examples():
