@@ -10,9 +10,18 @@ each h = 1..i-1 the line `h=<h> weight <w> bracket_total <total>` followed
 by the bracket's detail: one line `  {j_1,...,j_s} sum=<sigma_J> C(<sigma_J>,<i>)=<entry>`
 per (i-h)-subset J, in lexicographic order of J, or above the explain limit
 the line `  (per-subset detail omitted: n > explain limit <limit>)`.  The
-last line is `total <e_i>`.  Each bracket's lines are built in one pass that
-zips the entries with index labels and subset sums taken from
-itertools.combinations in that same order, and every line is printed at once.
+last line is `total <e_i>`.  The value, head, weights and bracket totals
+come from esp_extraction without detail (the support-row route `--json`
+takes), and the text is written as it is made: each bracket's detail in
+chunks of at most _EXPLAIN_CHUNK lines, whose subset sums, entries
+math.comb(sigma_J, i) and index labels come from itertools.combinations in
+one order.  So memory stays bounded however long the output is.  Detail
+and totals thus come from two routes, and each bracket checks that its
+entries sum to its printed total: a mismatch raises ArithmeticError, which
+exits 1 after the lines already written.
+
+A reader that closes stdout early (`symex ... | head`) ends the command
+with exit 1 and no message; the rest of the output goes to os.devnull.
 
 `main(argv)` may be called repeatedly in one process: it builds its parser
 on the first call and reuses it.  The parser holds only what is fixed at
@@ -39,9 +48,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, islice, repeat
+from math import comb
 from typing import Callable
 
 from .coeffs import coeff_closed_sequence, coeff_recurrence, verify_convolution
@@ -62,6 +72,8 @@ DEFAULT_SEED = 42
 DEFAULT_TRUNCATION = 30
 DEFAULT_BENCH_GRID = ((10, 2), (10, 4), (14, 2), (14, 4), (18, 2), (18, 4))
 BENCH_REPETITIONS = 3
+# Most detail lines --explain renders and writes at once.
+_EXPLAIN_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +110,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
             print(f"agree {'yes' if agree else 'no'}")
         return 0 if agree else 1
 
+    if args.explain and not args.json and args.method == "extraction":
+        _print_explain(roots, i, args.explain_limit)
+        return 0
+
     breakdown: ExtractionBreakdown | None = None
     if args.method == "extraction":
-        # Per-subset detail is built only for the text --explain rendering, the one output that prints it.
-        explain_limit = args.explain_limit if args.explain and not args.json else 0
-        value, breakdown = esp_extraction(roots, i, explain_limit=explain_limit)
+        value, breakdown = esp_extraction(roots, i, explain_limit=0)
     else:
         value = METHODS[args.method](roots, i)
 
@@ -118,25 +132,37 @@ def cmd_compute(args: argparse.Namespace) -> int:
             }
         print(json.dumps(payload))
         return 0
-
-    lines = [str(value)]
-    if args.explain and breakdown is not None:
-        lines.append(f"head C({roots.total},{i}) = {breakdown.head}")
-        # The detail follows combinations order, so labels and sums come from combinations too.
-        names = [str(j) for j in range(1, roots.n + 1)]
-        detail_line = "  {{{0}}} sum={1} C({1}," + str(i) + ")={2}"
-        for term in breakdown.terms:
-            lines.append(f"h={term.h} weight {term.coefficient} bracket_total {term.bracket_total}")
-            if term.bracket is None:
-                lines.append(f"  (per-subset detail omitted: n > explain limit {args.explain_limit})")
-                continue
-            size = i - term.h
-            labels = map(",".join, combinations(names, size))
-            sums = map(sum, combinations(roots.elements, size))
-            lines.extend(map(detail_line.format, labels, sums, map(itemgetter(1), term.bracket)))
-        lines.append(f"total {breakdown.total}")
-    print("\n".join(lines))
+    print(value)
     return 0
+
+
+def _print_explain(roots: RootSet, i: int, explain_limit: int) -> None:
+    """Write the --explain text, each bracket's detail in chunks of at most
+    _EXPLAIN_CHUNK lines, and check that each bracket's entries sum to its total."""
+    value, breakdown = esp_extraction(roots, i, explain_limit=0)
+    write = sys.stdout.write
+    write(f"{value}\nhead C({roots.total},{i}) = {breakdown.head}\n")
+    detail, order = roots.n <= explain_limit, str(i)
+    names = [str(j) for j in range(1, roots.n + 1)]
+    for term in breakdown.terms:
+        write(f"h={term.h} weight {term.coefficient} bracket_total {term.bracket_total}\n")
+        if not detail:
+            write(f"  (per-subset detail omitted: n > explain limit {explain_limit})\n")
+            continue
+        size, streamed = i - term.h, 0
+        labels = map(",".join, combinations(names, size))
+        sums = map(sum, combinations(roots.elements, size))
+        while chunk_sums := list(islice(sums, _EXPLAIN_CHUNK)):
+            entries = list(map(comb, chunk_sums, repeat(i)))
+            streamed += sum(entries)
+            # Cut the labels to the chunk first: zip would pull one label past its end.
+            chunk = zip(islice(labels, len(chunk_sums)), chunk_sums, entries)
+            write("".join([f"  {{{label}}} sum={s} C({s},{order})={entry}\n" for label, s, entry in chunk]))
+        if streamed != term.bracket_total:
+            raise ArithmeticError(
+                f"--explain bracket h={term.h}: entries sum to {streamed}, bracket_total is {term.bracket_total}"
+            )
+    write(f"total {breakdown.total}\n")
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
@@ -353,7 +379,14 @@ def main(argv: list[str] | None = None) -> int:
     else:
         args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: send what is still buffered to devnull, so
+        # that the flush at exit raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ExtractionDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -151,6 +151,77 @@ def test_compute_explain_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "979794c5a150754a2ae6899a70f7c2ad4150c98f0430ef1b799c73987514cb8c"
 
 
+# 16 roots at i = 9: 39,213 lines, whose longest bracket (C(16, 8) = 12,870
+# lines) spans four chunks of detail.
+SIXTEEN_ROOTS = RootSet((1, 1, 5, 12, 255, 4097, 65535, 1048573, 3, 7, 9, 2, 6, 11, 13, 17))
+SIXTEEN_ROOTS_EXPLAIN = [
+    "compute", "--roots", ",".join(map(str, SIXTEEN_ROOTS.elements)), "--i", "9", "--explain", "--explain-limit", "16"
+]
+
+
+def test_compute_explain_across_chunks_writes_the_per_line_rendering_one_chunk_at_a_time():
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    recorder = Recorder()
+    with redirect_stdout(recorder):
+        assert main(SIXTEEN_ROOTS_EXPLAIN) == 0
+    out = "".join(recorder.writes)
+    assert out.count("\n") == 39213
+    assert out == reference_explain(SIXTEEN_ROOTS, 9, 16)
+    # No write holds more than one chunk of detail lines, so memory stays bounded.
+    detail_per_write = [sum(line.startswith("  {") for line in text.splitlines()) for text in recorder.writes]
+    assert max(detail_per_write) == cli._EXPLAIN_CHUNK == 4096
+
+
+def test_compute_explain_fails_when_a_bracket_total_disagrees_with_its_entries(capsys, monkeypatch):
+    totals = esp._bracket_totals
+    plant = lambda elements, i: [t + (s == 1) for s, t in enumerate(totals(elements, i))]  # noqa: E731
+    monkeypatch.setattr(esp, "_bracket_totals", plant)
+    code, out, err = run(capsys, "compute", "--roots", "2,3,4", "--i", "3", "--explain")
+    assert code == 1
+    assert err == "error: --explain bracket h=2: entries sum to 5, bracket_total is 6\n"
+    # The bracket's lines were written before its check, and stay written.
+    assert out.splitlines()[-4:] == [
+        "h=2 weight 1 bracket_total 6", "  {1} sum=2 C(2,3)=0", "  {2} sum=3 C(3,3)=1", "  {3} sum=4 C(4,3)=4"
+    ]
+    code, out, err = run(capsys, "compute", "--roots", "2,3,4", "--i", "3", "--explain", "--explain-limit", "0")
+    assert code == 0 and err == "" and "h=2 weight 1 bracket_total 6" in out.splitlines()
+
+
+def test_a_closed_stdout_pipe_exits_one_without_a_traceback():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    # stdout block-buffered, as a pipe's is by default: the short answer fails at the flush.
+    env.pop("PYTHONUNBUFFERED", None)
+    # A reader gone before a short answer is flushed, and one that leaves
+    # after the first line of a long explain; both processes run at once.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    gone = subprocess.Popen(
+        [sys.executable, "-m", "symex", "compute", "--roots", "2,3,4", "--i", "3"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write_end)
+    with gone, subprocess.Popen(
+        [sys.executable, "-m", "symex", *SIXTEEN_ROOTS_EXPLAIN], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as left:
+        first = left.stdout.readline()
+        left.stdout.close()
+        answers = [(proc.stderr.read(), proc.wait(timeout=60)) for proc in (gone, left)]
+    assert first.strip().isdigit()
+    assert answers == [(b"", 1), (b"", 1)]
+
+
 def test_compute_json_schema(capsys):
     code, out, _ = run(capsys, "compute", "--roots", "2,3,4", "--i", "3", "--json")
     assert code == 0

@@ -153,8 +153,8 @@ def test_bracket_sizes_and_weights_match_closed_coefficients():
 
 
 def test_detail_lists_subsets_in_combinations_order():
-    # `compute --explain` zips each bracket's entries with labels and subset
-    # sums made by itertools.combinations, so the detail must follow that order.
+    # The library's detail follows itertools.combinations order, the order in
+    # which `compute --explain` makes its own labels, sums and entries.
     roots = RootSet.of(5, 1, 1 << 40, 9, 1, 3, 7)
     for i in range(1, roots.n + 1):
         _, breakdown = esp_extraction(roots, i)
