@@ -34,13 +34,11 @@ own error.  Every other argv takes the full parse.  A process imports only
 what its command runs: `verify` imports the verifiers, and `bench` its
 timing modules, when they are called.
 
-`verify` runs its suites through `verify.run_suites`, which forks at two
-sites when the process has two CPUs and one thread: the suites that never
-draw from the seeded rng run in one forked child, and each equivalence
-sweep runs every other root set in another.  So up to three processes
-share two CPUs during `--suite all`.  Reports are merged back in suite
-order and failures in set order, so every stdout byte and exit code is the
-serial run's, which one CPU (e.g. under `taskset -c 0`) still runs.
+`verify` runs its suites through `verify.run_suites`, which forks once when
+the process has two CPUs and one thread: the suites that never draw from
+the seeded rng run in one child, so two processes share two CPUs during
+`--suite all`.  Reports are merged back in suite order, so every stdout
+byte and exit code is the serial run's, which one CPU still runs.
 """
 
 from __future__ import annotations

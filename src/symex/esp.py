@@ -13,9 +13,9 @@ be inspected.  METHODS names the three per-order routes as e_i functions, and
 esp_compare runs them on one input so their values can be checked against
 each other.
 
-A bracket total sum_{|J|=s} C(sigma_J, i) takes one of two routes.  With
-per-subset detail (n <= explain limit) the C(n, s) subsets are enumerated.
-Without it, the totals come from support-layer rows.  By Vandermonde,
+A bracket total sum_{|J|=s} C(sigma_J, i) comes from support-layer rows,
+whether or not the per-subset detail (n <= explain limit) enumerates the
+C(n, s) subsets beside it.  By Vandermonde,
 (1+z)^m = 1 + g_m(z) with g_m(z) = (1+z)^m - 1, so
 
     sum_s y^s sum_k B[s][k] z^k = prod_j (1 + y (1+z)^{m_j})
@@ -198,10 +198,10 @@ def esp_extraction(
     C(sum of m_j over J, i) over all (i-h)-subsets J, and is subtracted
     with weight C_h = (-1)^(h-1) * multichoose(n-i+1, h-1).
 
-    Up to n = explain_limit every bracket enumerates its subsets and keeps
-    the per-subset binomials, each math.comb of a nonnegative subset sum.
-    Above it, the bracket totals come from the support-layer DP of the module
-    docstring (_bracket_totals) in polynomial time, with no subset enumerated.
+    The bracket totals come from the support-layer rows of the module
+    docstring (_bracket_totals) in polynomial time.  Up to n = explain_limit
+    each term also keeps its per-subset binomials, each math.comb of a
+    nonnegative subset sum; above it no subset is enumerated.
 
     Orders above n are refused rather than silently extrapolated.
     """
@@ -215,16 +215,12 @@ def esp_extraction(
 
     elements = roots.elements
     head = binomial_first(roots.total, i)
-    brackets = {}
-    if n <= explain_limit:
-        totals = {}
-        for s in range(1, i):
-            entries = tuple(map(comb, map(sum, combinations(elements, s)), repeat(i)))
-            brackets[s] = tuple(zip(k_subsets(n, s), entries))
-            totals[s] = sum(entries)
-    else:
-        totals = _bracket_totals(elements, i) if i > 1 else []
-    terms = tuple(BreakdownTerm(h, w, totals[i - h], brackets.get(i - h)) for h, w in enumerate(_weights(n, i), start=1))
+    totals = _bracket_totals(elements, i) if i > 1 else []
+
+    def detail(s: int) -> tuple[tuple[IndexSubset, int], ...] | None:
+        return tuple(zip(k_subsets(n, s), map(comb, map(sum, combinations(elements, s)), repeat(i)))) if n <= explain_limit else None
+
+    terms = tuple(BreakdownTerm(h, w, totals[i - h], detail(i - h)) for h, w in enumerate(_weights(n, i), start=1))
     value = head + sum(term.coefficient * term.bracket_total for term in terms)
     return value, ExtractionBreakdown(i, head, terms, value)
 

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterator
 
 # The top layer is compared with `esp.esp_direct` looked up on its home module,
@@ -63,13 +63,9 @@ def monomial_coefficient(i: int, exponents: tuple[int, ...]) -> Fraction:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # All orderings of `total` into `parts` positive summands, lexicographic.
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # All orderings of `total` into `parts` positive summands, lexicographic:
+    # the gaps between the cut points 0 < c_1 < ... < c_(parts-1) < total.
+    return (tuple(map(sub, (*cuts, total), (0, *cuts))) for cuts in combinations(range(1, total), parts - 1))
 
 
 @lru_cache(maxsize=64)

@@ -6,23 +6,19 @@ by the instance, only for a failing one; over a fixed list it adds every
 value.  Randomized sweeps draw from the `rng` they are given, so a caller
 that shares one generator gets the same draws every run.
 
-Two places split their work with one forked child, through `_forked`:
-`run_suites` runs the suites outside `SEEDED_SUITES` in a child while this
-process runs the seeded ones on the shared rng, and the loop behind both
-equivalence sweeps runs every other root set in a child (the random sweep
-draws all its sets first, so the rng ends as the serial run leaves it, and
-each side builds the RootSets of its own sets only).
-So during `verify --suite all` up to three processes share two CPUs.  The
-results are merged in suite order and in set order, so every report equals
-the serial one.  A split forks only when the process has at least two CPUs
-in its affinity mask and no second thread.  The child always ends in
-`os._exit`; one that fails in any way exits non-zero having written
-nothing, and then, or if its payload does not load, this process runs the
-child's half itself.  If this process's own half raises an `Exception`,
-the child is killed and the whole split reruns serially (`run_suites`
-first puts the rng back as it was), so what raises is what the serial run
-raises; an interrupt kills and reaps the child and propagates.  With one
-CPU (e.g. under `taskset -c 0`) everything runs serially in one process.
+`run_suites` is the one place that forks, through `_forked`: the suites
+outside `SEEDED_SUITES` run in one child while this process runs the
+seeded ones on the shared rng.  So two processes share two CPUs during
+`verify --suite all`, and the reports are merged in suite order, each equal
+to the serial one.  It forks only with at least two CPUs in the affinity
+mask and no second thread.  The child always ends in `os._exit`; one that
+fails in any way exits non-zero having written nothing, and then, or if its
+payload does not load, this process runs the child's suites itself.  If
+this process's own suites raise an `Exception`, the child is killed and the
+whole split reruns serially (`run_suites` first puts the rng back as it
+was), so what raises is what the serial run raises; an interrupt kills and
+reaps the child and propagates.  With one CPU (e.g. under `taskset -c 0`)
+everything runs serially in one process.
 """
 
 from __future__ import annotations
@@ -30,8 +26,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from itertools import chain, islice, product
-from operator import itemgetter
+from itertools import chain, combinations_with_replacement, product
 from typing import Callable, Iterable
 
 # Routes are called through their home modules, so a patch or wrapper on
@@ -62,9 +57,9 @@ COEFF_H = 12
 # the Newton-Girard route may run.  The first and third take it at some orders;
 # the second, whose roots 1 and 2 keep it off Newton, takes the packed DP there.
 # All three tables lie above esp._DIRECT_BELOW, so both sweeps also check the
-# support rows and their conversion.  Every exhaustive set's table is filled
-# directly, and every random set's brackets come from the packed DP in narrow
-# slots.
+# support rows and their conversion.  Every multiset's table is filled
+# directly, and so is a random set's unless n = 10 and C(N, 10) >= 2^40; its
+# per-order brackets come from the packed DP in narrow slots.
 WIDE_SETS = (
     RootSet(((1 << 256) - 1,) * 5),
     RootSet((3**160, 1, 5**110 + 2, 2, 3**160, 7**90)),
@@ -72,7 +67,6 @@ WIDE_SETS = (
 )
 
 
-# Both give root tuples, not RootSets, so a sweep builds only the sets it checks.
 def _random_roots(rng: random.Random, n_low: int, n_high: int, m_max: int) -> tuple[int, ...]:
     n = rng.randint(n_low, n_high)
     return tuple(rng.randint(1, m_max) for _ in range(n))
@@ -80,6 +74,10 @@ def _random_roots(rng: random.Random, n_low: int, n_high: int, m_max: int) -> tu
 
 def _exhaustive_roots(n_max: int, m_max: int) -> Iterable[tuple[int, ...]]:
     return chain.from_iterable(product(range(1, m_max + 1), repeat=n) for n in range(1, n_max + 1))
+
+
+def _multisets(n_max: int, m_max: int) -> Iterable[tuple[int, ...]]:
+    return chain.from_iterable(combinations_with_replacement(range(1, m_max + 1), n) for n in range(1, n_max + 1))
 
 
 def _pairs(n_max: int) -> list[tuple[int, int]]:
@@ -95,54 +93,42 @@ def _sweep(report: Report, cases: Iterable[tuple], verifier: Callable[..., Repor
             report.add((*case, first.label) if tagged else case, first.expected, first.observed)
 
 
-def _routes_agree(name: str, root_sets: Callable[[], Iterable[tuple[int, ...]]], sieve: Callable[[RootSet], list[int]]) -> Report:
-    """Definition, recurrence and sieve(roots), the sieve's e_0..e_n, at orders 1..n of
-    the set of each root tuple of root_sets(); a failing (elements, i) expects (e_i, e_i)
-    and observes (sieve, recurrence).  The exhaustive sweep checks the all-orders sieve,
-    the random sweep the per-order one.  Sets at odd positions run in a forked child
-    when `_forked` can, and each process builds the RootSets of its own positions only."""
-
-    def every_other(start: int) -> tuple[int, list[tuple]]:
-        return _disagreements(islice(enumerate(root_sets()), start, None, 2), sieve)
-
-    halves = _forked(lambda: every_other(0), lambda: every_other(1)) or [_disagreements(enumerate(root_sets()), sieve)]
-    report = Report(name, f"{sum(instances for instances, _ in halves)} instances")
-    # A stable sort by position keeps each set's failing orders in order.
-    for _, label, expected, observed in sorted(chain.from_iterable(failed for _, failed in halves), key=itemgetter(0)):
-        report.add(label, expected, observed)
-    return report
-
-
-def _disagreements(numbered_roots: Iterable[tuple[int, tuple[int, ...]]], sieve: Callable[[RootSet], list[int]]) -> tuple[int, list[tuple]]:
-    """The instance count and the (position, label, expected, observed) of each failing instance."""
-    instances, failed = 0, []
-    for position, elements in numbered_roots:
-        roots = RootSet(elements)
+def _routes_agree(name: str, root_sets: Iterable[tuple[int, ...]], *sieves: Callable[[RootSet], list[int]]) -> Report:
+    """Definition, recurrence and each sieve(roots), that sieve's e_0..e_n, at
+    orders 1..n of each root tuple's set and then of each WIDE_SETS set; a
+    failing (elements, i) expects e_i from each sieve and the recurrence and
+    observes their values, in that order."""
+    report, instances = Report(f"{name}, {len(WIDE_SETS)} wide sets"), 0
+    for roots in chain(map(RootSet, root_sets), WIDE_SETS):
         per_order = esp.esp_all(roots)
-        by_sieve = sieve(roots)
+        rows = [*(sieve(roots) for sieve in sieves), per_order]
         for i in range(1, roots.n + 1):
             instances += 1
             by_definition = esp.esp_direct(roots, i)
-            if not by_definition == by_sieve[i] == per_order[i]:
-                failed.append((position, (elements, i), (by_definition, by_definition), (by_sieve[i], per_order[i])))
-    return instances, failed
+            observed = tuple(row[i] for row in rows)
+            if observed != (by_definition,) * len(rows):
+                report.add((roots.elements, i), (by_definition,) * len(rows), observed)
+    report.detail = f"{instances} instances"
+    return report
 
 
 def equivalence_exhaustive() -> Report:
-    return _routes_agree(
-        f"equivalence exhaustive n<=6 m<=4, {len(WIDE_SETS)} wide sets",
-        lambda: chain(_exhaustive_roots(6, 4), (roots.elements for roots in WIDE_SETS)),
-        esp.esp_extraction_all,
-    )
+    """The all-orders sieve on every multiset of 1..6 roots from 1..7.  e_i
+    minus the sieve's value is symmetric and of degree at most i <= 6 in each
+    root, so a pass (zero on every multiset, so on {1..7}^n) proves the identity
+    for every root set of n <= 6 (N. Alon, Combinatorial Nullstellensatz, CPC
+    8, 1999, Lemma 2.1).  The route code itself is checked only at the sets swept."""
+    return _routes_agree("equivalence multisets n<=6 m<=7, proves n<=6", _multisets(6, 7), esp.esp_extraction_all)
 
 
 def equivalence_random(rng: random.Random) -> Report:
+    """Both sieves, per order and all orders, on 300 random sets in the order drawn."""
+
     def per_order(roots):
         return [1] + [esp.esp_extraction(roots, i, explain_limit=0)[0] for i in range(1, roots.n + 1)]
 
-    # Every set is drawn here, before any fork, so the rng ends as the serial run leaves it.
-    drawn = [_random_roots(rng, 1, 10, 9) for _ in range(300)] + [roots.elements for roots in WIDE_SETS]
-    return _routes_agree(f"equivalence 300 random sets n<=10 m<=9, {len(WIDE_SETS)} wide sets", lambda: drawn, per_order)
+    drawn = (_random_roots(rng, 1, 10, 9) for _ in range(300))
+    return _routes_agree("equivalence 300 random sets n<=10 m<=9", drawn, per_order, esp.esp_extraction_all)
 
 
 def loworder_forms(rng: random.Random) -> Report:

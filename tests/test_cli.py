@@ -400,7 +400,7 @@ def test_verify_all_stdout_is_pinned(serial_verify):
     assert code == 0 and err == ""
     assert out.splitlines() == [
         "verify suite=all seed=42 truncation=30 rng=mersenne-twister",
-        "PASS equivalence exhaustive n<=6 m<=4, 3 wide sets (30964 instances)",
+        "PASS equivalence multisets n<=6 m<=7, proves n<=6, 3 wide sets (9025 instances)",
         "PASS equivalence 300 random sets n<=10 m<=9, 3 wide sets (1725 instances)",
         "PASS spelled-out e2..e5 forms, 20 random sets n in 4..8 (80 instances)",
         "PASS recurrence equals closed form (210 (n,i) pairs, h<=12)",
@@ -422,7 +422,7 @@ def test_verify_all_json_is_pinned(serial_verify):
     assert code == 0 and err == ""
     assert out == (
         '{"suite": "all", "seed": 42, "truncation": 30, "rng": "mersenne-twister", "checks": ['
-        '{"name": "equivalence exhaustive n<=6 m<=4, 3 wide sets", "passed": true, "detail": "30964 instances"}, '
+        '{"name": "equivalence multisets n<=6 m<=7, proves n<=6, 3 wide sets", "passed": true, "detail": "9025 instances"}, '
         '{"name": "equivalence 300 random sets n<=10 m<=9, 3 wide sets", "passed": true, "detail": "1725 instances"}, '
         '{"name": "spelled-out e2..e5 forms, 20 random sets n in 4..8", "passed": true, "detail": "80 instances"}, '
         '{"name": "recurrence equals closed form", "passed": true, "detail": "210 (n,i) pairs, h<=12"}, '

@@ -243,6 +243,8 @@ def test_specialize_rejects_unknown_family():
 
 
 def _compact_matches_detail(roots, i):
+    # Both breakdowns take their totals from the support rows; the enumerated
+    # detail is the independent side, and its entries must sum to each total.
     detail = esp_extraction(roots, i, explain_limit=roots.n)
     compact = esp_extraction(roots, i, explain_limit=0)
     assert compact[0] == detail[0]
@@ -628,7 +630,7 @@ def test_support_kernel_choice_is_pinned(monkeypatch):
     for route, cells in _pinned_cells().items():
         for elements, top in cells:
             assert _kernel_taken(monkeypatch, elements, top, _support_width(elements, top)) == [route], (len(elements), top)
-    # every set of the exhaustive sweep, in the all-orders table's wider slots
+    # every ordered tuple of {1..4}^n, n <= 6, in the all-orders table's wider slots
     for n in range(1, 7):
         for elements in product(range(1, 5), repeat=n):
             b = math.comb(n, n // 2).bit_length() + _support_width(elements, n) + 1
@@ -652,6 +654,16 @@ def _per_order_sieve(roots):
 def test_all_orders_sieve_equals_the_per_order_sieve(elements):
     roots = RootSet(tuple(elements))
     assert esp_extraction_all(roots) == _per_order_sieve(roots) == esp_all(roots)
+
+
+def test_all_orders_sieve_on_every_ordered_small_tuple():
+    # verify sweeps multisets, sorted; the table routes read each root's
+    # position, so every ordering of {1..4}^n, n <= 6, is checked here.
+    tuples = [elements for n in range(1, 7) for elements in product(range(1, 5), repeat=n)]
+    assert len(tuples) == 5460
+    for elements in tuples:
+        roots = RootSet(elements)
+        assert esp_extraction_all(roots) == esp_all(roots) == [esp_direct(roots, i) for i in range(roots.n + 1)], elements
 
 
 def test_all_orders_sieve_at_extremes():

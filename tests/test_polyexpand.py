@@ -24,6 +24,16 @@ def test_exponent_vector_validation():
             monomial_coefficient(4, bad)
 
 
+def test_compositions_are_listed_in_lexicographic_order():
+    # the layer tables hold their exponent vectors in this order
+    assert list(_compositions(5, 3)) == [(1, 1, 3), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)]
+    assert list(_compositions(4, 1)) == [(4,)] and list(_compositions(4, 4)) == [(1, 1, 1, 1)]
+    assert list(_compositions(2, 3)) == []
+    assert [len(list(_compositions(p, s))) for p in range(1, 12) for s in range(1, p + 1)] == [
+        math.comb(p - 1, s - 1) for p in range(1, 12) for s in range(1, p + 1)
+    ]
+
+
 def test_order_four_two_element_coefficients():
     # hand expansion of C(N, 4) restricted to a two-element support
     assert monomial_coefficient(4, (1, 1)) == Fraction(22, 24)

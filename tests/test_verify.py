@@ -45,6 +45,17 @@ def swept_wide():
     return [roots.elements for roots in verify.WIDE_SETS]
 
 
+def swept_multisets():
+    """The root tuples the multiset sweep checks, in its order: 1,715 multisets, then the wide sets."""
+    return [*verify._multisets(6, 7), *swept_wide()]
+
+
+def swept_random(seed):
+    """The root tuples the random sweep checks at `seed`, in its order: 300 drawn sets, then the wide sets."""
+    rng = random.Random(seed)
+    return [*(verify._random_roots(rng, 1, 10, 9) for _ in range(300)), *swept_wide()]
+
+
 def plant_loworder_defect_at_order_4(monkeypatch):
     spelled_out = esp.esp_loworder
     monkeypatch.setattr(esp, "esp_loworder", lambda roots, i: spelled_out(roots, i) + (i == 4))
@@ -217,7 +228,7 @@ def test_layer_memo_keeps_each_subset_in_its_order(monkeypatch, cold_layer_table
 
 
 def test_sieve_weights_are_built_once_per_order(monkeypatch):
-    # The exhaustive sweep reads the rows (n, i) for n <= 6, i <= n: 21 rows of
+    # The multiset sweep reads the rows (n, i) for n <= 6, i <= n: 21 rows of
     # i - 1 closed-form coefficients, one multichoose each, 35 in all, built
     # once and shared.
     calls = []
@@ -232,7 +243,7 @@ def test_sieve_weights_are_built_once_per_order(monkeypatch):
     assert len(calls) == 35 and esp._weights.cache_info().misses == 21
     calls.clear()
     report = verify.equivalence_exhaustive()
-    assert report.ok and report.detail == "30964 instances"
+    assert report.ok and report.detail == "9025 instances"
     assert calls == []
     random_sweep = verify.equivalence_random(random.Random(42))
     assert random_sweep.ok and random_sweep.detail == "1725 instances"
@@ -249,13 +260,13 @@ def test_sieve_weights_are_the_verified_closed_coefficients(monkeypatch, cold_si
     monkeypatch.setattr(coeffs, "coeff_closed", wrong_c3_at_n5(coeffs.coeff_closed))
     expected = [
         (elements, i)
-        for elements in itertools.chain(verify._exhaustive_roots(6, 4), swept_wide())
+        for elements in swept_multisets()
         if len(elements) == 5
         for i in (4, 5)
         if sum(math.comb(sum(combo), i) for combo in itertools.combinations(elements, i - 3))
     ]
     exhaustive = verify.equivalence_exhaustive()
-    assert exhaustive.detail == "30964 instances"
+    assert exhaustive.detail == "9025 instances"
     assert len(expected) > 0 and labels(exhaustive) == expected
     # the spelled-out forms hard-code their weights, so they still agree with the definition
     assert verify.loworder_forms(random.Random(42)).ok
@@ -263,8 +274,9 @@ def test_sieve_weights_are_the_verified_closed_coefficients(monkeypatch, cold_si
 
 def test_equivalence_sweeps_report_a_planted_defect_in_the_all_orders_sieve(monkeypatch):
     # Slot 2 of row 1 holds B[1][2], read only at order 2 from a table with
-    # top > 2: the all-orders sieve reads it there for every n >= 3, while
-    # the per-order sieve reads slot i of a table with top = i only.
+    # top > 2: the all-orders sieve reads it there for every n >= 3.  Both
+    # sweeps run the all-orders sieve, the random one on sets in the order
+    # drawn; the per-order sieve builds no table.
     table = esp._bracket_table
 
     def off_by_one(elements, top):
@@ -274,18 +286,40 @@ def test_equivalence_sweeps_report_a_planted_defect_in_the_all_orders_sieve(monk
         return rows, b
 
     monkeypatch.setattr(esp, "_bracket_table", off_by_one)
-    # With two CPUs the failing sets sit in both halves of the split, so the
-    # labels show that the child's failures are merged back in set order.
-    set_cpus(monkeypatch, 2)
-    forks = count_forks(monkeypatch)
     exhaustive = verify.equivalence_exhaustive()
-    assert exhaustive.detail == "30964 instances"
-    swept = itertools.chain(verify._exhaustive_roots(6, 4), swept_wide())
-    assert labels(exhaustive) == [(elements, 2) for elements in swept if len(elements) >= 3]
+    assert exhaustive.detail == "9025 instances"
+    assert labels(exhaustive) == [(elements, 2) for elements in swept_multisets() if len(elements) >= 3]
     random_sweep = verify.equivalence_random(random.Random(42))
-    assert random_sweep.ok and random_sweep.detail == "1725 instances"
-    assert len(forks) == 2
-    assert_no_child_left()
+    assert random_sweep.detail == "1725 instances"
+    assert labels(random_sweep) == [(elements, 2) for elements in swept_random(42) if len(elements) >= 3]
+    # each failing instance shows which route was wrong: (per order, all orders, recurrence)
+    first = random_sweep.failures()[0]
+    assert first.observed[0] == first.observed[2] == first.expected[0] != first.observed[1]
+
+
+def plant_vanishing_defect_at_order_4(monkeypatch):
+    # Adds prod_j (m_j-1)(m_j-2)(m_j-3)(m_j-4) to e_4 of the all-orders sieve
+    # on sets whose roots are all at most 9.  It vanishes whenever a root is
+    # in 1..4, so on every tuple over {1..4}, and spares the wide sets.
+    sieve = esp.esp_extraction_all
+
+    def planted(roots):
+        values = sieve(roots)
+        if roots.n >= 4 and max(roots.elements) <= 9:
+            values[4] += math.prod((m - 1) * (m - 2) * (m - 3) * (m - 4) for m in roots.elements)
+        return values
+
+    monkeypatch.setattr(esp, "esp_extraction_all", planted)
+
+
+def test_the_multiset_sweep_catches_a_defect_that_vanishes_on_small_roots(monkeypatch, capsys):
+    plant_vanishing_defect_at_order_4(monkeypatch)
+    assert main(["verify", "--suite", "equivalence"]) == 1
+    assert [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
+    # the multisets of n >= 4 with every root in {5, 6, 7}, at order 4, and no wide set
+    exhaustive = verify.equivalence_exhaustive()
+    expected = [(elements, 4) for elements in swept_multisets() if len(elements) >= 4 and set(elements) <= {5, 6, 7}]
+    assert len(expected) == 15 + 21 + 28 and labels(exhaustive) == expected
 
 
 def _wide(label):
@@ -294,8 +328,7 @@ def _wide(label):
 
 def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
     # both support-row routes, the packed DP and the Newton-Girard route, and
-    # the direct fill of small tables.  The calls are counted in this process,
-    # so the sweeps run with one CPU here.
+    # the direct fill of small tables.
     runs = {"direct": [], "packed": [], "newton": []}
     for route in runs:
         kernel = getattr(esp, f"_{route}_rows")
@@ -306,54 +339,31 @@ def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
 
         monkeypatch.setattr(esp, f"_{route}_rows", counted)
     wide = {roots.elements for roots in verify.WIDE_SETS}
-    small = list(verify._exhaustive_roots(6, 4))
-    for sweep, filled in ((verify.equivalence_exhaustive, small), (lambda: verify.equivalence_random(random.Random(42)), [])):
+    for sweep, swept in ((verify.equivalence_exhaustive, swept_multisets()), (lambda: verify.equivalence_random(random.Random(42)), swept_random(42))):
         for taken in runs.values():
             taken.clear()
-        set_cpus(monkeypatch, 1)
-        report = sweep()
-        assert report.ok
-        # every small exhaustive set's table is filled directly, once, and no
-        # wide set's; the per-order sieve of the random sweep builds no table
-        assert [elements for elements, _ in runs["direct"]] == filled
+        assert sweep().ok
+        # every multiset's table is filled directly, once, and so is every
+        # random set's at this seed; no wide set's is
+        assert [elements for elements, _ in runs["direct"]] == swept[:-3]
         # the Newton route runs on the wide sets, at least once, and on nothing else
         assert runs["newton"] and {elements for elements, _ in runs["newton"]} <= wide
         # WIDE_SETS[1]'s roots 1 and 2 keep it off Newton: it is the one set
         # whose packed rows reach the wide slots where Newton may run
         assert {elements for elements, area in runs["packed"] if area >= esp._NEWTON_ABOVE} == {verify.WIDE_SETS[1].elements}
-        set_cpus(monkeypatch, 2)
-        assert sweep() == report
 
 
-def test_each_sweep_half_builds_only_its_own_root_sets(monkeypatch, serial_verify):
+def test_each_sweep_builds_one_root_set_per_swept_set(monkeypatch, serial_verify):
     recorded = serial_verify.sweeps("42")
     built = []
     monkeypatch.setattr(verify, "RootSet", lambda elements: built.append(elements) or RootSet(elements))
-    # serially, one RootSet per swept set: 5,460 small and 3 wide, then 300 random and 3 wide
-    set_cpus(monkeypatch, 1)
-    assert verify.equivalence_exhaustive() == recorded[0] and len(built) == 5463
+    # one RootSet per swept tuple, 1,715 multisets, then 300 random sets; the
+    # wide sets are RootSets already
+    assert verify.equivalence_exhaustive() == recorded[0] and built == swept_multisets()[:1715]
     built.clear()
-    assert verify.equivalence_random(random.Random(42)) == recorded[1] and len(built) == 303
-    # split, each half builds the sets at its own positions only: both halves
-    # run here in turn, so that their RootSets are counted
-    per_half = []
-
-    def in_turn(here, there):
-        halves = []
-        for half in (here, there):
-            built.clear()
-            halves.append(half())
-            per_half.append(built[:])
-        return tuple(halves)
-
-    monkeypatch.setattr(verify, "_forked", in_turn)
-    swept = [*verify._exhaustive_roots(6, 4), *swept_wide()]
-    assert verify.equivalence_exhaustive() == recorded[0]
-    assert per_half == [swept[0::2], swept[1::2]] and list(map(len, per_half)) == [2732, 2731]
-    per_half.clear()
     rng = random.Random(42)
-    assert verify.equivalence_random(rng) == recorded[1] and rng.getstate() == recorded[2]
-    assert list(map(len, per_half)) == [152, 151]
+    assert verify.equivalence_random(rng) == recorded[1] and built == swept_random(42)[:300]
+    assert rng.getstate() == recorded[2]
 
 
 def test_layer_checks_build_one_root_set_per_set(monkeypatch, cold_layer_tables):
@@ -393,11 +403,13 @@ def test_verify_fails_when_the_direct_table_route_is_wrong(monkeypatch, capsys, 
     plant(monkeypatch)
     assert main(["verify", "--suite", "equivalence"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    # only the exhaustive sweep builds tables, and only its small sets are filled directly
-    assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "PASS", "PASS", "result:"]
-    set_cpus(monkeypatch, 1)
+    # both sweeps fill small tables directly, the random one for the all-orders sieve only
+    assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
     failed = labels(verify.equivalence_exhaustive())
     assert failed and not any(map(_wide, failed))
+    wrong = verify.equivalence_random(random.Random(42)).failures()
+    assert wrong and not any(_wide(check.label) for check in wrong)
+    assert all(check.observed[0] == check.observed[2] == check.expected[0] for check in wrong)
 
 
 def plant_newton_defect(monkeypatch):
@@ -416,20 +428,14 @@ def test_verify_fails_when_the_newton_power_sums_are_off_by_one_slot(monkeypatch
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
     # Only the wide sets take the Newton route, so only they fail: WIDE_SETS[0]
-    # and [2], at orders 2..5.  Both CPU counts give the same labels, in set order.
-    for sweep in (verify.equivalence_exhaustive, lambda: verify.equivalence_random(random.Random(42))):
-        set_cpus(monkeypatch, 1)
-        report = sweep()
+    # and [2], at orders 2..5.
+    for report in (verify.equivalence_exhaustive(), verify.equivalence_random(random.Random(42))):
         assert labels(report) == [(verify.WIDE_SETS[w].elements, i) for w in (0, 2) for i in range(2, 6)]
-        set_cpus(monkeypatch, 2)
-        assert sweep() == report
-    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
-# The two fork sites: run_suites runs the unseeded suites in one forked child,
-# and each equivalence sweep runs every other root set in one, both merged as
-# the serial run orders them.
+# The one fork site: run_suites runs the unseeded suites in one forked child,
+# merged as the serial run orders them.
 
 
 def set_cpus(monkeypatch, count):
@@ -478,56 +484,43 @@ def test_two_processes_print_the_serial_bytes(monkeypatch, capsys, serial_verify
     argv = ["verify", "--suite", "all", "--seed", seed, *json_flag]
     serial = serial_verify(*argv)
     forked, forks = forked_run(monkeypatch, capsys, argv)
-    # one child for the unseeded suites, one for each equivalence sweep
-    assert forks == 3 and serial[0] == 0 and forked == serial
+    # one child for the unseeded suites; no sweep forks
+    assert forks == 1 and serial[0] == 0 and forked == serial
 
 
 def test_two_processes_print_the_serial_bytes_of_the_equivalence_suite(monkeypatch, capsys, serial_verify):
     argv = ["verify", "--suite", "equivalence", "--seed", "7"]
     serial = serial_verify(*argv)
     forked, forks = forked_run(monkeypatch, capsys, argv)
-    # a single suite runs in this process, and each of its sweeps forks once
-    assert forks == 2 and serial[0] == 0 and forked == serial
+    # a single suite runs in this process, and none of its sweeps forks
+    assert forks == 0 and serial[0] == 0 and forked == serial
 
 
 def test_two_cpu_sweeps_equal_their_serial_reports(monkeypatch, serial_verify):
+    # With two CPUs the sweeps still run serially in this process, and leave
+    # the rng where the serial run leaves it.
     recorded = {seed: serial_verify.sweeps(seed) for seed in ("42", "7", "1")}
     set_cpus(monkeypatch, 2)
-    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
     assert verify.equivalence_exhaustive() == recorded["42"][0]
-    parent, sieve = os.getpid(), esp.esp_extraction
-
-    def dies_in_the_child(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(7)
-        return sieve(*args, **kwargs)
-
-    for child_dies in (False, True):
-        if child_dies:
-            # A dead child's sets are run here: the ones drawn before the fork, not new draws.
-            monkeypatch.setattr(esp, "esp_extraction", dies_in_the_child)
-        for seed, (_, random_report, state) in recorded.items():
-            rng = random.Random(int(seed))
-            assert verify.equivalence_random(rng) == random_report
-            # every set is drawn before the fork, so the rng ends in the serial state
-            assert rng.getstate() == state
-    assert len(forks) == 7
-    assert_no_child_left()
+    for seed, (_, random_report, state) in recorded.items():
+        rng = random.Random(int(seed))
+        assert verify.equivalence_random(rng) == random_report and rng.getstate() == state
 
 
 def test_two_processes_print_the_serial_bytes_when_child_suites_fail(monkeypatch, capsys, cold_sieve_weights):
     closed = coeffs.coeff_closed
     monkeypatch.setattr(coeffs, "coeff_closed", lambda n, i, h: closed(n, i, h) + 1)
     (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all"])
-    assert forks == 3 and forked == serial
+    assert forks == 1 and forked == serial
     assert serial[0] == 1 and "FAIL recurrence equals closed form" in serial[1]
 
 
 def test_two_processes_print_the_serial_bytes_when_equivalence_fails(monkeypatch, capsys):
     plant_newton_defect(monkeypatch)
     (serial, forked), forks = serial_and_forked(monkeypatch, capsys, ["verify", "--suite", "all", "--json"])
-    assert forks == 3 and forked == serial
-    assert serial[0] == 1 and '"passed": false, "detail": "30964 instances"' in serial[1]
+    assert forks == 1 and forked == serial
+    assert serial[0] == 1 and '"passed": false, "detail": "9025 instances"' in serial[1]
 
 
 class Undrawable:
@@ -549,80 +542,48 @@ def test_unseeded_suites_never_draw_from_the_rng(name):
     assert reports and all(report.ok for report in reports)
 
 
-# Small root sets for the sweep site: 14 sets of n <= 3, m <= 2, then the wide ones.
-def few_exhaustive_roots(n_max, m_max, exhaustive_roots=verify._exhaustive_roots):
-    return exhaustive_roots(3, 2)
-
-
 class Site:
-    """A quick `verify` call whose one fork is at the named site, set up on
-    `patch`.  plant(side, action) calls action() each time the work planted on
-    that side of the split has run, in whichever process ran it.  Serially, the
-    child's side runs first at the sweep site and last at the suites site."""
+    """A quick `verify --suite all`, set up on `patch`, whose one fork splits
+    the suites.  plant(side, action) calls action() each time the work planted
+    on that side of the split has run, in whichever process ran it.  Serially,
+    the child's side runs last."""
 
-    def __init__(self, name, patch):
-        self.name, self.patch = name, patch
-        if name == "suites":
-            # A seeded stand-in that draws from the rng, so each run takes milliseconds.
-            patch.setitem(verify.SUITES, "equivalence", lambda rng, truncation: [verify.loworder_forms(rng)])
-            self.argv, self.checks = ["verify", "--suite", "all"], 11
-        else:
-            # verify --suite equivalence runs in this process; only its one sweep forks.
-            patch.setattr(verify, "_exhaustive_roots", few_exhaustive_roots)
-            patch.setitem(verify.SUITES, "equivalence", lambda rng, truncation: [verify.equivalence_exhaustive()])
-            self.argv, self.checks = ["verify", "--suite", "equivalence"], 1
+    argv, checks = ["verify", "--suite", "all"], 11
+
+    def __init__(self, patch):
+        self.patch = patch
+        # A seeded stand-in that draws from the rng, so each run takes milliseconds.
+        patch.setitem(verify.SUITES, "equivalence", lambda rng, truncation: [verify.loworder_forms(rng)])
 
     def plant(self, side, action):
-        if self.name == "suites":
-            name = "equivalence" if side == "parent" else "multiplicity"
-            suite = verify.SUITES[name]
+        name = "equivalence" if side == "parent" else "multiplicity"
+        suite = verify.SUITES[name]
 
-            def planted_suite(rng, truncation):
-                reports = suite(rng, truncation)
-                action()
-                return reports
+        def planted_suite(rng, truncation):
+            reports = suite(rng, truncation)
+            action()
+            return reports
 
-            self.patch.setitem(verify.SUITES, name, planted_suite)
-        else:
-            # the set at position 2 runs in this process, the one at position 1 in the child
-            planted = RootSet(list(itertools.chain(few_exhaustive_roots(6, 4), swept_wide()))[2 if side == "parent" else 1])
-            sieve = esp.esp_extraction_all
-
-            def planted_sieve(roots):
-                values = sieve(roots)
-                if roots == planted:
-                    action()
-                return values
-
-            self.patch.setattr(esp, "esp_extraction_all", planted_sieve)
-
-
-def sites(monkeypatch):
-    """Each fork site in turn, with every patch of the one before undone."""
-    for name in ("suites", "sweep"):
-        yield Site(name, monkeypatch)
-        monkeypatch.undo()
+        self.patch.setitem(verify.SUITES, name, planted_suite)
 
 
 def test_a_child_that_exits_early_gives_the_full_serial_output(monkeypatch, capsys):
-    parent = os.getpid()
-    for site in sites(monkeypatch):
-        site.plant("child", lambda: os.getpid() != parent and os._exit(7))
-        (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
-        assert forks == 1 and forked == serial and serial[0] == 0
-        assert serial[1].endswith(f"result: PASS ({site.checks}/{site.checks} checks)\n")
+    parent, site = os.getpid(), Site(monkeypatch)
+    site.plant("child", lambda: os.getpid() != parent and os._exit(7))
+    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
+    assert forks == 1 and forked == serial and serial[0] == 0
+    assert serial[1].endswith(f"result: PASS ({site.checks}/{site.checks} checks)\n")
 
 
 def test_a_child_that_exits_non_zero_after_writing_is_not_trusted(monkeypatch, capsys):
-    parent, exit_now = os.getpid(), os._exit
-    for site in sites(monkeypatch):
-        runs_here = []
-        site.plant("child", lambda: os.getpid() == parent and runs_here.append(None))
-        # Only the child calls os._exit; it now exits 3 after writing its half.
-        monkeypatch.setattr(os, "_exit", lambda status: exit_now(3))
-        (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
-        assert forks == 1 and forked == serial and serial[0] == 0
-        assert len(runs_here) == 2  # once serially, once in place of the child
+    parent, exit_now, site = os.getpid(), os._exit, Site(monkeypatch)
+    runs_here = []
+    site.plant("child", lambda: os.getpid() == parent and runs_here.append(None))
+    # Only the child calls os._exit; it now exits 3 after writing its half.
+    monkeypatch.setattr(os, "_exit", lambda status: exit_now(3))
+    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
+    assert forks == 1 and forked == serial and serial[0] == 0
+    assert len(runs_here) == 2  # once serially, once in place of the child
 
 
 def planted_error(side):
@@ -634,29 +595,27 @@ def planted_error(side):
 
 def test_a_child_suite_that_raises_gives_the_serial_error(monkeypatch, capsys):
     # The child's failed half is rerun here, where it raises as serially.
-    for site in sites(monkeypatch):
-        site.plant("child", planted_error("child"))
-        (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
-        assert forks == 1 and forked == serial == (1, "", "error: planted on the child's side\n")
+    Site(monkeypatch).plant("child", planted_error("child"))
+    (serial, forked), forks = serial_and_forked(monkeypatch, capsys, Site.argv)
+    assert forks == 1 and forked == serial == (1, "", "error: planted on the child's side\n")
 
 
 def test_a_parent_half_that_raises_reruns_serially(monkeypatch, capsys):
-    # Alone, the raise in this process's half is the serial run's error too.
-    # Planted on both sides, the child's comes first in the sweep's set order,
-    # so only the serial rerun of the whole split gives the serial error.
+    # Alone or beside a raise on the child's side, the raise in this process's
+    # half is the serial run's error: the seeded suite runs first.
     for sides in (["parent"], ["parent", "child"]):
-        for site in sites(monkeypatch):
-            for side in sides:
-                site.plant(side, planted_error(side))
-            first = "child" if site.name == "sweep" and len(sides) == 2 else "parent"
-            (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
-            assert forks == 1 and forked == serial == (1, "", f"error: planted on the {first}'s side\n")
+        site = Site(monkeypatch)
+        for side in sides:
+            site.plant(side, planted_error(side))
+        (serial, forked), forks = serial_and_forked(monkeypatch, capsys, site.argv)
+        assert forks == 1 and forked == serial == (1, "", "error: planted on the parent's side\n")
+        monkeypatch.undo()
 
 
 def test_a_parent_half_that_fails_once_reruns_from_the_same_draws(monkeypatch):
     # The seeded suites have drawn from the rng when they raise, so the serial
     # rerun starts from the state the split started from.
-    site = Site("suites", monkeypatch)
+    site = Site(monkeypatch)
     set_cpus(monkeypatch, 1)
     rng = random.Random(42)
     serial = verify.run_suites(list(verify.SUITES), rng, 30), rng.getstate()
@@ -682,15 +641,15 @@ def test_an_interrupted_parent_kills_and_reaps_the_child(monkeypatch):
     def interrupted():
         raise KeyboardInterrupt
 
-    for site in sites(monkeypatch):
-        site.plant("parent", interrupted)
-        site.plant("child", lambda: os.getpid() != parent and time.sleep(60))
-        set_cpus(monkeypatch, 2)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            main(site.argv)
-        assert time.monotonic() - start < 30
-        assert_no_child_left()
+    site = Site(monkeypatch)
+    site.plant("parent", interrupted)
+    site.plant("child", lambda: os.getpid() != parent and time.sleep(60))
+    set_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(site.argv)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
 
 
 def refuse_to_fork():
@@ -701,12 +660,12 @@ def test_a_failed_fork_runs_the_serial_loop(monkeypatch, capsys):
     def no_fork():
         raise BlockingIOError("no process slots")
 
-    for site in sites(monkeypatch):
-        (serial, _), _ = serial_and_forked(monkeypatch, capsys, site.argv)
-        set_cpus(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert (main(site.argv), *capsys.readouterr()) == serial
-        assert_no_child_left()
+    Site(monkeypatch)
+    (serial, _), _ = serial_and_forked(monkeypatch, capsys, Site.argv)
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert (main(Site.argv), *capsys.readouterr()) == serial
+    assert_no_child_left()
 
 
 def test_a_single_suite_runs_in_this_process(monkeypatch, capsys):
@@ -717,22 +676,22 @@ def test_a_single_suite_runs_in_this_process(monkeypatch, capsys):
 
 
 def test_a_process_with_a_second_thread_runs_serially(monkeypatch, capsys):
-    for site in sites(monkeypatch):
-        set_cpus(monkeypatch, 1)
-        serial = (main(site.argv), *capsys.readouterr())
-        set_cpus(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", refuse_to_fork)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            assert (main(site.argv), *capsys.readouterr()) == serial
-        finally:
-            release.set()
-            waiter.join(timeout=10)
-        assert not waiter.is_alive()
-        assert serial[0] == 0 and serial[1].endswith(f"result: PASS ({site.checks}/{site.checks} checks)\n")
-        assert_no_child_left()
+    site = Site(monkeypatch)
+    set_cpus(monkeypatch, 1)
+    serial = (main(site.argv), *capsys.readouterr())
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert (main(site.argv), *capsys.readouterr()) == serial
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert serial[0] == 0 and serial[1].endswith(f"result: PASS ({site.checks}/{site.checks} checks)\n")
+    assert_no_child_left()
 
 
 def test_the_child_flushes_no_inherited_buffer_and_runs_no_exit_handler():
@@ -743,12 +702,9 @@ def test_the_child_flushes_no_inherited_buffer_and_runs_no_exit_handler():
         "fork, forks = os.fork, []\n"
         "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
         "verify.SUITES['equivalence'] = lambda rng, truncation: [verify.loworder_forms(rng)]\n"
-        "exhaustive_roots = verify._exhaustive_roots\n"
-        "verify._exhaustive_roots = lambda n_max, m_max: exhaustive_roots(3, 2)\n"
         "atexit.register(print, 'exit handler')\n"
         "sys.stdout.write('buffered ')\n"
         "reports = verify.run_suites(['equivalence', 'vandermonde'], random.Random(42), 30)\n"
-        "reports.append(verify.equivalence_exhaustive())\n"
         "print([report.ok for report in reports], len(forks))\n"
     )
     src = os.path.dirname(os.path.dirname(verify.__file__))
@@ -756,4 +712,4 @@ def test_the_child_flushes_no_inherited_buffer_and_runs_no_exit_handler():
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path}
     )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "buffered [True, True, True] 2\nexit handler\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "buffered [True, True] 1\nexit handler\n", "")

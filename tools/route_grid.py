@@ -1,9 +1,8 @@
 """Time the two support-row routes of symex.esp alone, cell by cell.
 
-    python3 tools/route_grid.py --seed 13
-    python3 tools/route_grid.py --seed 13 --reps 3 --out /tmp/grid.json
-    python3 tools/route_grid.py --probes --src ../parent/src --out /tmp/parent.json
-    python3 tools/route_grid.py --tables --seed 19
+    python3 tools/route_grid.py --seed 13 --out grid.json
+    python3 tools/route_grid.py --probes --src ../parent/src --out parent.json
+    python3 tools/route_grid.py --tables --seed 19 --reps 3 --out tables.json
 
 For every cell (elements, top) of the grid below, each route of
 esp._support_rows runs alone on the slot width b = bitlen(C(N, min(top, N//2)))
@@ -296,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=13, help="seed of the grid's roots")
     parser.add_argument("--reps", type=int, default=5, help="timed batches per route and cell")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_19.json", help="JSON file whose section is written")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file whose section is written (other sections are kept)")
     parser.add_argument("--probes", action="store_true", help="time the fixed probes instead of the grid")
     parser.add_argument("--tables", action="store_true", help="time the two routes of the all-orders table instead of the grid")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ directory to import symex from")

@@ -1,6 +1,6 @@
 """Time `verify --suite all` on this tree against another, in alternating pairs.
 
-    python3 tools/verify_pairs.py --src ../parent/src [--runs 10] [--out BENCH_18.json]
+    python3 tools/verify_pairs.py --src ../parent/src --out pairs.json [--runs 10]
 
 Each pair runs both trees at one seed (1801, 1802, ... by pair).  Within a
 pair the trees take turns run by run, in the order ABBA..., and pairs
@@ -106,7 +106,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, required=True, help="the src/ directory of the tree to compare against")
     parser.add_argument("--runs", type=int, default=10, help="pairs to run")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_18.json"))
+    parser.add_argument("--out", type=Path, required=True, help="JSON file whose verify_pairs section is written")
     args = parser.parse_args()
     trees = {"this": THIS, "other": args.src.resolve()}
     servers = {tree: Server(src) for tree, src in trees.items()}
