@@ -4,7 +4,11 @@ Each sweep checks one identity over a fixed range and returns a `Report`
 whose detail says what was swept.  Over instances it adds a check, labelled
 by the instance, only for a failing one; over a fixed list it adds every
 value.  Randomized sweeps draw from the `rng` they are given, so a caller
-that shares one generator gets the same draws every run.
+that shares one generator gets the same draws every run.  A sweep named
+`..., proves n<=k` runs over the multisets of a grid with more values than
+k, so by the grid lemma a pass proves its identity for every root set of
+n <= k; the equivalence and layer sweeps do.  README's "What a pass proves"
+says why, and what the coefficient and series grids prove.
 
 `run_suites` is the one place that forks, through `_forked`: the suites
 outside `SEEDED_SUITES` run in one child while this process runs the
@@ -26,7 +30,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement
 from typing import Callable, Iterable
 
 # Routes are called through their home modules, so a patch or wrapper on
@@ -53,6 +57,12 @@ __all__ = [
 COEFF_N_MAX = 20
 COEFF_H = 12
 
+# (largest n, largest root) of each proving multiset sweep.  Its error has
+# degree at most n in each root, so a pass proves the identity for every root
+# set of that n only while the grid's m values outnumber n.
+EQUIVALENCE_GRID = (6, 7)
+LAYER_GRID = (5, 6)
+
 # Fixed root sets wide enough that the support-layer rows reach the slots where
 # the Newton-Girard route may run.  The first and third take it at some orders;
 # the second, whose roots 1 and 2 keep it off Newton, takes the packed DP there.
@@ -72,12 +82,14 @@ def _random_roots(rng: random.Random, n_low: int, n_high: int, m_max: int) -> tu
     return tuple(rng.randint(1, m_max) for _ in range(n))
 
 
-def _exhaustive_roots(n_max: int, m_max: int) -> Iterable[tuple[int, ...]]:
-    return chain.from_iterable(product(range(1, m_max + 1), repeat=n) for n in range(1, n_max + 1))
-
-
 def _multisets(n_max: int, m_max: int) -> Iterable[tuple[int, ...]]:
     return chain.from_iterable(combinations_with_replacement(range(1, m_max + 1), n) for n in range(1, n_max + 1))
+
+
+def _proving(identity: str, grid: tuple[int, int]) -> str:
+    """The name of the sweep of `identity` over _multisets(*grid), saying what a pass proves."""
+    n_max, m_max = grid
+    return f"{identity} multisets n<={n_max} m<={m_max}, proves n<={n_max}"
 
 
 def _pairs(n_max: int) -> list[tuple[int, int]]:
@@ -97,28 +109,32 @@ def _routes_agree(name: str, root_sets: Iterable[tuple[int, ...]], *sieves: Call
     """Definition, recurrence and each sieve(roots), that sieve's e_0..e_n, at
     orders 1..n of each root tuple's set and then of each WIDE_SETS set; a
     failing (elements, i) expects e_i from each sieve and the recurrence and
-    observes their values, in that order."""
+    observes their values, in that order.  Each set's rows are compared whole
+    with [1, e_1..e_n] by the definition; only a set whose rows differ is
+    checked order by order."""
     report, instances = Report(f"{name}, {len(WIDE_SETS)} wide sets"), 0
     for roots in chain(map(RootSet, root_sets), WIDE_SETS):
         per_order = esp.esp_all(roots)
         rows = [*(sieve(roots) for sieve in sieves), per_order]
-        for i in range(1, roots.n + 1):
-            instances += 1
-            by_definition = esp.esp_direct(roots, i)
-            observed = tuple(row[i] for row in rows)
-            if observed != (by_definition,) * len(rows):
-                report.add((roots.elements, i), (by_definition,) * len(rows), observed)
+        by_definition = [1] + [esp.esp_direct(roots, i) for i in range(1, roots.n + 1)]
+        instances += roots.n
+        if any(row != by_definition for row in rows):
+            for i in range(1, roots.n + 1):
+                observed = tuple(row[i] for row in rows)
+                if observed != (by_definition[i],) * len(rows):
+                    report.add((roots.elements, i), (by_definition[i],) * len(rows), observed)
     report.detail = f"{instances} instances"
     return report
 
 
 def equivalence_exhaustive() -> Report:
-    """The all-orders sieve on every multiset of 1..6 roots from 1..7.  e_i
-    minus the sieve's value is symmetric and of degree at most i <= 6 in each
-    root, so a pass (zero on every multiset, so on {1..7}^n) proves the identity
-    for every root set of n <= 6 (N. Alon, Combinatorial Nullstellensatz, CPC
-    8, 1999, Lemma 2.1).  The route code itself is checked only at the sets swept."""
-    return _routes_agree("equivalence multisets n<=6 m<=7, proves n<=6", _multisets(6, 7), esp.esp_extraction_all)
+    """The all-orders sieve on every multiset of EQUIVALENCE_GRID, 1..6 roots
+    from 1..7.  e_i minus the sieve's value is symmetric and of degree at most
+    i <= 6 in each root, so a pass (zero on every multiset, so on {1..7}^n)
+    proves the identity for every root set of n <= 6 (N. Alon, Combinatorial
+    Nullstellensatz, CPC 8, 1999, Lemma 2.1).  The route code itself is
+    checked only at the sets swept."""
+    return _routes_agree(_proving("equivalence", EQUIVALENCE_GRID), _multisets(*EQUIVALENCE_GRID), esp.esp_extraction_all)
 
 
 def equivalence_random(rng: random.Random) -> Report:
@@ -181,8 +197,12 @@ def gf_checks(truncation: int) -> list[Report]:
 
 def layer_checks() -> list[Report]:
     """Expansion coefficients of the binomial product, and the layer
-    decomposition whose top layer is e_i.  The order-4 and all-ones values
-    pin the sign convention that `symex.polyexpand` describes."""
+    decomposition whose top layer is e_i on every multiset of LAYER_GRID,
+    1..5 roots from 1..6.  Both sides of each of its two checks are
+    symmetric polynomials of degree at most i <= 5 in each root, so a pass
+    proves the decomposition for every root set of n <= 5, as for
+    `equivalence_exhaustive`.  The order-4 and all-ones values pin the sign
+    convention that `symex.polyexpand` describes."""
     quartet = {
         (1, 1): Fraction(22, 24),
         (2, 1): Fraction(-18, 24),
@@ -195,9 +215,9 @@ def layer_checks() -> list[Report]:
     ones = Report("all-ones exponent coefficient = 1 for i<=8", "8 values")
     for i in range(1, 9):
         ones.add(i, 1, polyexpand.monomial_coefficient(i, (1,) * i))
-    built = {elements: RootSet(elements) for elements in _exhaustive_roots(5, 4)}
+    built = {elements: RootSet(elements) for elements in _multisets(*LAYER_GRID)}
     cases = [(elements, i) for elements in built for i in range(1, len(elements) + 1)]
-    layers = Report("layer decomposition rebuilds the binomial, n<=5 m<=4", f"{len(cases)} instances")
+    layers = Report(_proving("layer decomposition", LAYER_GRID), f"{len(cases)} instances")
     _sweep(layers, cases, lambda elements, i: polyexpand.verify_layer_decomposition(built[elements], i))
     return [coefficients, ones, layers]
 

@@ -411,7 +411,7 @@ def test_verify_all_stdout_is_pinned(serial_verify):
         "PASS substituted series matches closed coefficients (78 (n,i) pairs, T=30)",
         "PASS order-4 two-element coefficients 22,18,4,6 over 4! (4 values)",
         "PASS all-ones exponent coefficient = 1 for i<=8 (8 values)",
-        "PASS layer decomposition rebuilds the binomial, n<=5 m<=4 (6372 instances)",
+        "PASS layer decomposition multisets n<=5 m<=6, proves n<=5 (1980 instances)",
         "PASS superset counts match C(n-t, s-t), n<=8 exhaustive (2303 instances)",
         "result: PASS (13/13 checks)",
     ]
@@ -434,7 +434,7 @@ def test_verify_all_json_is_pinned(serial_verify):
         '{"name": "substituted series matches closed coefficients", "passed": true, "detail": "78 (n,i) pairs, T=30"}, '
         '{"name": "order-4 two-element coefficients 22,18,4,6 over 4!", "passed": true, "detail": "4 values"}, '
         '{"name": "all-ones exponent coefficient = 1 for i<=8", "passed": true, "detail": "8 values"}, '
-        '{"name": "layer decomposition rebuilds the binomial, n<=5 m<=4", "passed": true, "detail": "6372 instances"}, '
+        '{"name": "layer decomposition multisets n<=5 m<=6, proves n<=5", "passed": true, "detail": "1980 instances"}, '
         '{"name": "superset counts match C(n-t, s-t), n<=8 exhaustive", "passed": true, "detail": "2303 instances"}], '
         '"passed": true}\n'
     )

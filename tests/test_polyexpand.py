@@ -78,12 +78,18 @@ def test_layer_decomposition_examples():
 
 
 def test_layer_decomposition_exhaustive_small():
-    # n <= 4 here; the n <= 5 sweep is in the acceptance suite
-    for n in range(1, 5):
-        for tup in product(range(1, 5), repeat=n):
-            roots = RootSet(tup)
-            for i in range(1, n + 1):
-                assert verify_layer_decomposition(roots, i).ok
+    # verify sweeps multisets, sorted; each table's subset memo is keyed by the
+    # tuple in the order given, so every ordering of {1..4}^n, n <= 5, is
+    # checked here.  From cold tables each ordered s-tuple is evaluated once:
+    # sum_{i<=5} sum_{s<=i} 4^s = 1,812 memo keys.
+    polyexpand._layer_table.cache_clear()
+    cases = [(RootSet(tup), i) for n in range(1, 6) for tup in product(range(1, 5), repeat=n) for i in range(1, n + 1)]
+    assert len({roots for roots, _ in cases}) == 1364 and len(cases) == 6372
+    for roots, i in cases:
+        assert verify_layer_decomposition(roots, i).ok, (roots.elements, i)
+    infos = [polyexpand._layer_table(i, s).cache_info() for i in range(1, 6) for s in range(1, i + 1)]
+    assert sum(info.misses for info in infos) == sum(info.currsize for info in infos) == 1812
+    polyexpand._layer_table.cache_clear()
 
 
 def test_coefficients_do_not_depend_on_n():
@@ -109,7 +115,7 @@ def test_monomial_coefficient_at_high_order():
 
 
 def test_layer_decomposition_outside_the_sweep():
-    # larger sets and wider roots than the n <= 5, m <= 4 sweep, at every order
+    # larger sets and wider roots than the n <= 5, m <= 6 sweep, at every order
     rng = random.Random(5)
     for n in (6, 7):
         for width in (10, 10**6):

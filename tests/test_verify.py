@@ -50,6 +50,11 @@ def swept_multisets():
     return [*verify._multisets(6, 7), *swept_wide()]
 
 
+def swept_layer_sets():
+    """The root tuples the layer sweep checks, in its order: the 461 multisets of 1..5 roots from 1..6."""
+    return list(verify._multisets(5, 6))
+
+
 def swept_random(seed):
     """The root tuples the random sweep checks at `seed`, in its order: 300 drawn sets, then the wide sets."""
     rng = random.Random(seed)
@@ -127,10 +132,8 @@ def test_layer_checks_report_a_planted_defect(monkeypatch, cold_layer_tables):
     quartet, ones, layers = verify.layer_checks()
     assert labels(quartet) == [(2, 1)] and ones.ok
     # m_a^2 m_b enters the expansion at every order from 3 on, so each of those instances fails
-    assert layers.detail == "6372 instances"
-    assert labels(layers) == [
-        (elements, i) for elements in verify._exhaustive_roots(5, 4) for i in range(3, len(elements) + 1)
-    ]
+    assert layers.detail == "1980 instances"
+    assert labels(layers) == [(elements, i) for elements in swept_layer_sets() for i in range(3, len(elements) + 1)]
 
 
 def test_layer_checks_see_a_planted_defect_in_the_definition(monkeypatch, capsys):
@@ -139,10 +142,10 @@ def test_layer_checks_see_a_planted_defect_in_the_definition(monkeypatch, capsys
     direct = esp.esp_direct
     monkeypatch.setattr(esp, "esp_direct", lambda roots, i: direct(roots, i) + (i == 2))
     _, _, layers = verify.layer_checks()
-    assert labels(layers) == [(elements, 2) for elements in verify._exhaustive_roots(5, 4) if len(elements) >= 2]
-    assert len(labels(layers)) == 1360
+    assert labels(layers) == [(elements, 2) for elements in swept_layer_sets() if len(elements) >= 2]
+    assert len(labels(layers)) == 461 - 6
     assert main(["verify", "--suite", "layers"]) == 1
-    assert "FAIL layer decomposition rebuilds the binomial" in capsys.readouterr().out
+    assert "FAIL layer decomposition multisets n<=5 m<=6, proves n<=5 (1980 instances)" in capsys.readouterr().out
 
 
 def test_layer_checks_catch_a_flipped_sign_convention(monkeypatch, cold_layer_tables):
@@ -180,9 +183,11 @@ def layer_memo_info():
 
 
 def test_layer_checks_evaluate_each_subset_once(monkeypatch, cold_layer_tables):
-    # Each memo key is an ordered s-tuple of roots in 1..4, so the sweep has
-    # sum_{i<=5} sum_{s<=i} 4^s = 1,812 of them.  Order-i, size-s tables hold
-    # C(i, s) exponent vectors, one product each: sum_{i<=5} (5^i - 1) = 3,900.
+    # Each memo key is a sorted s-tuple of roots in 1..6, a sub-multiset of a
+    # swept multiset, so the sweep has sum_{i<=5} sum_{s<=i} C(s+5, s) = 786
+    # of them.  Order-i, size-s tables hold C(i, s) exponent vectors, one
+    # product each: sum_{i<=5} sum_{s<=i} C(i, s) C(s+5, s) = 2,358.  The
+    # ordered tuples' memo is counted in tests/test_polyexpand.py.
     products = []
 
     def counted(factors):
@@ -191,12 +196,12 @@ def test_layer_checks_evaluate_each_subset_once(monkeypatch, cold_layer_tables):
 
     monkeypatch.setattr(polyexpand, "math", SimpleNamespace(prod=counted, factorial=math.factorial))
     assert all(check.ok for check in verify.layer_checks())
-    assert layer_memo_info() == (1812, 1812)
-    assert len(products) == 3900
+    assert layer_memo_info() == (786, 786)
+    assert len(products) == 2358
     products.clear()
     reports = verify.layer_checks()
-    assert all(check.ok for check in reports) and reports[2].detail == "6372 instances"
-    assert layer_memo_info() == (1812, 1812)
+    assert all(check.ok for check in reports) and reports[2].detail == "1980 instances"
+    assert layer_memo_info() == (786, 786)
     assert products == []
 
 
@@ -370,9 +375,52 @@ def test_layer_checks_build_one_root_set_per_set(monkeypatch, cold_layer_tables)
     built = []
     monkeypatch.setattr(verify, "RootSet", lambda elements: built.append(elements) or RootSet(elements))
     _, _, layers = verify.layer_checks()
-    # 6,372 (set, order) cases from 1,364 sets
-    assert layers.ok and layers.detail == "6372 instances"
-    assert built == list(verify._exhaustive_roots(5, 4)) and len(built) == 1364
+    # 1,980 (set, order) cases from 461 sets
+    assert layers.ok and layers.detail == "1980 instances"
+    assert built == swept_layer_sets() and len(built) == 461
+
+
+def plant_vanishing_layer_defect(monkeypatch):
+    # Each tuple's i!-scaled layer sum gains prod_m (m-1)(m-2)(m-3)(m-4).  It
+    # vanishes whenever a root is in 1..4, so on every tuple over {1..4}.
+    table = polyexpand._layer_table
+
+    def planted(i, s):
+        subset_sum = table(i, s)
+        return lambda ms: subset_sum(ms) + math.prod((m - 1) * (m - 2) * (m - 3) * (m - 4) for m in ms)
+
+    monkeypatch.setattr(polyexpand, "_layer_table", planted)
+
+
+def test_the_layer_sweep_catches_a_defect_that_vanishes_on_small_roots(monkeypatch, capsys):
+    plant_vanishing_layer_defect(monkeypatch)
+    # the 6,372 cases of the ordered tuples of {1..4}^n, n <= 5, all pass under it
+    ordered = [elements for n in range(1, 6) for elements in itertools.product(range(1, 5), repeat=n)]
+    for elements in ordered:
+        assert all(polyexpand.verify_layer_decomposition(RootSet(elements), i).ok for i in range(1, len(elements) + 1))
+    assert main(["verify", "--suite", "layers"]) == 1
+    assert [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["PASS", "PASS", "FAIL", "result:"]
+    # a root of 5 or 6 adds 24 or 120 to the s = 1 layer, and nothing takes
+    # it away, so every order of each multiset holding one fails
+    _, _, layers = verify.layer_checks()
+    expected = [(elements, i) for elements in swept_layer_sets() if max(elements) >= 5 for i in range(1, len(elements) + 1)]
+    assert layers.detail == "1980 instances" and len(expected) == 1476 and labels(layers) == expected
+
+
+@pytest.mark.parametrize("grid, sweep", [
+    ("EQUIVALENCE_GRID", verify.equivalence_exhaustive),
+    ("LAYER_GRID", lambda: verify.layer_checks()[2]),
+])
+def test_each_proving_sweep_has_more_values_than_its_largest_n(monkeypatch, grid, sweep):
+    # The error of each swept identity has degree at most n in each root, so
+    # "proves n<=k" holds only on a grid of more than k values per root.
+    n_max, m_max = getattr(verify, grid)
+    assert m_max > n_max
+    swept = []
+    monkeypatch.setattr(verify, "_multisets", lambda *grid: swept.append(grid) or ())
+    report = sweep()
+    assert swept == [(n_max, m_max)]
+    assert f" multisets n<={n_max} m<={m_max}, proves n<={n_max}" in report.name
 
 
 def plant_direct_factor_defect(monkeypatch):

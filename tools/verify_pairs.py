@@ -1,6 +1,6 @@
 """Time `verify --suite all` on this tree against another, in alternating pairs.
 
-    python3 tools/verify_pairs.py --src ../parent/src --out pairs.json [--runs 10]
+    python3 tools/verify_pairs.py --src ../parent/src --out pairs.json [--runs 10] [--allow-output-change]
 
 Each pair runs both trees at one seed (1801, 1802, ... by pair).  Within a
 pair the trees take turns run by run, in the order ABBA..., and pairs
@@ -16,8 +16,14 @@ on both.  A pair times two things per tree:
   times.  At the end that interpreter reports its peak RSS (RUSAGE_SELF)
   and the largest peak RSS of the children it forked (RUSAGE_CHILDREN).
 Exit code, stdout and stderr must match over every cold run of a pair, or
-the script stops.  The results go to the `verify_pairs` section of --out,
-which keeps its other sections.  Stdlib only; not part of the test suite.
+the script stops.  With --allow-output-change the two trees' outputs may
+differ, as across a recorded change to `verify`'s output: each tree's cold
+runs must still match each other, and the trees' exit codes and numbers of
+PASS/FAIL checks must match; the section then records `byte_identical:
+false` and each pair of lines that differ.  Before it stops, the
+script closes both timing interpreters.  The results go to the
+`verify_pairs` section of --out, which keeps its other sections.  Stdlib
+only; not part of the test suite.
 """
 
 import argparse
@@ -28,6 +34,7 @@ import statistics
 import subprocess
 import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 THIS = Path(__file__).resolve().parent.parent / "src"
@@ -82,6 +89,29 @@ class Server:
         return rusage
 
 
+def checks(stdout: bytes) -> int:
+    return sum(line.startswith((b"PASS ", b"FAIL ")) for line in stdout.splitlines())
+
+
+def differing_lines(seed: int, outputs: dict[str, set], allow_change: bool) -> list[dict[str, str | None]]:
+    """The lines of stdout, then of stderr, in which the two trees' cold runs
+    at `seed` differ, position by position; stops the script unless the
+    outputs may differ so."""
+    if any(len(runs) != 1 for runs in outputs.values()):
+        raise SystemExit(f"seed {seed}: a tree's cold verify outputs differ from each other")
+    (this,), (other,) = outputs["this"], outputs["other"]
+    if this != other and not allow_change:
+        raise SystemExit(f"seed {seed}: the verify outputs differ")
+    if this[0] != other[0] or checks(this[1]) != checks(other[1]):
+        raise SystemExit(f"seed {seed}: the exit codes or check counts differ")
+    return [
+        {"this": mine, "other": theirs}
+        for stream in (1, 2)
+        for mine, theirs in zip_longest(this[stream].decode().splitlines(), other[stream].decode().splitlines())
+        if mine != theirs
+    ]
+
+
 def turns(order: list[str], count: int) -> list[str]:
     """count turns of each tree, in the order ABBA..."""
     return [tree for turn in range(count) for tree in (order if turn % 2 == 0 else order[::-1])]
@@ -107,39 +137,45 @@ def main() -> None:
     parser.add_argument("--src", type=Path, required=True, help="the src/ directory of the tree to compare against")
     parser.add_argument("--runs", type=int, default=10, help="pairs to run")
     parser.add_argument("--out", type=Path, required=True, help="JSON file whose verify_pairs section is written")
+    parser.add_argument("--allow-output-change", action="store_true",
+                        help="time the trees even where their verify outputs differ, if exit codes and check counts agree")
     args = parser.parse_args()
     trees = {"this": THIS, "other": args.src.resolve()}
     servers = {tree: Server(src) for tree, src in trees.items()}
     cold_ms = {tree: [] for tree in trees}
     run_suites_ms = {tree: [] for tree in trees}
-    first = []
-    for pair in range(args.runs):
-        seed = FIRST_SEED + pair
-        order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
-        first.append(order[0])
-        elapsed, outputs = {tree: [] for tree in trees}, set()
-        for tree in turns(order, COLD):
-            ms, output = cold(trees[tree], seed)
-            elapsed[tree].append(ms)
-            outputs.add(output)
-        if len(outputs) != 1:
-            raise SystemExit(f"seed {seed}: the verify outputs differ")
-        timed = {tree: [] for tree in trees}
-        for tree in turns(order, INNER):
-            timed[tree].append(servers[tree].time_ms(seed))
-        for tree in trees:
-            cold_ms[tree].append(statistics.median(elapsed[tree]))
-            run_suites_ms[tree].append(statistics.median(timed[tree]))
-        print(f"seed {seed}: " + " ".join(f"{tree} {cold_ms[tree][-1]:.0f}/{run_suites_ms[tree][-1]:.0f} ms" for tree in order), flush=True)
-    rusage = {tree: server.close() for tree, server in servers.items()}
+    first, differing, identical = [], [], True
+    try:
+        for pair in range(args.runs):
+            seed = FIRST_SEED + pair
+            order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
+            first.append(order[0])
+            elapsed, outputs = {tree: [] for tree in trees}, {tree: set() for tree in trees}
+            for tree in turns(order, COLD):
+                ms, output = cold(trees[tree], seed)
+                elapsed[tree].append(ms)
+                outputs[tree].add(output)
+            differing += [line for line in differing_lines(seed, outputs, args.allow_output_change) if line not in differing]
+            identical = identical and outputs["this"] == outputs["other"]
+            timed = {tree: [] for tree in trees}
+            for tree in turns(order, INNER):
+                timed[tree].append(servers[tree].time_ms(seed))
+            for tree in trees:
+                cold_ms[tree].append(statistics.median(elapsed[tree]))
+                run_suites_ms[tree].append(statistics.median(timed[tree]))
+            print(f"seed {seed}: " + " ".join(f"{tree} {cold_ms[tree][-1]:.0f}/{run_suites_ms[tree][-1]:.0f} ms" for tree in order), flush=True)
+    finally:
+        rusage = {tree: server.close() for tree, server in servers.items()}
     section = {
-        "command": f"python3 tools/verify_pairs.py --src <other>/src --runs {args.runs}",
+        "command": f"python3 tools/verify_pairs.py --src <other>/src --runs {args.runs}"
+                   + " --allow-output-change" * args.allow_output_change,
         "environment": {"python": platform.python_version(), "platform": platform.platform(), "nproc": os.cpu_count()},
         "seeds": [FIRST_SEED + pair for pair in range(args.runs)],
         "first_in_pair": first,
         "cold_runs_per_pair": COLD,
         "inner_calls_per_pair": INNER,
-        "byte_identical": True,
+        "byte_identical": identical,
+        **({} if identical else {"differing_lines": differing}),
         "cold_verify_all_ms": compare(cold_ms["this"], cold_ms["other"]),
         "in_process_run_suites_ms": compare(run_suites_ms["this"], run_suites_ms["other"]),
         "peak_rss_mb": {kind: {tree: rusage[tree][kind] for tree in trees} for kind in ("self_mb", "children_mb")},
