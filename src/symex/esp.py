@@ -13,9 +13,9 @@ be inspected.  METHODS names the three per-order routes as e_i functions, and
 esp_compare runs them on one input so their values can be checked against
 each other.
 
-A bracket total sum_{|J|=s} C(sigma_J, i) comes from support-layer rows,
-whether or not the per-subset detail (n <= explain limit) enumerates the
-C(n, s) subsets beside it.  By Vandermonde,
+A bracket total sum_{|J|=s} C(sigma_J, i) comes from support-layer rows or
+from a directly filled table (both below), whether or not the per-subset
+detail (n <= explain limit) enumerates the C(n, s) subsets beside it.  By Vandermonde,
 (1+z)^m = 1 + g_m(z) with g_m(z) = (1+z)^m - 1, so
 
     sum_s y^s sum_k B[s][k] z^k = prod_j (1 + y (1+z)^{m_j})
@@ -53,12 +53,12 @@ zero for k < r, so P_r is kept shifted down r slots as well.
 Slot widths.  All terms of F are nonnegative and sum_t F[t][k] = C(N, k)
 where N = m_1+...+m_n, so F[t][k] <= C(N, k), and B[s][k] <= C(n, s) * C(N, k).
 Over k <= top, C(N, k) is largest at k = min(top, floor(N/2)), and C(n, s) is
-largest at s = floor(n/2).  So _bracket_totals, which packs F alone, takes
-b = bitlen(C(N, min(top, floor(N/2)))), and _bracket_table, whose rows hold
-B, takes b = bitlen(C(n, floor(n/2))) + that + 1 and builds the rows in those
-wider slots, so the conversion needs no repacking.  Every slot of a DP row is
-then < 2^b, a carry never reaches a kept slot, and the DP runs in b-bit
-slots.  The Newton route has signs and its P_r slots can exceed any such
+largest at s = floor(n/2).  So _bracket_totals, whose support route packs
+F alone, takes b = bitlen(C(N, min(top, floor(N/2)))) there, and a table of
+B takes b = bitlen(C(n, floor(n/2))) + that + 1 (_table_width);
+_bracket_table builds its support rows in those wider slots, so the
+conversion needs no repacking.  Every slot of a DP row is then < 2^b, a
+carry never reaches a kept slot, and the DP runs in b-bit slots.  The Newton route has signs and its P_r slots can exceed any such
 bound (P_r[k] can reach n * C(r * max m, k)), so it reasons modulo
 M = 2^(w * (top-t+1)) for row t in w-bit slots instead.  A packed integer is
 its slot polynomial evaluated at 2^w, exactly, whatever the size of its
@@ -70,14 +70,16 @@ and dividing it by t is exact.  _support_rows returns the width it used.
 Each route costs polynomially many big-int products instead of
 sum_s C(n, s) binomials.  One rule picks the route (_support_rows): Newton
 from b * top = _NEWTON_ABOVE on when every root is at least top (so no g_m
-is shorter than a row), the packed DP otherwise.  esp_extraction reads the
-top slot F[t][i] of each row with top = i and converts those few integers;
-one table with top = n holds every order's brackets, and esp_extraction_all
-reads each column i of it.
+is shorter than a row), the packed DP otherwise.  From the support rows
+esp_extraction reads the top slot F[t][i] of each row with top = i and
+converts those few integers; one table with top = n holds every order's
+brackets, and esp_extraction_all reads each column i of it.
 
-A table of B (_bracket_table) takes one of two routes, by one rule.  From
-b * top = _DIRECT_BELOW on it converts the support rows as above.  Below
-it, where a table costs more in Python steps than in big-int work, it fills
+A table of B (_bracket_table, top = n) and the brackets of one order i
+(_bracket_totals, top = i) each take one of two routes, by one rule on
+b * top, b the slot width of a table of B with that top (_table_width).
+From b * top = _DIRECT_BELOW on they convert the support rows as above.  Below
+it, where a table costs more in Python steps than in big-int work, they fill
 B directly (_direct_rows), with Kronecker substitution in both variables
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44, 2009).  The product in the first
@@ -97,7 +99,9 @@ that, gives less than 2^stride, so nothing carries into the next row.  In
 the low b(top+1) bits of each row, the new slots k <= top are sums of
 nonnegative terms below 2^b, so no carry reaches them from below and the
 mask leaves exactly the new B[s][0..top].  The route keeps the b of the
-table, since _DIRECT_BELOW <= _NEWTON_ABOVE.
+table, since _DIRECT_BELOW <= _NEWTON_ABOVE.  At top = i the brackets of
+order i are slot i of each row, the row shifted down b * i bits: the mask
+leaves nothing above it.
 """
 
 from __future__ import annotations
@@ -198,8 +202,8 @@ def esp_extraction(
     C(sum of m_j over J, i) over all (i-h)-subsets J, and is subtracted
     with weight C_h = (-1)^(h-1) * multichoose(n-i+1, h-1).
 
-    The bracket totals come from the support-layer rows of the module
-    docstring (_bracket_totals) in polynomial time.  Up to n = explain_limit
+    The bracket totals come from the support-layer rows or the direct table
+    fill of the module docstring (_bracket_totals) in polynomial time.  Up to n = explain_limit
     each term also keeps its per-subset binomials, each math.comb of a
     nonnegative subset sum; above it no subset is enumerated.
 
@@ -334,18 +338,22 @@ def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
 # From this b * top on, _support_rows takes the Newton route where every root is
 # at least top.  Read from the `newton_guard` bins of BENCH_16.json: from here up
 # Newton takes at most 0.56 of the packed DP's summed time per bin, and below
-# lie every cell of verify's random sweep (b * top at most 430), which stays
-# on the packed DP.
+# lie every cell of verify's random sweep (b * top at most 430 in the slots
+# of F), which never takes Newton.
 _NEWTON_ABOVE = 1000
 
 
-# Below this b * top, _bracket_table fills its rows directly (_direct_rows).
-# Read from the `table_grid` bins of BENCH_19.json: the direct route takes at
-# most 0.82 of the support route's summed time per bin below 500, 1.03-1.06
-# at 500-600, and 1.3 or more above.  496 = 16 * 31 sits just below, where
-# both edges 495 and 496 are b * top of tables with several rows (499 is
-# prime).  Every table of verify's exhaustive sweep (b * top at most 144) lies
-# below it and every wide set (6,245 and up) above it.
+# Below this b * top, b the slot width of a table with that top, both
+# _bracket_table (top = n) and _bracket_totals (top = i) fill their rows
+# directly (_direct_rows).  Read from the `table_grid` bins of BENCH_19.json:
+# the direct route takes at most 0.82 of the support route's summed time per
+# bin below 500, 1.03-1.06 at 500-600, and 1.3 or more above.  496 = 16 * 31
+# sits just below, where both edges 495 and 496 are b * top of tables with
+# several rows (499 is prime).  Every table of verify's exhaustive sweep
+# (b * top at most 174) lies below it, and so does every cell of a random set
+# unless n = 10 and N >= 78; every wide set (1,010 and up) lies above it.
+# Per order, on sieve_compact's cells below it, the direct fill gains below
+# b * i = 300, loses at 300-495 and gains in sum, so one rule serves both.
 _DIRECT_BELOW = 496
 
 
@@ -355,13 +363,19 @@ def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
     there on each support row is moved back up to slots t..top and summed
     with the coefficients C(n-t, s-t).  Every coefficient is nonnegative and every
     B[s][k] < 2^b, so the packed sums carry nothing between slots."""
-    n, total = len(elements), sum(elements)
-    b = comb(n, n // 2).bit_length() + comb(total, min(top, total // 2)).bit_length() + 1
+    b = _table_width(elements, top)
     if b * top < _DIRECT_BELOW:
         return _direct_rows(elements, top, b), b
     support, b = _support_rows(elements, top, b)
     rows = [row << (b * t) for t, row in enumerate(support)]
-    return [sum(map(mul, coefficients, rows)) for coefficients in _conversion(n, top)], b
+    return [sum(map(mul, coefficients, rows)) for coefficients in _conversion(len(elements), top)], b
+
+
+def _table_width(elements: Sequence[int], top: int) -> int:
+    """The slot width b of a table of B with slots 0..top, as the module
+    docstring bounds it: bitlen(C(n, floor(n/2))) + bitlen(C(N, min(top, floor(N/2)))) + 1."""
+    n, total = len(elements), sum(elements)
+    return comb(n, n // 2).bit_length() + comb(total, min(top, total // 2)).bit_length() + 1
 
 
 def _direct_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
@@ -386,8 +400,13 @@ def _direct_layout(top: int, b: int) -> tuple[int, int, int]:
 
 
 def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
-    """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1, converted from the top slot
+    """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1.  Below b * i = _DIRECT_BELOW,
+    b the width of a table with top = i, they are slot i of the rows that
+    _direct_rows fills; from there on they are converted from the top slot
     F[t][i] of each support row alone, in slots as wide as F needs."""
+    b = _table_width(elements, i)
+    if b * i < _DIRECT_BELOW:
+        return [row >> (b * i) for row in _direct_rows(elements, i, b)]
     total = sum(elements)
     b = comb(total, min(i, total // 2)).bit_length()
     support, b = _support_rows(elements, i, b)

@@ -425,6 +425,28 @@ def test_table_routes_agree_at_the_direct_rule(monkeypatch):
             assert taken == [route] and tables[route][1] * top == area
 
 
+def test_per_order_brackets_take_the_direct_rule(monkeypatch):
+    # per order the rule reads b * i, b the width of a table with top = i:
+    # _DIRECT_BELOW - 1 reads slot i of the direct fill, _DIRECT_BELOW
+    # converts the top slots of the support rows; both give the enumerated
+    # brackets
+    taken = []
+    for route in ("direct", "support"):
+        run = getattr(esp, f"_{route}_rows")
+        monkeypatch.setattr(esp, f"_{route}_rows", lambda *args, run=run, route=route: taken.append(route) or run(*args))
+    rule = esp._DIRECT_BELOW
+    for area, route in ((rule - 1, "direct"), (rule, "support")):
+        cells = _tables_of_area(area)
+        assert len(cells) >= 3, area
+        for elements, i in cells:
+            brackets = [row[i] for row in _enumerated_table(elements, i)]
+            for forced, below in (("direct", math.inf), ("support", 0), (route, rule)):
+                monkeypatch.setattr(esp, "_DIRECT_BELOW", below)
+                taken.clear()
+                assert esp._bracket_totals(elements, i) == brackets, (elements, i, forced)
+                assert taken == [forced]
+
+
 # Narrow roots put top >= N/2, where C(N, k) peaks inside the kept slots.
 mixed_roots = st.one_of(st.integers(1, 3), wide_roots)
 

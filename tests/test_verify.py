@@ -333,29 +333,40 @@ def _wide(label):
 
 def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
     # both support-row routes, the packed DP and the Newton-Girard route, and
-    # the direct fill of small tables.
+    # the direct fill of small tables and per-order brackets.
     runs = {"direct": [], "packed": [], "newton": []}
     for route in runs:
         kernel = getattr(esp, f"_{route}_rows")
 
         def counted(elements, top, b, kernel=kernel, route=route):
-            runs[route].append((tuple(elements), b * top))
+            runs[route].append((tuple(elements), top, b * top))
             return kernel(elements, top, b)
 
         monkeypatch.setattr(esp, f"_{route}_rows", counted)
     wide = {roots.elements for roots in verify.WIDE_SETS}
-    for sweep, swept in ((verify.equivalence_exhaustive, swept_multisets()), (lambda: verify.equivalence_random(random.Random(42)), swept_random(42))):
+    sweeps = (
+        # the all-orders table alone, top = n
+        (verify.equivalence_exhaustive, swept_multisets(), lambda n: [n]),
+        # the per-order brackets at each order >= 2, top = i, then the table
+        (lambda: verify.equivalence_random(random.Random(42)), swept_random(42), lambda n: [*range(2, n + 1), n]),
+    )
+    for sweep, swept, tops in sweeps:
         for taken in runs.values():
             taken.clear()
         assert sweep().ok
-        # every multiset's table is filled directly, once, and so is every
-        # random set's at this seed; no wide set's is
-        assert [elements for elements, _ in runs["direct"]] == swept[:-3]
+        # every multiset's table is filled directly, once; at this seed so is
+        # every random set's, and every one of its per-order bracket rows; no
+        # wide set's is
+        assert [(elements, top) for elements, top, _ in runs["direct"]] == [
+            (elements, top) for elements in swept[:-3] for top in tops(len(elements))
+        ]
         # the Newton route runs on the wide sets, at least once, and on nothing else
-        assert runs["newton"] and {elements for elements, _ in runs["newton"]} <= wide
-        # WIDE_SETS[1]'s roots 1 and 2 keep it off Newton: it is the one set
-        # whose packed rows reach the wide slots where Newton may run
-        assert {elements for elements, area in runs["packed"] if area >= esp._NEWTON_ABOVE} == {verify.WIDE_SETS[1].elements}
+        assert runs["newton"] and {elements for elements, *_ in runs["newton"]} <= wide
+        # so does the packed DP; WIDE_SETS[1]'s roots 1 and 2 keep it off
+        # Newton: it is the one set whose packed rows reach the wide slots
+        # where Newton may run
+        assert {elements for elements, *_ in runs["packed"]} <= wide
+        assert {elements for elements, _, area in runs["packed"] if area >= esp._NEWTON_ABOVE} == {verify.WIDE_SETS[1].elements}
 
 
 def test_each_sweep_builds_one_root_set_per_swept_set(monkeypatch, serial_verify):
@@ -451,13 +462,40 @@ def test_verify_fails_when_the_direct_table_route_is_wrong(monkeypatch, capsys, 
     plant(monkeypatch)
     assert main(["verify", "--suite", "equivalence"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    # both sweeps fill small tables directly, the random one for the all-orders sieve only
+    # both sweeps fill small tables directly, and the random one its per-order brackets too
     assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
     failed = labels(verify.equivalence_exhaustive())
     assert failed and not any(map(_wide, failed))
     wrong = verify.equivalence_random(random.Random(42)).failures()
     assert wrong and not any(_wide(check.label) for check in wrong)
-    assert all(check.observed[0] == check.observed[2] == check.expected[0] for check in wrong)
+    # observed is (per order, all orders, recurrence): each sieve fails, the recurrence never
+    assert all(check.observed[2] == check.expected[0] for check in wrong)
+    assert all(any(check.observed[route] != check.expected[0] for check in wrong) for route in (0, 1))
+
+
+def plant_packed_mask_defect(monkeypatch):
+    rows = esp._packed_rows
+
+    def short(elements, top, b):
+        # each row's mask one slot short: row t loses F[t][top], the slot the
+        # per-order brackets read.  Row t + 1 reads only slots of row t below
+        # that one, so masking the returned rows equals masking every step.
+        return [row & ((1 << (b * (top - t))) - 1) for t, row in enumerate(rows(elements, top, b))]
+
+    monkeypatch.setattr(esp, "_packed_rows", short)
+
+
+def test_verify_fails_when_the_packed_rows_are_one_slot_short(monkeypatch, capsys):
+    plant_packed_mask_defect(monkeypatch)
+    assert main(["verify", "--suite", "equivalence"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
+    # No multiset, and no random set at this seed, reaches the packed DP;
+    # WIDE_SETS[1], whose roots 1 and 2 keep it off Newton, does: its table at
+    # order 6, and its per-order brackets at every order >= 2.
+    odd_one = verify.WIDE_SETS[1].elements
+    assert labels(verify.equivalence_exhaustive()) == [(odd_one, 6)]
+    assert labels(verify.equivalence_random(random.Random(42))) == [(odd_one, i) for i in range(2, 7)]
 
 
 def plant_newton_defect(monkeypatch):

@@ -2,6 +2,9 @@
 
     python3 tools/verify_pairs.py --src ../parent/src --out pairs.json [--runs 10] [--allow-output-change]
 
+--runs is at least 2, since each side's summary takes quartiles; below
+that the script refuses with a usage error (exit 2) before any timing.
+
 Each pair runs both trees at one seed (1801, 1802, ... by pair).  Within a
 pair the trees take turns run by run, in the order ABBA..., and pairs
 alternate which tree goes first, so a slow phase of a shared machine falls
@@ -140,6 +143,9 @@ def main() -> None:
     parser.add_argument("--allow-output-change", action="store_true",
                         help="time the trees even where their verify outputs differ, if exit codes and check counts agree")
     args = parser.parse_args()
+    if args.runs < 2:
+        # the quartiles of each side's summary need two pairs at least
+        parser.error(f"--runs must be at least 2, got {args.runs}")
     trees = {"this": THIS, "other": args.src.resolve()}
     servers = {tree: Server(src) for tree, src in trees.items()}
     cold_ms = {tree: [] for tree in trees}
