@@ -58,19 +58,20 @@ F alone, takes b = bitlen(C(N, min(top, floor(N/2)))) there, and a table of
 B takes b = bitlen(C(n, floor(n/2))) + that + 1 (_table_width);
 _bracket_table builds its support rows in those wider slots, so the
 conversion needs no repacking.  Every slot of a DP row is then < 2^b, a
-carry never reaches a kept slot, and the DP runs in b-bit slots.  The Newton route has signs and its P_r slots can exceed any such
-bound (P_r[k] can reach n * C(r * max m, k)), so it reasons modulo
-M = 2^(w * (top-t+1)) for row t in w-bit slots instead.  A packed integer is
-its slot polynomial evaluated at 2^w, exactly, whatever the size of its
-slots; so the alternating sum of the cut products is congruent mod M to the
-slots of t * F_t, and those lie in [0, t * 2^b).  With w = b + bitlen(top-1)
-every such slot is < 2^w, so the sum reduced mod M is exactly t * F_t packed,
-and dividing it by t is exact.  _support_rows returns the width it used.
+carry never reaches a kept slot, and the DP runs in b-bit slots.  The Newton
+route has signs and its P_r slots can exceed any such bound (P_r[k] can reach
+n * C(r * max m, k)), so it reasons modulo M = 2^(w * (top-t+1)) for row t in
+w-bit slots instead.  A packed integer is its slot polynomial evaluated at
+2^w, exactly, whatever the size of its slots; so the alternating sum of the
+cut products is congruent mod M to the slots of t * F_t, and those lie in
+[0, t * 2^b).  With w = b + bitlen(top-1) every such slot is < 2^w, so the
+sum reduced mod M is exactly t * F_t packed, and dividing it by t is exact.
+_support_rows returns the width it used.
 
 Each route costs polynomially many big-int products instead of
-sum_s C(n, s) binomials.  One rule picks the route (_support_rows): Newton
-from b * top = _NEWTON_ABOVE on when every root is at least top (so no g_m
-is shorter than a row), the packed DP otherwise.  From the support rows
+sum_s C(n, s) binomials.  One rule picks the route (_support_rows), by the
+roots alone: Newton when every root is at least top (so no g_m is shorter
+than a row), the packed DP otherwise.  From the support rows
 esp_extraction reads the top slot F[t][i] of each row with top = i and
 converts those few integers; one table with top = n holds every order's
 brackets, and esp_extraction_all reads each column i of it.
@@ -98,8 +99,8 @@ below 2^(b(top+1)), f_m below 2^(b(min(m, top)+1)), and their product below
 that, gives less than 2^stride, so nothing carries into the next row.  In
 the low b(top+1) bits of each row, the new slots k <= top are sums of
 nonnegative terms below 2^b, so no carry reaches them from below and the
-mask leaves exactly the new B[s][0..top].  The route keeps the b of the
-table, since _DIRECT_BELOW <= _NEWTON_ABOVE.  At top = i the brackets of
+mask leaves exactly the new B[s][0..top].  The route never calls
+_support_rows, so it keeps the b of the table.  At top = i the brackets of
 order i are slot i of each row, the row shifted down b * i bits: the mask
 leaves nothing above it.
 """
@@ -268,9 +269,9 @@ def _support_rows(elements: Sequence[int], top: int, b: int) -> tuple[list[int],
     for t < top with row t shifted down t slots, and the slot width they are
     packed in.  Exact when every F[t][k] < 2^b, which needs nonnegative
     elements.  One rule picks the route: _newton_rows, in b + bitlen(top-1)-bit
-    slots, where every root is at least top and b * top >= _NEWTON_ABOVE;
-    else _packed_rows, in b-bit slots."""
-    if b * top >= _NEWTON_ABOVE and min(elements) >= top:
+    slots, where every root is at least top; else _packed_rows, in b-bit
+    slots."""
+    if min(elements) >= top:
         width = b + (top - 1).bit_length()
         return _newton_rows(elements, top, width), width
     return _packed_rows(elements, top, b), b
@@ -333,14 +334,6 @@ def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
     weighted = [p * sum(map(lshift, map(mul, column, ratios), shifts)) for p, column in zip(sums, falling)]
     second = zip_longest(*map(_stirling_second_row, range(top + 1)), fillvalue=0)
     return [sum(map(mul, column, weighted)) // ratios[r] >> (b * r) if r else 0 for r, column in zip(range(top), second)]
-
-
-# From this b * top on, _support_rows takes the Newton route where every root is
-# at least top.  Read from the `newton_guard` bins of BENCH_16.json: from here up
-# Newton takes at most 0.56 of the packed DP's summed time per bin, and below
-# lie every cell of verify's random sweep (b * top at most 430 in the slots
-# of F), which never takes Newton.
-_NEWTON_ABOVE = 1000
 
 
 # Below this b * top, b the slot width of a table with that top, both

@@ -63,15 +63,15 @@ COEFF_H = 12
 EQUIVALENCE_GRID = (6, 7)
 LAYER_GRID = (5, 6)
 
-# Fixed root sets wide enough that the support-layer rows reach the slots where
-# the Newton-Girard route may run.  The first and third take it at some orders;
-# the second, whose roots 1 and 2 keep it off Newton, takes the packed DP there.
-# All three tables, and their per-order brackets, lie above esp._DIRECT_BELOW,
-# so both sweeps also check the support rows and their conversion.  Every
-# multiset's table is filled directly.  So are a random set's table and its
-# per-order brackets at every order, unless n = 10 and N >= 78 (C(N, 10) >=
-# 2^40), where order 10 and the table take the packed DP: the wide sets are
-# where the sweeps check the packed DP.
+# Fixed root sets wide enough that all three tables, and their per-order
+# brackets, lie above esp._DIRECT_BELOW, so both sweeps also check the support
+# rows and their conversion.  The first and third, whose roots are all wide,
+# take the Newton-Girard route at every order; the second, whose roots 1 and 2
+# keep it off Newton, takes the packed DP.  Every multiset's table is filled
+# directly.  So are a random set's table and its per-order brackets at every
+# order, unless n = 10 and N >= 78 (C(N, 10) >= 2^40), where order 10 and the
+# table take the packed DP: the wide sets are where the sweeps check the
+# packed DP.
 WIDE_SETS = (
     RootSet(((1 << 256) - 1,) * 5),
     RootSet((3**160, 1, 5**110 + 2, 2, 3**160, 7**90)),

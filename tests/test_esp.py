@@ -401,7 +401,7 @@ def _tables_of_area(area):
 def test_table_routes_agree_at_the_direct_rule(monkeypatch):
     # b * top = _DIRECT_BELOW - 1 is filled directly, _DIRECT_BELOW from the
     # support rows; both routes give the same rows in the same b-bit slots
-    assert esp._DIRECT_BELOW == 496 and esp._DIRECT_BELOW <= esp._NEWTON_ABOVE
+    assert esp._DIRECT_BELOW == 496
     taken = []
     for route in ("direct", "support"):
         run = getattr(esp, f"_{route}_rows")
@@ -628,7 +628,8 @@ def _random_roots(rng, n, bits):
 
 def _pinned_cells():
     rng = random.Random(13)
-    packed = [((9,) * n, top) for n in range(1, 11) for top in range(1, n + 1)]  # the largest random-sweep sets
+    # the largest random-sweep sets: a root of 9 keeps top = 10 on the DP
+    packed = [((9,) * 10, 10)]
     packed.append((tuple(rng.randint(1, 9) for _ in range(200)), 100))
     # short factors: one root below top keeps a sieve_compact-like cell on the DP
     packed += [((3, *_random_roots(rng, n - 1, bits)), top) for n, bits, top in ((14, 30, 6), (16, 24, 9), (18, 20, 12))]
@@ -645,6 +646,8 @@ def _pinned_cells():
     newton.append((tuple(rng.randrange(10**399, 10**400) for _ in range(12)), 6))
     newton.append(((10, *_random_roots(rng, 15, 30)), 10))  # the smallest root equal to top
     newton.append((((1 << 500) - 1,) * 40, 20))
+    # the random-sweep sets below top = 10, whose slots are a few bits wide
+    newton += [((9,) * n, top) for n in range(1, 11) for top in range(1, min(n, 9) + 1)]
     return {"packed": packed, "newton": newton}
 
 
@@ -652,19 +655,70 @@ def test_support_kernel_choice_is_pinned(monkeypatch):
     for route, cells in _pinned_cells().items():
         for elements, top in cells:
             assert _kernel_taken(monkeypatch, elements, top, _support_width(elements, top)) == [route], (len(elements), top)
-    # every ordered tuple of {1..4}^n, n <= 6, in the all-orders table's wider slots
+    # every ordered tuple of {1..4}^n, n <= 6, in the all-orders table's wider
+    # slots: Newton for the 4 + 9 + 8 + 1 tuples whose roots are all at least n
+    newton = []
     for n in range(1, 7):
         for elements in product(range(1, 5), repeat=n):
             b = math.comb(n, n // 2).bit_length() + _support_width(elements, n) + 1
-            assert _kernel_taken(monkeypatch, elements, n, b) == ["packed"]
+            taken = _kernel_taken(monkeypatch, elements, n, b)
+            if taken == ["newton"]:
+                newton.append(elements)
+            else:
+                assert taken == ["packed"]
+    assert newton == [elements for n in range(1, 5) for elements in product(range(n, 5), repeat=n)]
+    assert len(newton) == 22
+    # the slot width alone never moves the choice: b * top from 8 to 80,000 bits
+    for b in (1, 124, 125, 10_000):
+        assert _kernel_taken(monkeypatch, (1 << 40,) * 8, 8, b) == ["newton"]
+        assert _kernel_taken(monkeypatch, (7, *(1 << 40,) * 7), 8, b) == ["packed"]
 
 
-def test_route_guards_sit_at_their_constants(monkeypatch):
-    # b * top = _NEWTON_ABOVE opens the Newton route, at exactly its constant
-    # (top = 8, so b = area / 8)
-    assert esp._NEWTON_ABOVE == 1000
-    for area, route in ((992, "packed"), (1000, "newton"), (4992, "newton"), (5000, "newton")):
-        assert _kernel_taken(monkeypatch, (1 << 40,) * 8, 8, area // 8) == [route], area
+def _cells_above_the_direct_rule():
+    # (elements, top) with every root at least top and b * top in 496..999, b
+    # the slot width _bracket_totals packs F in: n = top and n = 8 random roots,
+    # at the narrowest and the widest root width whose cell lies in the band
+    rng = random.Random(7)
+    cells = []
+    for top in range(2, 9):
+        for n in sorted({top, 8}):
+            band = []
+            for bits in range(2, 260):
+                elements = _random_roots(rng, n, bits)
+                if min(elements) >= top and esp._DIRECT_BELOW <= _support_width(elements, top) * top <= 999:
+                    band.append(elements)
+            cells += [(band[0], top), (band[-1], top)]
+    return cells
+
+
+def test_support_kernel_reads_the_roots_alone_just_above_the_direct_rule(monkeypatch):
+    # Newton where every root is at least top, whatever b * top is; the same
+    # cell with one root at top - 1 takes the packed DP.  Each kernel's rows are
+    # the enumerated support sums, and so are the per-order sieve's brackets.
+    taken = []
+    for route in ROUTES:
+        run = getattr(esp, f"_{route}_rows")
+        monkeypatch.setattr(esp, f"_{route}_rows", lambda *args, run=run, route=route: taken.append(route) or run(*args))
+    cells = _cells_above_the_direct_rule()
+    areas = [_support_width(elements, top) * top for elements, top in cells]
+    assert len(cells) == 26 and min(areas) < 500 and max(areas) > 990
+    for elements, top in cells:
+        for cell, route in ((elements, "newton"), ((top - 1, *elements[1:]), "packed")):
+            b = _support_width(cell, top)
+            taken.clear()
+            rows, width = esp._support_rows(cell, top, b)
+            assert taken == [route] and width == (_newton_width(top, b) if route == "newton" else b), (cell, top)
+            support = _enumerated_support(cell, top)
+            assert rows == [sum(support[t][k] << (width * (k - t)) for k in range(t, top + 1)) for t in range(top)]
+            # the per-order sieve at i = top converts support rows here
+            assert _table_width(cell, top) * top >= esp._DIRECT_BELOW
+            roots = RootSet(cell)
+            taken.clear()
+            value, breakdown = esp_extraction(roots, top, explain_limit=0)
+            assert taken == [route]
+            brackets = [row[top] for row in _enumerated_table(cell, top)]
+            assert [term.bracket_total for term in breakdown.terms] == brackets[top - 1 : 0 : -1]
+            assert value == esp_all(roots)[top]
 
 
 def _per_order_sieve(roots):

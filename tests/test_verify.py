@@ -339,11 +339,10 @@ def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
         kernel = getattr(esp, f"_{route}_rows")
 
         def counted(elements, top, b, kernel=kernel, route=route):
-            runs[route].append((tuple(elements), top, b * top))
+            runs[route].append((tuple(elements), top))
             return kernel(elements, top, b)
 
         monkeypatch.setattr(esp, f"_{route}_rows", counted)
-    wide = {roots.elements for roots in verify.WIDE_SETS}
     sweeps = (
         # the all-orders table alone, top = n
         (verify.equivalence_exhaustive, swept_multisets(), lambda n: [n]),
@@ -357,16 +356,12 @@ def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
         # every multiset's table is filled directly, once; at this seed so is
         # every random set's, and every one of its per-order bracket rows; no
         # wide set's is
-        assert [(elements, top) for elements, top, _ in runs["direct"]] == [
-            (elements, top) for elements in swept[:-3] for top in tops(len(elements))
-        ]
-        # the Newton route runs on the wide sets, at least once, and on nothing else
-        assert runs["newton"] and {elements for elements, *_ in runs["newton"]} <= wide
-        # so does the packed DP; WIDE_SETS[1]'s roots 1 and 2 keep it off
-        # Newton: it is the one set whose packed rows reach the wide slots
-        # where Newton may run
-        assert {elements for elements, *_ in runs["packed"]} <= wide
-        assert {elements for elements, _, area in runs["packed"] if area >= esp._NEWTON_ABOVE} == {verify.WIDE_SETS[1].elements}
+        assert runs["direct"] == [(elements, top) for elements in swept[:-3] for top in tops(len(elements))]
+        # the Newton route runs on WIDE_SETS[0] and [2], whose roots are all
+        # wide, and on nothing else; the packed DP runs on WIDE_SETS[1], whose
+        # roots 1 and 2 keep it off Newton, and on nothing else
+        assert {elements for elements, _ in runs["newton"]} == {verify.WIDE_SETS[w].elements for w in (0, 2)}
+        assert {elements for elements, _ in runs["packed"]} == {verify.WIDE_SETS[1].elements}
 
 
 def test_each_sweep_builds_one_root_set_per_swept_set(monkeypatch, serial_verify):

@@ -25,9 +25,10 @@ takes some n * top products of rows up to b * top bits wide, and on the grid
 it takes about half a second or more per call above that size.
 
 The report holds the summed route times for fixed choices, for esp's choice
-and for a per-cell oracle, and the Newton-over-packed time of eligible cells
-by b * top, which places the guard esp._NEWTON_ABOVE.  It is printed, and
-stored as the `layer` section of --out (other sections are kept).
+and for a per-cell oracle, and how many cells esp's choice wins.  esp picks
+by the roots alone (Newton where every root is at least top), so the report
+checks that rule against the per-cell oracle.  It is printed, and stored as
+the `layer` section of --out (other sections are kept).
 
 --probes times whole per-order sieves (esp.esp_extraction with no detail)
 on a few fixed wide inputs instead, best of --reps calls each, and stores a
@@ -70,7 +71,6 @@ MAX_CELL_BITS = 3_000_000
 GRID_N = (4, 6, 8, 12, 16, 20, 24, 30, 36)
 GRID_WIDTHS = (1, 3, 8, 20, 40, 80, 160, 320, 500)
 GRID_FRACTIONS = (0.3, 0.6, 1.0)
-AREA_BINS = (0, 250, 500, 750, 1000, 1500, 2000, 3000, 5000)
 TABLE_N = (*range(1, 17), 18, 20, 24, 30)
 TABLE_WIDTHS = range(1, 13)
 TABLE_BINS = (0, 150, 300, 400, 450, 500, 550, 600, 750, 1000, 1500, 2500, 5000, 10000, 10**9)
@@ -200,25 +200,6 @@ def summarize(rows: list[dict]) -> dict:
     }
 
 
-def guard_bins(rows: list[dict]) -> list[dict]:
-    """Newton over packed, by b * top, over the cells where Newton may run."""
-    bins = []
-    for low, high in zip(AREA_BINS, AREA_BINS[1:]):
-        cells = [row for row in rows if low <= row["b"] * row["top"] < high and "newton" in row["observed_s"]]
-        if not cells:
-            continue
-        newton = sum(row["observed_s"]["newton"] for row in cells)
-        packed = sum(row["observed_s"]["packed"] for row in cells)
-        bins.append({
-            "b_times_top": [low, high],
-            "cells": len(cells),
-            "newton_over_packed": round(newton / packed, 3),
-            "newton_slower_cells": sum(row["observed_s"]["newton"] > row["observed_s"]["packed"] for row in cells),
-            "worst_cell_ratio": round(max(row["observed_s"]["newton"] / row["observed_s"]["packed"] for row in cells), 2),
-        })
-    return bins
-
-
 def table_cells(seed: int) -> list[tuple[str, tuple[int, ...]]]:
     rng = random.Random(seed)
     cells = []
@@ -278,7 +259,7 @@ def run_tables(args: argparse.Namespace) -> dict:
         "what": "each route of esp._bracket_table timed alone per cell (top = n): the direct fill and the support rows with their conversion; the rule _DIRECT_BELOW",
         "command": f"python3 tools/route_grid.py --tables --seed {args.seed} --reps {args.reps}",
         "environment": {"python": platform.python_version(), "platform": platform.platform(), "machine": platform.machine()},
-        "constants": {"direct_below": esp._DIRECT_BELOW, "newton_above": esp._NEWTON_ABOVE},
+        "constants": {"direct_below": esp._DIRECT_BELOW},
         "route_ms": {route: round(sum(row["observed_s"][route] for row in rows) * 1e3, 2) for route in TABLE_ROUTES},
         "direct_guard": table_bins(rows),
         "seconds": round(time.perf_counter() - started, 1),
@@ -331,15 +312,14 @@ def main(argv: list[str] | None = None) -> int:
     grid = [row for row in rows if row["source"] != "sieve"]
     sieve = [row for row in rows if row["source"] == "sieve"]
     layer = {
-        "what": "each route of esp._support_rows timed alone per cell; esp's choice between them; the Newton guard",
+        "what": "each route of esp._support_rows timed alone per cell; esp's choice between them against the per-cell oracle",
         "command": f"python3 tools/route_grid.py --seed {args.seed} --reps {args.reps}",
         "environment": {"python": platform.python_version(), "platform": platform.platform(), "machine": platform.machine()},
-        "constants": {"newton_above": esp._NEWTON_ABOVE, "max_cell_bits": MAX_CELL_BITS},
+        "constants": {"max_cell_bits": MAX_CELL_BITS},
         "skipped_cells": skipped,
         "all": summarize(rows),
         "grid": summarize(grid),
         "sieve": summarize(sieve),
-        "newton_guard": guard_bins(rows),
         "seconds": round(time.perf_counter() - started, 1),
         "cells_columns": ["source", "n", "top", "max_bits", "b", "full", "chosen", "packed_us", "newton_us"],
         "cells": [
