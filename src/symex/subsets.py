@@ -2,14 +2,21 @@
 
 Subsets are 1-based, strictly increasing tuples, always emitted in
 lexicographic order so that breakdowns and fixtures are byte-stable.
+
+Two counters give the superset side of the multiplicity lemma (each
+t-subset lies in C(n-t, s-t) of the s-subsets) by enumeration, never by the
+formula.  count_containing_supersets answers one query in O(1) memory at any
+n.  superset_counts answers every query of one (n, s) from a single pass
+over the s-subsets, the form an exhaustive sweep over all t-subsets wants.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
-__all__ = ["IndexSubset", "k_subsets", "count_containing_supersets"]
+__all__ = ["IndexSubset", "k_subsets", "count_containing_supersets", "superset_counts"]
 
 IndexSubset = tuple[int, ...]
 
@@ -41,3 +48,15 @@ def count_containing_supersets(n: int, fixed: Sequence[int], s: int) -> int:
         raise ValueError(f"superset size {s} out of range {len(fixed)}..{n}")
     wanted = set(fixed)
     return sum(1 for J in k_subsets(n, s) if wanted.issubset(J))
+
+
+def superset_counts(n: int, s: int) -> Counter[IndexSubset]:
+    """Count, by one pass over the s-subsets J of {1..n}, the s-subsets
+    containing each subset F of size at most s: every J adds one to each of
+    its subsets combinations(J, t), t = 0..s, so counts[F] equals
+    count_containing_supersets(n, F, s).  That is sum_s C(n, s) 2^s = 3^n
+    tuples over all s, where one scan per F makes C(n, s) containment tests.
+    """
+    if not 0 <= s <= n:
+        raise ValueError(f"superset size {s} out of range 0..{n}")
+    return Counter(chain.from_iterable(combinations(J, t) for J in k_subsets(n, s) for t in range(s + 1)))

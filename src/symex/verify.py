@@ -225,14 +225,18 @@ def layer_checks() -> list[Report]:
 
 
 def multiplicity_check() -> Report:
+    """Each t-subset of {1..n} lies in C(n-t, s-t) of the s-subsets, for every
+    t <= s <= n <= 8: the counted side of each (n, s) is one superset_counts
+    pass, an enumeration independent of the formula."""
     report = Report("superset counts match C(n-t, s-t), n<=8 exhaustive")
     instances = 0
     for n in range(1, 9):
         for s in range(n + 1):
+            counts = subsets.superset_counts(n, s)
             for t in range(s + 1):
                 for fixed in subsets.k_subsets(n, t):
                     instances += 1
-                    counted = subsets.count_containing_supersets(n, fixed, s)
+                    counted = counts[fixed]
                     expected = bigcomb.binomial_first(n - t, s - t)
                     if counted != expected:
                         report.add((n, fixed, s), expected, counted)

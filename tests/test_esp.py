@@ -314,35 +314,41 @@ def test_compact_sieve_is_polynomial_time(capsys):
     assert elapsed < 5.0
 
 
-@pytest.fixture
-def cold_factors():
-    # The packed factors live for the whole process: start from none, and drop
-    # any built under a patch so no later test sees them.
-    esp._binomial_factor.cache_clear()
-    yield
-    esp._binomial_factor.cache_clear()
+def _slot_by_slot_factor(m, top, b):
+    return sum(math.comb(m, k) << (b * k) for k in range(min(m, top) + 1))
 
 
-def test_bracket_totals_build_one_factor_per_distinct_root(monkeypatch, cold_factors):
-    calls = []
+@pytest.mark.parametrize("top", [1, 2, 5, 9])
+@pytest.mark.parametrize("slack", [0, 3, 17])
+def test_binomial_factor_is_the_slot_by_slot_packing(top, slack):
+    # either side of the pow rule at 64, a root at and just past top, and a
+    # 40-bit root; b as narrow as the largest kept C(m, k) allows, and wider
+    for m in (top, top + 1, 63, 64, (1 << 40) - 3):
+        b = max(math.comb(m, k).bit_length() for k in range(min(m, top) + 1)) + slack
+        assert esp._binomial_factor(m, top, b) == _slot_by_slot_factor(m, top, b)
 
-    def counted(m, k):
-        calls.append((m, k))
-        return binomial_first(m, k)
 
-    monkeypatch.setattr(esp, "binomial_first", counted)
-    assert esp._bracket_totals((1,) * 8, 5) == [0] * 5
-    assert sorted(calls) == [(1, 1)]
-    # the factor is kept: the same table again builds none
-    calls.clear()
-    assert esp._bracket_totals((1,) * 8, 5) == [0] * 5
-    assert calls == []
-    calls.clear()
-    elements = (3, 1, 3, 1, 3)
-    assert esp._bracket_totals(elements, 3) == [
-        sum(binomial_first(sum(combo), 3) for combo in combinations(elements, s)) for s in range(3)
+def test_bracket_totals_do_not_depend_on_the_calls_before_them():
+    # cells that share roots at other orders and slot widths, on both sides of
+    # the pow rule, plus one wide enough to take the packed support route
+    cells = [
+        ((1,) * 8, 5),
+        ((3, 1, 3, 1, 3), 3),
+        ((3, 1, 3, 1, 3), 5),
+        ((3, 1, 3, 1, 3, 70, 70), 5),
+        ((63, 64, 2, 9), 3),
+        ((63, 64, 2, 9), 4),
+        (((1 << 40) - 1, 5, (1 << 39) + 7, 1, 3), 4),
     ]
-    assert sorted(calls) == [(1, 1), (3, 1), (3, 2), (3, 3)]
+    assert esp._table_width(*cells[-1]) * 4 >= esp._DIRECT_BELOW
+    expected = {
+        cell: [sum(math.comb(sum(combo), cell[1]) for combo in combinations(cell[0], s)) for s in range(cell[1])]
+        for cell in cells
+    }
+    shuffled = cells * 2
+    random.Random(26).shuffle(shuffled)
+    for order in (cells, cells[::-1], shuffled):
+        assert [esp._bracket_totals(*cell) for cell in order] == [expected[cell] for cell in order]
 
 
 def _enumerated_table(elements, top):

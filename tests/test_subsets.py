@@ -1,7 +1,9 @@
+from itertools import chain
+
 import pytest
 
 from symex.bigcomb import binomial_first
-from symex.subsets import count_containing_supersets, k_subsets
+from symex.subsets import count_containing_supersets, k_subsets, superset_counts
 
 
 def test_k_subsets_examples():
@@ -59,3 +61,23 @@ def test_multiplicity_lemma_small_grid():
             for t in range(s + 1):
                 for fixed in k_subsets(n, t):
                     assert count_containing_supersets(n, fixed, s) == binomial_first(n - t, s - t)
+
+
+def test_superset_counts_answer_every_single_query():
+    for n in range(1, 7):
+        for s in range(n + 1):
+            counts = superset_counts(n, s)
+            every_fixed = list(chain.from_iterable(k_subsets(n, t) for t in range(s + 1)))
+            # a key for each subset of size <= s, and no other
+            assert sorted(counts) == sorted(every_fixed)
+            for fixed in every_fixed:
+                assert counts[fixed] == count_containing_supersets(n, fixed, s)
+
+
+def test_superset_counts_rejects_bad_args():
+    with pytest.raises(ValueError):
+        superset_counts(0, 0)  # empty ground set
+    with pytest.raises(ValueError):
+        superset_counts(3, -1)
+    with pytest.raises(ValueError):
+        superset_counts(3, 4)  # s > n

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from symex import bigcomb, coeffs, esp, polyexpand, series, verify
+from symex import bigcomb, coeffs, esp, polyexpand, series, subsets, verify
 from symex.cli import main
 from symex.rootset import RootSet
 
@@ -427,6 +427,27 @@ def test_each_proving_sweep_has_more_values_than_its_largest_n(monkeypatch, grid
     report = sweep()
     assert swept == [(n_max, m_max)]
     assert f" multisets n<={n_max} m<={m_max}, proves n<={n_max}" in report.name
+
+
+def test_multiplicity_check_reports_a_superset_pass_that_drops_one_subset(monkeypatch, capsys):
+    counted = subsets.superset_counts
+
+    def one_short(n, s):
+        # the pass at (5, 3) misses J = (1, 2, 3), so each of its 8 subsets is counted once too few
+        counts = counted(n, s)
+        if (n, s) == (5, 3):
+            counts.subtract(itertools.chain.from_iterable(itertools.combinations((1, 2, 3), t) for t in range(4)))
+        return counts
+
+    monkeypatch.setattr(subsets, "superset_counts", one_short)
+    assert main(["verify", "--suite", "multiplicity"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "result:"]
+    wrong = verify.multiplicity_check().failures()
+    assert [check.label for check in wrong] == [
+        (5, fixed, 3) for t in range(4) for fixed in itertools.combinations((1, 2, 3), t)
+    ]
+    assert all(check.observed == check.expected - 1 for check in wrong)
 
 
 def plant_direct_factor_defect(monkeypatch):

@@ -10,6 +10,8 @@ that esp._bracket_totals packs in: _packed_rows in b-bit slots, and
 _newton_rows in the wider slots _support_rows gives it, only where
 _support_rows may take it (every root at least top).  Routes are timed in
 interleaved batches of about 10 ms, best per-call time of --reps batches.
+esp._binomial_factor keeps no cache, so every timed call builds its packed
+factors, as one sieve_compact op does.
 
 Cells:
 * the grid of BENCH_13's `layer` section, drawn from --seed: n in
@@ -39,8 +41,8 @@ so an older tree can be timed on the same probes.
 forced by setting esp._DIRECT_BELOW around its batches: the direct fill
 (_direct_rows) and the support rows with their conversion.  The cells have
 top = n, for n in TABLE_N: the all-ones set, the set 1..n, and one set of
-random roots of each width 1..12 bits, drawn from --seed.  Both routes share
-the warm factor cache, as repeated tables do.  The direct-over-support time
+random roots of each width 1..12 bits, drawn from --seed.  Each timed call
+builds its factors, as for the support routes above.  The direct-over-support time
 by b * top, which places the rule esp._DIRECT_BELOW, is printed and stored
 as the `table_grid` section of --out.
 
