@@ -25,23 +25,18 @@ where B[s][k] = sum_{|J|=s} C(sigma_J, k) and F_t = [y^t] prod_j (1 + y g_{m_j})
 = e_t(g_{m_1}, ..., g_{m_n}), the t-th elementary symmetric polynomial of
 the series g, groups the terms of B by their support T, |T| = t.  Hence
 B[s][k] = sum_{t<=s} C(n-t, s-t) F[t][k].  g_m has no constant term, so
-F[t][k] = 0 for k < t: _support_rows keeps row t shifted down t slots, only
+F[t][k] = 0 for k < t: _newton_rows keeps row t shifted down t slots, only
 F[t][t..top], and every product is cut to those top-t+1 slots.  Each row is
-returned packed into one integer of slots as wide as the route needs.
+returned packed into one integer of w-bit slots.
 
-Two routes build the same rows.  _packed_rows is a DP that adds the roots
-one at a time, F_t += g_m F_{t-1}, with each row packed and multiplied whole:
-one big-int product per root and row, about n * top - top^2/2 in all, which
-pads every slot to b bits and computes the slots above top only to mask them
-away.  _newton_rows uses the Newton-Girard identities
+_newton_rows builds the rows by the Newton-Girard identities
 (I. G. Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., 1995,
 section I.2) on the power sums P_r = sum_j g_{m_j}^r:
 
     t * F_t = sum_{r=1..t} (-1)^(r-1) P_r F_{t-r},
 
-top(top-1)/2 products whatever n is, most of the saving falling on the
-widest rows (small t).  P_r has a closed form in the power sums of the roots,
-p_a = sum_j m_j^a.  By the binomial theorem
+top(top-1)/2 products whatever n is.  P_r has a closed form in the power
+sums of the roots, p_a = sum_j m_j^a.  By the binomial theorem
 [z^k] g_m^r = sum_q (-1)^(r-q) C(r, q) C(qm, k); C(x, k) = sum_a s(k, a) x^a / k!
 with s the signed Stirling numbers of the first kind, and
 sum_q (-1)^(r-q) C(r, q) q^a = r! S(a, r) with S those of the second kind, so
@@ -53,28 +48,25 @@ zero for k < r, so P_r is kept shifted down r slots as well.
 Slot widths.  All terms of F are nonnegative and sum_t F[t][k] = C(N, k)
 where N = m_1+...+m_n, so F[t][k] <= C(N, k), and B[s][k] <= C(n, s) * C(N, k).
 Over k <= top, C(N, k) is largest at k = min(top, floor(N/2)), and C(n, s) is
-largest at s = floor(n/2).  So _bracket_totals, whose support route packs
-F alone, takes b = bitlen(C(N, min(top, floor(N/2)))) there, and a table of
-B takes b = bitlen(C(n, floor(n/2))) + that + 1 (_table_width);
-_bracket_table builds its support rows in those wider slots, so the
-conversion needs no repacking.  Every slot of a DP row is then < 2^b, a
-carry never reaches a kept slot, and the DP runs in b-bit slots.  The Newton
-route has signs and its P_r slots can exceed any such bound (P_r[k] can reach
-n * C(r * max m, k)), so it reasons modulo M = 2^(w * (top-t+1)) for row t in
-w-bit slots instead.  A packed integer is its slot polynomial evaluated at
-2^w, exactly, whatever the size of its slots; so the alternating sum of the
-cut products is congruent mod M to the slots of t * F_t, and those lie in
-[0, t * 2^b).  With w = b + bitlen(top-1) every such slot is < 2^w, so the
-sum reduced mod M is exactly t * F_t packed, and dividing it by t is exact.
-_support_rows returns the width it used.
+largest at s = floor(n/2).  So _bracket_totals, which converts F alone, bounds
+every slot by 2^b with b = bitlen(C(N, min(top, floor(N/2)))), and a table of
+B by 2^b with b = bitlen(C(n, floor(n/2))) + that + 1 (_table_width).  The
+identities have signs and the slots of P_r can exceed any such bound (P_r[k]
+can reach n * C(r * max m, k)), so _newton_rows reasons modulo
+M = 2^(w * (top-t+1)) for row t in w-bit slots.  A packed integer is its slot
+polynomial evaluated at 2^w, exactly, whatever the size of its slots; so the
+alternating sum of the cut products is congruent mod M to the slots of
+t * F_t, and those lie in [0, t * 2^b).  With w = b + bitlen(top-1) every
+such slot is < 2^w, so the sum reduced mod M is exactly t * F_t packed, and
+dividing it by t is exact, for any nonnegative roots.  _newton_rows returns w
+beside the rows; _bracket_table converts in w-bit slots, which hold every
+B[s][k] < 2^b, so the conversion needs no repacking.
 
-Each route costs polynomially many big-int products instead of
-sum_s C(n, s) binomials.  One rule picks the route (_support_rows), by the
-roots alone: Newton when every root is at least top (so no g_m is shorter
-than a row), the packed DP otherwise.  From the support rows
-esp_extraction reads the top slot F[t][i] of each row with top = i and
-converts those few integers; one table with top = n holds every order's
-brackets, and esp_extraction_all reads each column i of it.
+The rows cost polynomially many big-int products instead of
+sum_s C(n, s) binomials.  From them esp_extraction reads the top slot
+F[t][i] of each row with top = i and converts those few integers; one table
+with top = n holds every order's brackets, and esp_extraction_all reads each
+column i of it.
 
 A table of B (_bracket_table, top = n) and the brackets of one order i
 (_bracket_totals, top = i) each take one of two routes, by one rule on
@@ -100,7 +92,7 @@ that, gives less than 2^stride, so nothing carries into the next row.  In
 the low b(top+1) bits of each row, the new slots k <= top are sums of
 nonnegative terms below 2^b, so no carry reaches them from below and the
 mask leaves exactly the new B[s][0..top].  The route never calls
-_support_rows, so it keeps the b of the table.  At top = i the brackets of
+_newton_rows, so it keeps the b of the table.  At top = i the brackets of
 order i are slot i of each row, the row shifted down b * i bits: the mask
 leaves nothing above it.
 """
@@ -231,10 +223,10 @@ def esp_extraction(
 
 
 def esp_extraction_all(roots: RootSet) -> list[int]:
-    """All of e_0..e_n by the sieve, the counterpart of esp_all: one packed
-    DP with top = n holds B[s][k] for every k <= n, so order i reads its
-    bracket totals B[1..i-1][i] from column i of that one table instead of
-    running a DP of its own.  No subset is enumerated."""
+    """All of e_0..e_n by the sieve, the counterpart of esp_all: one table
+    with top = n (_bracket_table) holds B[s][k] for every k <= n, so order i
+    reads its bracket totals B[1..i-1][i] from column i of that one table
+    instead of building brackets of its own.  No subset is enumerated."""
     n, total = roots.n, roots.total
     rows, b = _bracket_table(roots.elements, n)
     slot = (1 << b) - 1
@@ -264,26 +256,13 @@ def _conversion(n: int, top: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(comb(n - t, s - t) for t in range(s + 1)) for s in range(top))
 
 
-def _support_rows(elements: Sequence[int], top: int, b: int) -> tuple[list[int], int]:
-    """The support-layer rows of the module docstring, rows[t] = F[t][t..top]
-    for t < top with row t shifted down t slots, and the slot width they are
-    packed in.  Exact when every F[t][k] < 2^b, which needs nonnegative
-    elements.  One rule picks the route: _newton_rows, in b + bitlen(top-1)-bit
-    slots, where every root is at least top; else _packed_rows, in b-bit
-    slots."""
-    if min(elements) >= top:
-        width = b + (top - 1).bit_length()
-        return _newton_rows(elements, top, width), width
-    return _packed_rows(elements, top, b), b
-
-
 def _binomial_factor(m: int, top: int, b: int) -> int:
     """(1+z)^m cut after z^top, C(m, k) in b-bit slot k for k <= min(m, top).
-    Exact when every such C(m, k) < 2^b, as every caller's slot width
-    ensures (C(m, k) <= C(N, k)).  Then (2^b + 1)^m = sum_k C(m, k) 2^(bk)
-    has slots 0..top exact: the terms above top are multiples of
-    2^(b(top+1)), so no carry reaches a kept slot, and one pow masked to
-    slots 0..top builds the factor.  That pow makes a b * m-bit integer, so it
+    Exact when every such C(m, k) < 2^b, as the slot width of its one
+    caller, _direct_rows, ensures (C(m, k) <= C(N, k)).  Then
+    (2^b + 1)^m = sum_k C(m, k) 2^(bk) has slots 0..top exact: the terms
+    above top are multiples of 2^(b(top+1)), so no carry reaches a kept
+    slot, and one pow masked to slots 0..top builds the factor.  That pow makes a b * m-bit integer, so it
     serves roots below 64 only; wider roots are built slot by slot, at
     min(m, top) binomials whatever m is.  Timed on the factors of one
     sieve_compact round (CPython 3.11, 2-core x86-64 VM), pow with its bound
@@ -298,32 +277,22 @@ def _binomial_factor(m: int, top: int, b: int) -> int:
     return factor << b | 1
 
 
-def _packed_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
-    """_support_rows with each row one integer of b-bit slots: the factor g_m
-    is packed too, _binomial_factor one slot down, and factor and product are
-    masked to the slots row t keeps."""
-    keep = [(1 << (b * (top - t + 1))) - 1 for t in range(top)]
-    rows = [1] + [0] * (top - 1)
-    for count, m in enumerate(elements, start=1):
-        factor = _binomial_factor(m, top, b) >> b
-        for t in range(min(count, top - 1), 0, -1):
-            mask = keep[t]
-            rows[t] += (rows[t - 1] * (factor & mask)) & mask
-    return rows
-
-
-def _newton_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
-    """_support_rows by the Newton-Girard identities of the module docstring:
-    t * F_t = sum_{r=1..t} (-1)^(r-1) P_r * F_{t-r}, each operand cut to the
-    top-t+1 slots row t keeps, the sum reduced mod 2^(b*(top-t+1)) and
-    divided by t.  Exact when every t * F[t][k] < 2^b."""
-    power_sums = _power_sums(elements, top, b)
+def _newton_rows(elements: Sequence[int], top: int, b: int) -> tuple[list[int], int]:
+    """The support-layer rows of the module docstring, rows[t] = F[t][t..top]
+    for t < top with row t shifted down t slots, and the slot width
+    w = b + bitlen(top-1) they are packed in.  By the Newton-Girard
+    identities, t * F_t = sum_{r=1..t} (-1)^(r-1) P_r * F_{t-r}, each operand
+    cut to the top-t+1 slots row t keeps, the sum reduced mod 2^(w*(top-t+1))
+    and divided by t.  Exact when every F[t][k] < 2^b, which needs
+    nonnegative elements."""
+    w = b + (top - 1).bit_length()
+    power_sums = _power_sums(elements, top, w)
     rows = [1]
     for t in range(1, top):
-        keep = (1 << (b * (top - t + 1))) - 1
+        keep = (1 << (w * (top - t + 1))) - 1
         products = list(map(mul, map(and_, power_sums[1 : t + 1], repeat(keep)), map(and_, reversed(rows), repeat(keep))))
         rows.append((sum(products[::2]) - sum(products[1::2]) & keep) // t)
-    return rows
+    return rows, w
 
 
 def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
@@ -362,15 +331,16 @@ _DIRECT_BELOW = 496
 
 
 def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
-    """Returns rows, rows[s] = B[s][0..top] in b-bit slots for s < top, and
-    b.  Below b * top = _DIRECT_BELOW the rows come from _direct_rows.  From
-    there on each support row is moved back up to slots t..top and summed
-    with the coefficients C(n-t, s-t).  Every coefficient is nonnegative and every
-    B[s][k] < 2^b, so the packed sums carry nothing between slots."""
+    """Returns rows, rows[s] = B[s][0..top] in w-bit slots for s < top, and
+    w.  Below b * top = _DIRECT_BELOW, b = _table_width, the rows come from
+    _direct_rows and w = b.  From there on each row of _newton_rows, in its
+    w-bit slots, is moved back up to slots t..top and summed with the
+    coefficients C(n-t, s-t).  Every coefficient is nonnegative and every
+    B[s][k] < 2^b <= 2^w, so the packed sums carry nothing between slots."""
     b = _table_width(elements, top)
     if b * top < _DIRECT_BELOW:
         return _direct_rows(elements, top, b), b
-    support, b = _support_rows(elements, top, b)
+    support, b = _newton_rows(elements, top, b)
     rows = [row << (b * t) for t, row in enumerate(support)]
     return [sum(map(mul, coefficients, rows)) for coefficients in _conversion(len(elements), top)], b
 
@@ -413,7 +383,7 @@ def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
         return [row >> (b * i) for row in _direct_rows(elements, i, b)]
     total = sum(elements)
     b = comb(total, min(i, total // 2)).bit_length()
-    support, b = _support_rows(elements, i, b)
+    support, b = _newton_rows(elements, i, b)
     tops = [row >> (b * (i - t)) for t, row in enumerate(support)]
     return [sum(map(mul, coefficients, tops)) for coefficients in _conversion(len(elements), i)]
 

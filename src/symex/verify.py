@@ -64,14 +64,13 @@ EQUIVALENCE_GRID = (6, 7)
 LAYER_GRID = (5, 6)
 
 # Fixed root sets wide enough that all three tables, and their per-order
-# brackets, lie above esp._DIRECT_BELOW, so both sweeps also check the support
-# rows and their conversion.  The first and third, whose roots are all wide,
-# take the Newton-Girard route at every order; the second, whose roots 1 and 2
-# keep it off Newton, takes the packed DP.  Every multiset's table is filled
-# directly.  So are a random set's table and its per-order brackets at every
-# order, unless n = 10 and N >= 78 (C(N, 10) >= 2^40), where order 10 and the
-# table take the packed DP: the wide sets are where the sweeps check the
-# packed DP.
+# brackets, lie above esp._DIRECT_BELOW, so both sweeps also check the
+# Newton-Girard support rows and their conversion.  The second set's roots 1
+# and 2 lie below every order from 3 on, so it checks rows whose factors g_m
+# are shorter than a row.  Every multiset's table is filled directly.  So are
+# a random set's table and its per-order brackets at every order, unless
+# n = 10 and N >= 78 (C(N, 10) >= 2^40), where order 10 and the table convert
+# support rows: the wide sets are where the sweeps check those rows.
 WIDE_SETS = (
     RootSet(((1 << 256) - 1,) * 5),
     RootSet((3**160, 1, 5**110 + 2, 2, 3**160, 7**90)),

@@ -330,7 +330,7 @@ def test_binomial_factor_is_the_slot_by_slot_packing(top, slack):
 
 def test_bracket_totals_do_not_depend_on_the_calls_before_them():
     # cells that share roots at other orders and slot widths, on both sides of
-    # the pow rule, plus one wide enough to take the packed support route
+    # the pow rule, plus one wide enough to convert support rows
     cells = [
         ((1,) * 8, 5),
         ((3, 1, 3, 1, 3), 3),
@@ -404,49 +404,57 @@ def _tables_of_area(area):
     return cells
 
 
+def _slots(rows, b, top):
+    # each row's slots 0..top, read from its b-bit packing
+    return [[row >> (b * k) & ((1 << b) - 1) for k in range(top + 1)] for row in rows]
+
+
 def test_table_routes_agree_at_the_direct_rule(monkeypatch):
     # b * top = _DIRECT_BELOW - 1 is filled directly, _DIRECT_BELOW from the
-    # support rows; both routes give the same rows in the same b-bit slots
+    # Newton rows; both routes give the same slot values, the support table's
+    # slots bitlen(top - 1) bits wider than the direct fill's
     assert esp._DIRECT_BELOW == 496
     taken = []
-    for route in ("direct", "support"):
+    for route in ("direct", "newton"):
         run = getattr(esp, f"_{route}_rows")
         monkeypatch.setattr(esp, f"_{route}_rows", lambda *args, run=run, route=route: taken.append(route) or run(*args))
     rule = esp._DIRECT_BELOW
-    for area, route in ((rule - 1, "direct"), (rule, "support")):
+    for area, route in ((rule - 1, "direct"), (rule, "newton")):
         cells = _tables_of_area(area)
         # several tables of several rows on each side
         assert len(cells) >= 3, area
         for elements, top in cells:
             tables = {}
-            for forced, below in (("direct", math.inf), ("support", 0)):
+            for forced, below in (("direct", math.inf), ("newton", 0)):
                 monkeypatch.setattr(esp, "_DIRECT_BELOW", below)
                 taken.clear()
                 tables[forced] = esp._bracket_table(elements, top)
                 assert taken == [forced]
-            assert tables["direct"] == tables["support"]
+            (direct, b), (newton, w) = tables["direct"], tables["newton"]
+            assert b * top == area and w == b + (top - 1).bit_length()
+            assert _slots(direct, b, top) == _slots(newton, w, top)
             monkeypatch.setattr(esp, "_DIRECT_BELOW", rule)
             taken.clear()
             _assert_slots_hold_the_enumerated_table(elements, top)
-            assert taken == [route] and tables[route][1] * top == area
+            assert taken == [route]
 
 
 def test_per_order_brackets_take_the_direct_rule(monkeypatch):
     # per order the rule reads b * i, b the width of a table with top = i:
     # _DIRECT_BELOW - 1 reads slot i of the direct fill, _DIRECT_BELOW
-    # converts the top slots of the support rows; both give the enumerated
+    # converts the top slots of the Newton rows; both give the enumerated
     # brackets
     taken = []
-    for route in ("direct", "support"):
+    for route in ("direct", "newton"):
         run = getattr(esp, f"_{route}_rows")
         monkeypatch.setattr(esp, f"_{route}_rows", lambda *args, run=run, route=route: taken.append(route) or run(*args))
     rule = esp._DIRECT_BELOW
-    for area, route in ((rule - 1, "direct"), (rule, "support")):
+    for area, route in ((rule - 1, "direct"), (rule, "newton")):
         cells = _tables_of_area(area)
         assert len(cells) >= 3, area
         for elements, i in cells:
             brackets = [row[i] for row in _enumerated_table(elements, i)]
-            for forced, below in (("direct", math.inf), ("support", 0), (route, rule)):
+            for forced, below in (("direct", math.inf), ("newton", 0), (route, rule)):
                 monkeypatch.setattr(esp, "_DIRECT_BELOW", below)
                 taken.clear()
                 assert esp._bracket_totals(elements, i) == brackets, (elements, i, forced)
@@ -501,6 +509,18 @@ def _enumerated_support(elements, top):
     return rows
 
 
+def _packed_support(support, top, width):
+    # row t of the enumerated support sums, F[t][t..top], moved down t slots
+    # and packed in width-bit slots
+    return [sum(support[t][k] << (width * (k - t)) for k in range(t, top + 1)) for t in range(top)]
+
+
+def _support_width(elements, top):
+    # the slot width _bracket_totals bounds F by
+    total = sum(elements)
+    return math.comb(total, min(top, total // 2)).bit_length()
+
+
 @given(elements=st.lists(mixed_roots, min_size=1, max_size=8))
 @example(elements=[(1 << 60) - 1] * 20)
 @settings(max_examples=60, deadline=None)
@@ -511,36 +531,14 @@ def test_support_rows_hold_the_enumerated_support_sums(elements):
     assert all(value == 0 for t, row in enumerate(support) for value in row[:t])
     assert all(0 <= value <= math.comb(total, k) for row in support for k, value in enumerate(row))
     for top in range(1, n + 2):
-        # the narrowest slots the bound allows, as the per-order sieve packs F
-        b = math.comb(total, min(top, total // 2)).bit_length()
-        rows, width = esp._support_rows(tuple(elements), top, b)
-        # row t is exactly F[t][t..top], moved down t slots, in slots at least
-        # b bits wide: no slot overflowed into the next and nothing is left
-        # above slot top - t
-        assert width >= b
-        assert rows == [sum(support[t][k] << (width * (k - t)) for k in range(t, top + 1)) for t in range(top)]
-
-
-def _support_width(elements, top):
-    # the slot width _bracket_totals packs F in
-    total = sum(elements)
-    return math.comb(total, min(top, total // 2)).bit_length()
-
-
-# Roots of 1..600 bits mixed with 1..3, drawn with repeats: a root below top
-# has a factor shorter than the rows.
-kernel_roots = st.one_of(st.integers(1, 3), st.integers(1, 600).flatmap(lambda w: st.integers(1 << (w - 1), (1 << w) - 1)))
-
-
-def _newton_width(top, b):
-    # the slots _support_rows gives the Newton route: t * F[t][k] < 2^b * t
-    return b + (top - 1).bit_length()
-
-
-def _narrowed(rows, width, b):
-    # rows of width-bit slots moved into b-bit slots, each slot kept whole
-    slot, top = (1 << width) - 1, len(rows)
-    return [sum((row >> (width * k) & slot) << (b * k) for k in range(top - t + 1)) for t, row in enumerate(rows)]
+        # the narrowest bound the slots allow, as the per-order sieve takes F
+        b = _support_width(elements, top)
+        rows, width = esp._newton_rows(tuple(elements), top, b)
+        # row t is exactly F[t][t..top], moved down t slots, in slots
+        # bitlen(top - 1) bits wider: no slot overflowed into the next and
+        # nothing is left above slot top - t
+        assert width == b + (top - 1).bit_length()
+        assert rows == _packed_support(support, top, width)
 
 
 @given(elements=st.lists(mixed_roots, min_size=1, max_size=7))
@@ -548,13 +546,19 @@ def _narrowed(rows, width, b):
 def test_newton_rows_hold_the_enumerated_support_sums(elements):
     elements = tuple(elements)
     # F[t][k] for t < top and k <= top is the same sum for every top, so one
-    # enumeration at top = n + 1 serves each smaller top
+    # enumeration at top = n + 1 serves each smaller top; here in the slots
+    # of a table of B, as _bracket_table converts them
     support = _enumerated_support(elements, len(elements) + 1)
     for top in range(1, len(elements) + 2):
-        b = _newton_width(top, _support_width(elements, top))
-        rows = esp._newton_rows(elements, top, b)
-        assert rows == esp._packed_rows(elements, top, b)
-        assert rows == [sum(support[t][k] << (b * (k - t)) for k in range(t, top + 1)) for t in range(top)]
+        b = _table_width(elements, top)
+        rows, width = esp._newton_rows(elements, top, b)
+        assert width == b + (top - 1).bit_length()
+        assert rows == _packed_support(support, top, width)
+
+
+# Roots of 1..600 bits mixed with 1..3, drawn with repeats: a root below top
+# has a factor shorter than the rows.
+kernel_roots = st.one_of(st.integers(1, 3), st.integers(1, 600).flatmap(lambda w: st.integers(1 << (w - 1), (1 << w) - 1)))
 
 
 @given(
@@ -562,18 +566,19 @@ def test_newton_rows_hold_the_enumerated_support_sums(elements):
         lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=8)
     )
 )
+@example(elements=[1, 2, 3, 3, (1 << 40) - 5, (1 << 40) - 5, 5, 9])
 @settings(max_examples=30, deadline=None)
-def test_newton_rows_equal_the_packed_rows_on_kernel_roots(elements):
+def test_newton_rows_hold_the_enumerated_support_sums_on_kernel_roots(elements):
     elements = tuple(elements)
     n = len(elements)
+    support = _enumerated_support(elements, n + 1)
     for top in range(1, n + 2):
-        narrow = _support_width(elements, top)
-        for b in (narrow, math.comb(n, n // 2).bit_length() + narrow + 1):  # F slots, then B slots
-            width = _newton_width(top, b)
-            rows = esp._newton_rows(elements, top, width)
-            assert rows == esp._packed_rows(elements, top, width)
-            # and the packed DP in the b-bit slots themselves
-            assert _narrowed(rows, width, b) == esp._packed_rows(elements, top, b)
+        # short roots below top among wide ones, in the slots of F and then
+        # in those of a table of B
+        for b in (_support_width(elements, top), _table_width(elements, top)):
+            rows, width = esp._newton_rows(elements, top, b)
+            assert width == b + (top - 1).bit_length()
+            assert rows == _packed_support(support, top, width)
 
 
 def _power_sum_slots(elements, top):
@@ -589,101 +594,41 @@ def _power_sum_slots(elements, top):
 
 
 def test_newton_route_at_the_slot_width_edges():
-    # the cases of test_bracket_table_slot_width_at_its_edges
+    # the cases of test_bracket_table_slot_width_at_its_edges, short roots among them
     small = (3, 1, 4, 1, 5, 9, 2, 6, 5)
     overflowed = 0
     for elements in ((1,) * 12, (1, 1, 2), (1,), (7,), ((1 << 60) - 1,) * 20, (1 << 80, *small), (*small, 1 << 80)):
         closed_form = _power_sum_slots(elements, len(elements) + 1)
+        support = _enumerated_support(elements, len(elements) + 1)
         for top in range(1, len(elements) + 2):
-            narrow = _support_width(elements, top)
-            b = _newton_width(top, narrow)
-            rows = esp._newton_rows(elements, top, b)
-            # the packed DP's rows, which the other edge tests hold to the enumerated
-            # table, in these slots and in the narrower ones _bracket_totals packs F in
-            assert rows == esp._packed_rows(elements, top, b)
-            assert _narrowed(rows, b, narrow) == esp._packed_rows(elements, top, narrow)
-            slot = (1 << b) - 1
-            # the one bound the route needs: every slot of t * F_t fits
-            assert all(t * (rows[t] >> (b * k) & slot) < 1 << b for t in range(top) for k in range(top - t + 1))
-            # P_r is its closed form, slot for slot, shifted down r slots
-            power_sums = esp._power_sums(elements, top, b)
-            for r in range(1, top):
-                slots = closed_form[r][: top + 1]
-                assert slots[:r] == [0] * r
-                assert power_sums[r] == sum(value << (b * (k - r)) for k, value in enumerate(slots) if k >= r)
-                overflowed += any(value >> b for value in slots)
+            # in the slots of F, as _bracket_totals takes them, and of a table of B
+            for narrow in (_support_width(elements, top), _table_width(elements, top)):
+                rows, b = esp._newton_rows(elements, top, narrow)
+                assert rows == _packed_support(support, top, b)
+                slot = (1 << b) - 1
+                # the one bound the route needs: every slot of t * F_t fits
+                assert all(t * (rows[t] >> (b * k) & slot) < 1 << b for t in range(top) for k in range(top - t + 1))
+                # P_r is its closed form, slot for slot, shifted down r slots
+                power_sums = esp._power_sums(elements, top, b)
+                for r in range(1, top):
+                    slots = closed_form[r][: top + 1]
+                    assert slots[:r] == [0] * r
+                    assert power_sums[r] == sum(value << (b * (k - r)) for k, value in enumerate(slots) if k >= r)
+                    overflowed += any(value >> b for value in slots)
     # P_r's slots may exceed 2^b: each product and the sum are reduced mod
     # 2^(b(top-t+1)), so only t * F_t must fit, and these cases show it
     assert overflowed > 0
-
-
-ROUTES = ("packed", "newton")
-
-
-def _kernel_taken(monkeypatch, elements, top, b):
-    taken = []
-    for route in ROUTES:
-        monkeypatch.setattr(esp, f"_{route}_rows", lambda *args, route=route: taken.append(route))
-    esp._support_rows(elements, top, b)
-    return taken
 
 
 def _random_roots(rng, n, bits):
     return tuple(rng.randrange(1 << (bits - 1), 1 << bits) for _ in range(n))
 
 
-def _pinned_cells():
-    rng = random.Random(13)
-    # the largest random-sweep sets: a root of 9 keeps top = 10 on the DP
-    packed = [((9,) * 10, 10)]
-    packed.append((tuple(rng.randint(1, 9) for _ in range(200)), 100))
-    # short factors: one root below top keeps a sieve_compact-like cell on the DP
-    packed += [((3, *_random_roots(rng, n - 1, bits)), top) for n, bits, top in ((14, 30, 6), (16, 24, 9), (18, 20, 12))]
-    # wide roots near i = n, and a wide set with short factors
-    newton = [
-        ((10**400 - 1,) * 12, 12),
-        (((1 << 60) - 1,) * 30, 29),
-        (tuple(rng.randrange(10**399, 10**400) for _ in range(18)), 17),
-    ]
-    packed.append(((3**160, 1, 5**110 + 2, 2, 3**160, 7**90), 6))
-    # sieve_compact-like cells, n 14..18 and root widths 20..40
-    newton += [(_random_roots(rng, n, bits), top) for n, bits, top in ((14, 20, 9), (15, 25, 8), (16, 30, 6), (17, 35, 12), (18, 40, 16), (16, 40, 14))]
-    newton.append((tuple(rng.randrange(1 << 19, 1 << 20) for _ in range(12)), 12))  # compute --method at n = 12
-    newton.append((tuple(rng.randrange(10**399, 10**400) for _ in range(12)), 6))
-    newton.append(((10, *_random_roots(rng, 15, 30)), 10))  # the smallest root equal to top
-    newton.append((((1 << 500) - 1,) * 40, 20))
-    # the random-sweep sets below top = 10, whose slots are a few bits wide
-    newton += [((9,) * n, top) for n in range(1, 11) for top in range(1, min(n, 9) + 1)]
-    return {"packed": packed, "newton": newton}
-
-
-def test_support_kernel_choice_is_pinned(monkeypatch):
-    for route, cells in _pinned_cells().items():
-        for elements, top in cells:
-            assert _kernel_taken(monkeypatch, elements, top, _support_width(elements, top)) == [route], (len(elements), top)
-    # every ordered tuple of {1..4}^n, n <= 6, in the all-orders table's wider
-    # slots: Newton for the 4 + 9 + 8 + 1 tuples whose roots are all at least n
-    newton = []
-    for n in range(1, 7):
-        for elements in product(range(1, 5), repeat=n):
-            b = math.comb(n, n // 2).bit_length() + _support_width(elements, n) + 1
-            taken = _kernel_taken(monkeypatch, elements, n, b)
-            if taken == ["newton"]:
-                newton.append(elements)
-            else:
-                assert taken == ["packed"]
-    assert newton == [elements for n in range(1, 5) for elements in product(range(n, 5), repeat=n)]
-    assert len(newton) == 22
-    # the slot width alone never moves the choice: b * top from 8 to 80,000 bits
-    for b in (1, 124, 125, 10_000):
-        assert _kernel_taken(monkeypatch, (1 << 40,) * 8, 8, b) == ["newton"]
-        assert _kernel_taken(monkeypatch, (7, *(1 << 40,) * 7), 8, b) == ["packed"]
-
-
 def _cells_above_the_direct_rule():
     # (elements, top) with every root at least top and b * top in 496..999, b
-    # the slot width _bracket_totals packs F in: n = top and n = 8 random roots,
-    # at the narrowest and the widest root width whose cell lies in the band
+    # the slot width _bracket_totals bounds F by: n = top and n = 8 random
+    # roots, at the narrowest and the widest root width whose cell lies in the
+    # band
     rng = random.Random(7)
     cells = []
     for top in range(2, 9):
@@ -697,31 +642,28 @@ def _cells_above_the_direct_rule():
     return cells
 
 
-def test_support_kernel_reads_the_roots_alone_just_above_the_direct_rule(monkeypatch):
-    # Newton where every root is at least top, whatever b * top is; the same
-    # cell with one root at top - 1 takes the packed DP.  Each kernel's rows are
-    # the enumerated support sums, and so are the per-order sieve's brackets.
+def test_support_rows_and_brackets_hold_just_above_the_direct_rule(monkeypatch):
+    # Each cell, and the same cell with one root at top - 1, whose factor is
+    # shorter than the rows: the Newton rows are the enumerated support sums,
+    # and the per-order sieve converts them into the enumerated brackets.
     taken = []
-    for route in ROUTES:
-        run = getattr(esp, f"_{route}_rows")
-        monkeypatch.setattr(esp, f"_{route}_rows", lambda *args, run=run, route=route: taken.append(route) or run(*args))
+    run = esp._newton_rows
+    monkeypatch.setattr(esp, "_newton_rows", lambda *args: taken.append(args[1]) or run(*args))
     cells = _cells_above_the_direct_rule()
     areas = [_support_width(elements, top) * top for elements, top in cells]
     assert len(cells) == 26 and min(areas) < 500 and max(areas) > 990
     for elements, top in cells:
-        for cell, route in ((elements, "newton"), ((top - 1, *elements[1:]), "packed")):
+        for cell in (elements, (top - 1, *elements[1:])):
             b = _support_width(cell, top)
-            taken.clear()
-            rows, width = esp._support_rows(cell, top, b)
-            assert taken == [route] and width == (_newton_width(top, b) if route == "newton" else b), (cell, top)
-            support = _enumerated_support(cell, top)
-            assert rows == [sum(support[t][k] << (width * (k - t)) for k in range(t, top + 1)) for t in range(top)]
+            rows, width = esp._newton_rows(cell, top, b)
+            assert width == b + (top - 1).bit_length()
+            assert rows == _packed_support(_enumerated_support(cell, top), top, width), (cell, top)
             # the per-order sieve at i = top converts support rows here
             assert _table_width(cell, top) * top >= esp._DIRECT_BELOW
             roots = RootSet(cell)
             taken.clear()
             value, breakdown = esp_extraction(roots, top, explain_limit=0)
-            assert taken == [route]
+            assert taken == [top]
             brackets = [row[top] for row in _enumerated_table(cell, top)]
             assert [term.bracket_total for term in breakdown.terms] == brackets[top - 1 : 0 : -1]
             assert value == esp_all(roots)[top]

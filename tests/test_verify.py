@@ -331,10 +331,10 @@ def _wide(label):
     return label[0] in {roots.elements for roots in verify.WIDE_SETS}
 
 
-def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
-    # both support-row routes, the packed DP and the Newton-Girard route, and
-    # the direct fill of small tables and per-order brackets.
-    runs = {"direct": [], "packed": [], "newton": []}
+def test_equivalence_sweeps_convert_support_rows_only_on_the_wide_sets(monkeypatch):
+    # the direct fill of small tables and per-order brackets, and the
+    # Newton-Girard support rows of the wide sets.
+    runs = {"direct": [], "newton": []}
     for route in runs:
         kernel = getattr(esp, f"_{route}_rows")
 
@@ -357,11 +357,9 @@ def test_equivalence_sweeps_run_both_support_kernels(monkeypatch):
         # every random set's, and every one of its per-order bracket rows; no
         # wide set's is
         assert runs["direct"] == [(elements, top) for elements in swept[:-3] for top in tops(len(elements))]
-        # the Newton route runs on WIDE_SETS[0] and [2], whose roots are all
-        # wide, and on nothing else; the packed DP runs on WIDE_SETS[1], whose
-        # roots 1 and 2 keep it off Newton, and on nothing else
-        assert {elements for elements, _ in runs["newton"]} == {verify.WIDE_SETS[w].elements for w in (0, 2)}
-        assert {elements for elements, _ in runs["packed"]} == {verify.WIDE_SETS[1].elements}
+        # and support rows are converted for the three wide sets alone, at
+        # every top the direct fill takes for the other sets
+        assert runs["newton"] == [(elements, top) for elements in swept[-3:] for top in tops(len(elements))]
 
 
 def test_each_sweep_builds_one_root_set_per_swept_set(monkeypatch, serial_verify):
@@ -454,8 +452,7 @@ def plant_direct_factor_defect(monkeypatch):
     factor = esp._binomial_factor
 
     def off_by_one(m, top, b):
-        # C(m, 0) read as 2: only the direct fill reads slot 0, as the packed
-        # DP moves every factor one slot down
+        # C(m, 0) read as 2, in the factor that only the direct fill takes
         return factor(m, top, b) + 1
 
     monkeypatch.setattr(esp, "_binomial_factor", off_by_one)
@@ -489,31 +486,6 @@ def test_verify_fails_when_the_direct_table_route_is_wrong(monkeypatch, capsys, 
     assert all(any(check.observed[route] != check.expected[0] for check in wrong) for route in (0, 1))
 
 
-def plant_packed_mask_defect(monkeypatch):
-    rows = esp._packed_rows
-
-    def short(elements, top, b):
-        # each row's mask one slot short: row t loses F[t][top], the slot the
-        # per-order brackets read.  Row t + 1 reads only slots of row t below
-        # that one, so masking the returned rows equals masking every step.
-        return [row & ((1 << (b * (top - t))) - 1) for t, row in enumerate(rows(elements, top, b))]
-
-    monkeypatch.setattr(esp, "_packed_rows", short)
-
-
-def test_verify_fails_when_the_packed_rows_are_one_slot_short(monkeypatch, capsys):
-    plant_packed_mask_defect(monkeypatch)
-    assert main(["verify", "--suite", "equivalence"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
-    # No multiset, and no random set at this seed, reaches the packed DP;
-    # WIDE_SETS[1], whose roots 1 and 2 keep it off Newton, does: its table at
-    # order 6, and its per-order brackets at every order >= 2.
-    odd_one = verify.WIDE_SETS[1].elements
-    assert labels(verify.equivalence_exhaustive()) == [(odd_one, 6)]
-    assert labels(verify.equivalence_random(random.Random(42))) == [(odd_one, i) for i in range(2, 7)]
-
-
 def plant_newton_defect(monkeypatch):
     power_sums = esp._power_sums
 
@@ -529,10 +501,11 @@ def test_verify_fails_when_the_newton_power_sums_are_off_by_one_slot(monkeypatch
     assert main(["verify", "--suite", "equivalence"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
-    # Only the wide sets take the Newton route, so only they fail: WIDE_SETS[0]
-    # and [2], at orders 2..5.
+    # Only the wide sets convert support rows, so only they fail, all three at
+    # every order from 2 on: WIDE_SETS[1], whose roots 1 and 2 lie below
+    # those orders, as well as the two whose roots are all wide.
     for report in (verify.equivalence_exhaustive(), verify.equivalence_random(random.Random(42))):
-        assert labels(report) == [(verify.WIDE_SETS[w].elements, i) for w in (0, 2) for i in range(2, 6)]
+        assert labels(report) == [(roots.elements, i) for roots in verify.WIDE_SETS for i in range(2, roots.n + 1)]
 
 
 # ---------------------------------------------------------------------------
