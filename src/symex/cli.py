@@ -20,6 +20,10 @@ and totals thus come from two routes, and each bracket checks that its
 entries sum to its printed total: a mismatch raises ArithmeticError, which
 exits 1 after the lines already written.
 
+`specialize` writes each triangle row as it is made, in text and `--json`
+alike.  A stirling1 row that disagrees with the recurrence triangle raises
+ArithmeticError, which exits 1 after the rows before it are written.
+
 A reader that closes stdout early (`symex ... | head`) ends the command
 with exit 1 and no message; the rest of the output goes to os.devnull.
 
@@ -290,12 +294,17 @@ def _median_run(run: Callable[[RootSet, int], int], roots: RootSet, i: int) -> t
 
 def cmd_specialize(args: argparse.Namespace) -> int:
     triangle = specialize(args.family, args.rows)
+    write = sys.stdout.write
     if args.json:
-        payload = {"family": args.family, "rows": [[str(v) for v in row] for row in triangle]}
-        print(json.dumps(payload))
+        # json.dumps of the whole payload, written a row at a time; a row's
+        # decimal strings need no escaping
+        write(f'{{"family": {json.dumps(args.family)}, "rows": [')
+        for n, row in enumerate(triangle):
+            write((', ["' if n else '["') + '", "'.join(map(str, row)) + '"]')
+        write("]}\n")
     else:
         for row in triangle:
-            print(" ".join(str(v) for v in row))
+            write(" ".join(map(str, row)) + "\n")
     return 0
 
 

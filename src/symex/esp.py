@@ -95,6 +95,19 @@ mask leaves exactly the new B[s][0..top].  The route never calls
 _newton_rows, so it keeps the b of the table.  At top = i the brackets of
 order i are slot i of each row, the row shifted down b * i bits: the mask
 leaves nothing above it.
+
+specialize reads a number triangle, e_0..e_n of each prefix m_1..m_n of one
+root sequence, in one pass (_triangle_rows): a single direct fill with
+top = rows, run once over the whole sequence.  After root n the table holds
+the prefix's B[s][0..top], and row n of the triangle reads B[s][i] for
+s < i <= n with the weights and the head C(m_1+...+m_n, i), as
+esp_extraction_all reads its table.  One width serves every prefix: a
+prefix's B[s][k] sums a subset of the nonnegative terms C(sigma_J, k) that
+the whole set's B[s][k] sums, so the slot width b of the whole set
+(_table_width) bounds every slot of every prefix, and every slot of f_m too.
+The stride is b * (2 * top + 2) + 1 bits rounded up to whole bytes, so the
+spare bits only widen the gap between rows, every row starts on a byte, and
+one to_bytes cuts every row filled so far out of the table after each root.
 """
 
 from __future__ import annotations
@@ -103,7 +116,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, repeat, zip_longest
 from math import comb, prod
 from operator import and_, lshift, mul
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import coeffs
 from .bigcomb import _stirling_row, _stirling_second_row, binomial_first, binomial_second, stirling_first_signed
@@ -227,8 +240,12 @@ def esp_extraction_all(roots: RootSet) -> list[int]:
     with top = n (_bracket_table) holds B[s][k] for every k <= n, so order i
     reads its bracket totals B[1..i-1][i] from column i of that one table
     instead of building brackets of its own.  No subset is enumerated."""
-    n, total = roots.n, roots.total
-    rows, b = _bracket_table(roots.elements, n)
+    return _read_orders(*_bracket_table(roots.elements, roots.n), roots.n, roots.total)
+
+
+def _read_orders(rows: Sequence[int], b: int, n: int, total: int) -> list[int]:
+    """e_0..e_n of n roots summing to total, from rows[s] holding B[s][i] in
+    b-bit slot i for 0 < s < i <= n: e_i = C(total, i) + sum_h weight * B[i-h][i]."""
     slot = (1 << b) - 1
     values = [1]
     for i in range(1, n + 1):
@@ -458,30 +475,51 @@ def esp_compare(roots: RootSet, i: int) -> dict[str, int]:
     return {method: run(roots, i) for method, run in METHODS.items()}
 
 
-def specialize(family: str, rows: int) -> list[list[int]]:
-    """Number-triangle specializations of the sieve.
+def specialize(family: str, rows: int) -> Iterator[list[int]]:
+    """Number-triangle specializations of the sieve, one row at a time.
 
     family "pascal": the all-ones root set of size n, whose e_i are the
     binomials C(n, i).  family "stirling1": the root set {1, ..., n}, whose
     e_i are unsigned Stirling numbers of the first kind; every row is
-    cross-checked against the signed-Stirling recurrence before returning.
+    cross-checked against the signed-Stirling recurrence before it is
+    yielded, and a disagreement raises ArithmeticError after the rows
+    before it.  The arguments are checked when called; the iterator returned
+    yields rows n = 1..rows, e_0..e_n each, from one pass (_triangle_rows).
     """
     if family not in ("pascal", "stirling1"):
         raise ValueError(f"unknown family {family!r}, expected 'pascal' or 'stirling1'")
     if rows < 1:
         raise ValueError(f"need rows >= 1, got {rows}")
-    triangle = []
-    for n in range(1, rows + 1):
-        if family == "pascal":
-            roots = RootSet((1,) * n)
-        else:
-            roots = RootSet(tuple(range(1, n + 1)))
-        row = esp_extraction_all(roots)
-        if family == "stirling1":
+    elements = (1,) * rows if family == "pascal" else tuple(range(1, rows + 1))
+    return _triangle_rows(elements, family == "stirling1")
+
+
+def _triangle_rows(elements: Sequence[int], stirling: bool) -> Iterator[list[int]]:
+    """e_0..e_n of each prefix elements[:n], n = 1..len(elements), from one
+    direct fill with top = len(elements) in the width of the whole set: after
+    root n the table holds the prefix's B[s][0..top], and its rows are cut
+    out by one to_bytes, since the stride is whole bytes (_stride_bytes).
+    With stirling, row n must equal the recurrence's |s(n+1, n+1-i)|."""
+    top = len(elements)
+    b = _table_width(elements, top)
+    size = _stride_bytes(top, b)
+    # slots 0..top of rows 0..top-1: one row's mask, repeated every stride
+    keep = int.from_bytes(((1 << (b * (top + 1))) - 1).to_bytes(size, "little") * top, "little")
+    table, total = 1, 0
+    for n, m in enumerate(elements, start=1):
+        table = (table + (table * _binomial_factor(m, top, b) << 8 * size)) & keep
+        total += m
+        data = table.to_bytes(size * (n + 1), "little")
+        row = _read_orders([int.from_bytes(data[size * s : size * (s + 1)], "little") for s in range(n)], b, n, total)
+        if stirling:
             recurrence_row = [abs(stirling_first_signed(n + 1, n + 1 - i)) for i in range(n + 1)]
             if row != recurrence_row:
                 raise ArithmeticError(
                     f"stirling1 row {n} disagrees with the recurrence triangle: {row} vs {recurrence_row}"
                 )
-        triangle.append(row)
-    return triangle
+        yield row
+
+
+def _stride_bytes(top: int, b: int) -> int:
+    """The stride of _direct_rows, b * (2 * top + 2) + 1 bits, rounded up to whole bytes."""
+    return (b * (2 * top + 2) + 8) // 8

@@ -94,13 +94,13 @@ def test_criterion_8_specialized_triangles():
             row.append(left + (n - 1) * right)
         unsigned.append(row)
 
-    stirling_rows = specialize("stirling1", 8)
+    stirling_rows = list(specialize("stirling1", 8))
     for n, row in enumerate(stirling_rows, start=1):
         expected = [unsigned[n + 1][n + 1 - i] for i in range(n + 1)]
         if row != expected:
             failures.append(("stirling1", n, row, expected))
 
-    pascal_rows = specialize("pascal", 8)
+    pascal_rows = list(specialize("pascal", 8))
     for n, row in enumerate(pascal_rows, start=1):
         if row != [math.comb(n, i) for i in range(n + 1)]:
             failures.append(("pascal", n, row))

@@ -222,6 +222,24 @@ def test_a_closed_stdout_pipe_exits_one_without_a_traceback():
     assert answers == [(b"", 1), (b"", 1)]
 
 
+def test_a_reader_leaving_a_streamed_triangle_gets_exit_one_without_a_traceback():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONUNBUFFERED", None)
+    # 66 kB of rows, most of them made after the first block reaches the
+    # reader: the writer meets the closed end while it is still computing
+    with subprocess.Popen(
+        [sys.executable, "-m", "symex", "specialize", "--family", "stirling1", "--rows", "60"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as left:
+        first = left.stdout.readline()
+        left.stdout.close()
+        answer = left.stderr.read(), left.wait(timeout=60)
+    assert first == b"1 1\n"
+    assert answer == (b"", 1)
+
+
 def test_compute_json_schema(capsys):
     code, out, _ = run(capsys, "compute", "--roots", "2,3,4", "--i", "3", "--json")
     assert code == 0
@@ -481,7 +499,8 @@ def test_specialize_disagreement_exits_one(capsys, monkeypatch):
     signed = esp.stirling_first_signed
     monkeypatch.setattr(esp, "stirling_first_signed", lambda i, p: signed(i, p) + (i == 3 and p == 2))
     code, out, err = run(capsys, "specialize", "--family", "stirling1", "--rows", "3")
-    assert code == 1 and out == ""
+    # rows stream: row 1 is written before row 2 fails its check
+    assert code == 1 and out == "1 1\n"
     assert err.startswith("error: stirling1 row 2 disagrees") and "Traceback" not in err
 
 

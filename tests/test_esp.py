@@ -221,14 +221,14 @@ def test_every_method_refuses_a_negative_order():
 
 
 def test_specialize_pascal():
-    triangle = specialize("pascal", 4)
+    triangle = list(specialize("pascal", 4))
     assert triangle[-1] == [1, 4, 6, 4, 1]
     assert triangle == [[math.comb(n, i) for i in range(n + 1)] for n in range(1, 5)]
 
 
 def test_specialize_stirling1():
-    assert specialize("stirling1", 1) == [[1, 1]]
-    triangle = specialize("stirling1", 3)
+    assert list(specialize("stirling1", 1)) == [[1, 1]]
+    triangle = list(specialize("stirling1", 3))
     assert triangle[-1] == [1, 6, 11, 6]
     # rows are the e_i of {1..n}
     for n, row in enumerate(triangle, start=1):
@@ -720,10 +720,53 @@ def test_all_orders_sieve_builds_one_table(monkeypatch):
     roots = RootSet.of(9, 4, 7, 1, 1, 8, 3)
     assert esp_extraction_all(roots) == esp_all(roots)
     assert tops == [7]
-    tops.clear()
-    # one DP per triangle row, each with top = n, not one per order
-    assert specialize("stirling1", 12) == [esp_all(RootSet(tuple(range(1, n + 1)))) for n in range(1, 13)]
-    assert tops == list(range(1, 13))
-    tops.clear()
-    assert specialize("pascal", 12)[-1] == [math.comb(12, i) for i in range(13)]
-    assert tops == list(range(1, 13))
+
+
+def _triangle_prefixes(family, rows):
+    elements = (1,) * rows if family == "pascal" else tuple(range(1, rows + 1))
+    return [esp_all(RootSet(elements[:n])) for n in range(1, rows + 1)]
+
+
+def test_specialize_runs_one_direct_fill(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("specialize must not build a table per row")
+
+    for name in ("_bracket_table", "_newton_rows", "esp_extraction_all"):
+        monkeypatch.setattr(esp, name, refuse)
+    factor, roots = esp._binomial_factor, []
+
+    def counted(m, top, b):
+        roots.append(m)
+        return factor(m, top, b)
+
+    monkeypatch.setattr(esp, "_binomial_factor", counted)
+    caches = esp._conversion.cache_info(), esp._direct_layout.cache_info()
+    for family in ("pascal", "stirling1"):
+        roots.clear()
+        assert list(specialize(family, 24)) == _triangle_prefixes(family, 24)
+        # one packed product per root, for the whole triangle
+        assert len(roots) == 24
+    assert (esp._conversion.cache_info(), esp._direct_layout.cache_info()) == caches
+
+
+@pytest.mark.parametrize("family", ["pascal", "stirling1"])
+def test_specialize_rows_are_the_prefix_sets(family):
+    # each row count sets its own top, slot width and stride
+    for rows in range(1, 41):
+        assert list(specialize(family, rows)) == _triangle_prefixes(family, rows), rows
+
+
+@pytest.mark.parametrize("family", ["pascal", "stirling1"])
+def test_specialize_row_60_is_the_per_row_sieve(family):
+    roots = RootSet((1,) * 60 if family == "pascal" else tuple(range(1, 61)))
+    *_, row = specialize(family, 60)
+    assert row == esp_extraction_all(roots) == esp_all(roots)
+
+
+def test_triangle_stride_is_the_direct_bound_in_whole_bytes():
+    # the bound leaves about b spare bits on the triangles, so no value test
+    # sees a stride a byte short: the bound itself is checked
+    for top in range(1, 41):
+        for b in range(1, 80):
+            size, bound = esp._stride_bytes(top, b), b * (2 * top + 2) + 1
+            assert 8 * (size - 1) < bound <= 8 * size, (top, b)

@@ -7,9 +7,11 @@ One of --probes and --tables is required.  --reps, the timed batches per
 probe or per route and cell, is at least 1.
 
 --probes times whole per-order sieves (esp.esp_extraction with no detail)
-on a few fixed wide inputs, best of --reps calls each, and stores a
-`probes` section.  With --src it imports symex from another checkout's src/,
-so an older tree can be timed on the same probes.
+on a few fixed wide inputs, and whole triangles (list(esp.specialize(...)),
+so a tree whose specialize returns a list does the same work) for a few
+row counts, best of --reps calls each, and stores a `probes` section.  With
+--src it imports symex from another checkout's src/, so an older tree can
+be timed on the same probes.
 
 --tables times the two routes of esp._bracket_table alone, each forced by
 setting esp._DIRECT_BELOW around its batches: the direct fill
@@ -34,6 +36,7 @@ import platform
 import random
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # symex.esp, imported by main() from --src
 esp = None
 
+TRIANGLE_PROBES = (("pascal", 100), ("pascal", 150), ("stirling1", 50), ("stirling1", 70))
 TABLE_N = (*range(1, 17), 18, 20, 24, 30)
 TABLE_WIDTHS = range(1, 13)
 TABLE_BINS = (0, 150, 300, 400, 450, 500, 550, 600, 750, 1000, 1500, 2500, 5000, 10000, 10**9)
@@ -64,14 +68,18 @@ def probe_cells() -> list[tuple[str, tuple[int, ...], int]]:
 def time_probes(reps: int) -> list[dict]:
     from symex.rootset import RootSet
 
+    runs = [(name, partial(esp.esp_extraction, RootSet(elements), i, explain_limit=0)) for name, elements, i in probe_cells()]
+    runs += [(f"specialize {family} {rows}", partial(triangle, family, rows)) for family, rows in TRIANGLE_PROBES]
     probes = []
-    for name, elements, i in probe_cells():
-        roots = RootSet(elements)
-        sieve = lambda: esp.esp_extraction(roots, i, explain_limit=0)  # noqa: E731
-        best = min(best_call_s(sieve, (), 1) for _ in range(reps))
+    for name, run in runs:
+        best = min(best_call_s(run, (), 1) for _ in range(reps))
         probes.append({"probe": name, "best_ms": round(best * 1e3, 2)})
         print(name, probes[-1]["best_ms"], "ms", flush=True)
     return probes
+
+
+def triangle(family: str, rows: int) -> list[list[int]]:
+    return list(esp.specialize(family, rows))
 
 
 def best_call_s(run, args, reps: int) -> float:
