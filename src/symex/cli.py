@@ -38,11 +38,11 @@ own error.  Every other argv takes the full parse.  A process imports only
 what its command runs: `verify` imports the verifiers, and `bench` its
 timing modules, when they are called.
 
-`verify` runs its suites through `verify.run_suites`, which forks once when
-the process has two CPUs and one thread: the suites that never draw from
-the seeded rng run in one child, so two processes share two CPUs during
-`--suite all`.  Reports are merged back in suite order, so every stdout
-byte and exit code is the serial run's, which one CPU still runs.
+`verify --suite all` forks once in `verify.run_suites` when the process has
+two CPUs and one thread: the suites that never draw from the seeded rng run
+in one child.  Reports are merged in suite order and either side's error is
+raised where the serial run raises it, so every stdout byte, error message
+and exit code is the serial run's, which one CPU still runs.
 """
 
 from __future__ import annotations

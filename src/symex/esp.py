@@ -83,15 +83,18 @@ b-bit slots:
 
     X = (X + (X * f_m << stride)) & keep,
 
-where keep holds slots 0..top of rows 0..top-1.  The stride is
-b * (2 * top + 2) + 1.  Every partial B[s][k] is below its final value, so
-below 2^b, and so is every slot of f_m (C(m, k) <= C(N, k)).  So a row is
-below 2^(b(top+1)), f_m below 2^(b(min(m, top)+1)), and their product below
-2^(b(top + min(m, top) + 2)) <= 2^(stride-1); adding row s of X, also below
-that, gives less than 2^stride, so nothing carries into the next row.  In
-the low b(top+1) bits of each row, the new slots k <= top are sums of
-nonnegative terms below 2^b, so no carry reaches them from below and the
-mask leaves exactly the new B[s][0..top].  The route never calls
+where keep holds slots 0..top of rows 0..top-1.  Any stride of at least
+b * (2 * top + 2) + 1 bits works.  Every partial B[s][k] is below its
+final value, so below 2^b, and so is every slot of f_m (C(m, k) <= C(N, k)).
+So a row is below 2^(b(top+1)), f_m below 2^(b(min(m, top)+1)), and their
+product below 2^(b(top + min(m, top) + 2)) <= 2^(stride-1); adding row s of
+X, also below that, gives less than 2^stride, so nothing carries into the
+next row.  In the low b(top+1) bits of each row, the new slots k <= top are
+sums of nonnegative terms below 2^b, so no carry reaches them from below
+and the mask leaves exactly the new B[s][0..top].  Every fill takes its
+stride from _direct_layout: that bound rounded up to whole bytes, whose
+spare bits only widen the gap between rows, so every row starts on a byte
+and keep is one row's mask bytes repeated every stride.  The route never calls
 _newton_rows, so it keeps the b of the table.  At top = i the brackets of
 order i are slot i of each row, the row shifted down b * i bits: the mask
 leaves nothing above it.
@@ -105,9 +108,8 @@ esp_extraction_all reads its table.  One width serves every prefix: a
 prefix's B[s][k] sums a subset of the nonnegative terms C(sigma_J, k) that
 the whole set's B[s][k] sums, so the slot width b of the whole set
 (_table_width) bounds every slot of every prefix, and every slot of f_m too.
-The stride is b * (2 * top + 2) + 1 bits rounded up to whole bytes, so the
-spare bits only widen the gap between rows, every row starts on a byte, and
-one to_bytes cuts every row filled so far out of the table after each root.
+Every row starts on a byte, so one to_bytes cuts every row filled so far out
+of the table after each root.
 """
 
 from __future__ import annotations
@@ -275,8 +277,8 @@ def _conversion(n: int, top: int) -> tuple[tuple[int, ...], ...]:
 
 def _binomial_factor(m: int, top: int, b: int) -> int:
     """(1+z)^m cut after z^top, C(m, k) in b-bit slot k for k <= min(m, top).
-    Exact when every such C(m, k) < 2^b, as the slot width of its one
-    caller, _direct_rows, ensures (C(m, k) <= C(N, k)).  Then
+    Exact when every such C(m, k) < 2^b, as the slot width of each direct
+    fill ensures (C(m, k) <= C(N, k)).  Then
     (2^b + 1)^m = sum_k C(m, k) 2^(bk) has slots 0..top exact: the terms
     above top are multiples of 2^(b(top+1)), so no carry reaches a kept
     slot, and one pow masked to slots 0..top builds the factor.  That pow makes a b * m-bit integer, so it
@@ -335,15 +337,17 @@ def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
 
 # Below this b * top, b the slot width of a table with that top, both
 # _bracket_table (top = n) and _bracket_totals (top = i) fill their rows
-# directly (_direct_rows).  Read from the `table_grid` bins of BENCH_19.json:
-# the direct route takes at most 0.82 of the support route's summed time per
-# bin below 500, 1.03-1.06 at 500-600, and 1.3 or more above.  496 = 16 * 31
-# sits just below, where both edges 495 and 496 are b * top of tables with
-# several rows (499 is prime).  Every table of verify's exhaustive sweep
-# (b * top at most 174) lies below it, and so does every cell of a random set
-# unless n = 10 and N >= 78; every wide set (1,010 and up) lies above it.
-# Per order, on sieve_compact's cells below it, the direct fill gains below
-# b * i = 300, loses at 300-495 and gains in sum, so one rule serves both.
+# directly (_direct_rows).  In the `table_grid` bins of BENCH_29.json (Newton
+# the one support kernel, no factor cache) the direct route takes 0.19-0.35
+# of the support route's summed time per bin below 500, 0.42-0.60 at
+# 500-750, and 1.04 or more from 750 on, so for tables alone the crossover
+# lies near 750.  Per order, on sieve_compact's cells below 496, the direct
+# fill gains below b * i = 300, loses at 300-495 and gains in sum (BENCH_25),
+# so one rule serves both at 496 = 16 * 31, where both edges 495 and 496 are
+# b * top of tables with several rows (499 is prime).  Every table of
+# verify's exhaustive sweep (b * top at most 174) lies below it, and so does
+# every cell of a random set unless n = 10 and N >= 78; every wide set
+# (1,010 and up) lies above it.
 _DIRECT_BELOW = 496
 
 
@@ -383,11 +387,13 @@ def _direct_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
 
 @lru_cache(maxsize=256)
 def _direct_layout(top: int, b: int) -> tuple[int, int, int]:
-    """The stride of _direct_rows, b * (2 * top + 2) + 1 bits as the module
-    docstring proves; the mask of slots 0..top of rows 0..top-1; and that of
-    one row.  Depends on (top, b) only, so each layout is built once."""
-    stride, row = b * (2 * top + 2) + 1, (1 << (b * (top + 1))) - 1
-    return stride, sum(row << (stride * s) for s in range(top)), row
+    """The layout of every direct fill: its stride, b * (2 * top + 2) + 1 bits
+    as the module docstring proves, rounded up to whole bytes; the mask of
+    slots 0..top of rows 0..top-1, one row's mask bytes repeated every stride;
+    and that of one row.  Cached for _direct_rows, which only tables below
+    _DIRECT_BELOW reach; _triangle_rows builds its table-sized one uncached."""
+    size, row = (b * (2 * top + 2) + 8) // 8, (1 << (b * (top + 1))) - 1
+    return 8 * size, int.from_bytes(row.to_bytes(size, "little") * top, "little"), row
 
 
 def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
@@ -498,19 +504,20 @@ def _triangle_rows(elements: Sequence[int], stirling: bool) -> Iterator[list[int
     """e_0..e_n of each prefix elements[:n], n = 1..len(elements), from one
     direct fill with top = len(elements) in the width of the whole set: after
     root n the table holds the prefix's B[s][0..top], and its rows are cut
-    out by one to_bytes, since the stride is whole bytes (_stride_bytes).
-    With stirling, row n must equal the recurrence's |s(n+1, n+1-i)|."""
+    out by one to_bytes, since the stride is whole bytes (_direct_layout).
+    The cut is released before the next product.  With stirling, row n must
+    equal the recurrence's |s(n+1, n+1-i)|."""
     top = len(elements)
     b = _table_width(elements, top)
-    size = _stride_bytes(top, b)
-    # slots 0..top of rows 0..top-1: one row's mask, repeated every stride
-    keep = int.from_bytes(((1 << (b * (top + 1))) - 1).to_bytes(size, "little") * top, "little")
+    stride, keep, _ = _direct_layout.__wrapped__(top, b)
+    size = stride // 8
     table, total = 1, 0
     for n, m in enumerate(elements, start=1):
-        table = (table + (table * _binomial_factor(m, top, b) << 8 * size)) & keep
+        table = (table + (table * _binomial_factor(m, top, b) << stride)) & keep
         total += m
         data = table.to_bytes(size * (n + 1), "little")
         row = _read_orders([int.from_bytes(data[size * s : size * (s + 1)], "little") for s in range(n)], b, n, total)
+        del data
         if stirling:
             recurrence_row = [abs(stirling_first_signed(n + 1, n + 1 - i)) for i in range(n + 1)]
             if row != recurrence_row:
@@ -519,7 +526,3 @@ def _triangle_rows(elements: Sequence[int], stirling: bool) -> Iterator[list[int
                 )
         yield row
 
-
-def _stride_bytes(top: int, b: int) -> int:
-    """The stride of _direct_rows, b * (2 * top + 2) + 1 bits, rounded up to whole bytes."""
-    return (b * (2 * top + 2) + 8) // 8

@@ -10,19 +10,18 @@ k, so by the grid lemma a pass proves its identity for every root set of
 n <= k; the equivalence and layer sweeps do.  README's "What a pass proves"
 says why, and what the coefficient and series grids prove.
 
-`run_suites` is the one place that forks, through `_forked`: the suites
-outside `SEEDED_SUITES` run in one child while this process runs the
-seeded ones on the shared rng.  So two processes share two CPUs during
-`verify --suite all`, and the reports are merged in suite order, each equal
-to the serial one.  It forks only with at least two CPUs in the affinity
-mask and no second thread.  The child always ends in `os._exit`; one that
-fails in any way exits non-zero having written nothing, and then, or if its
-payload does not load, this process runs the child's suites itself.  If
-this process's own suites raise an `Exception`, the child is killed and the
-whole split reruns serially (`run_suites` first puts the rng back as it
-was), so what raises is what the serial run raises; an interrupt kills and
-reaps the child and propagates.  With one CPU (e.g. under `taskset -c 0`)
-everything runs serially in one process.
+`run_suites` is the one place that forks.  When the suites of
+`SEEDED_SUITES` lead the names and others follow, as in `verify --suite
+all`, the others run in one child while this process runs the seeded ones
+on the shared rng, and the reports are merged in suite order, each equal
+to the serial one.  It forks only with two CPUs in the affinity mask and no
+second thread.  One failure rule keeps every exit code and error message
+the serial run's, which runs the seeded half first: an exception in this
+process's half kills and reaps the child and propagates; the child sends
+back its reports or the exception its suites raised, which this process
+raises after its own half; and the half of a child that delivers nothing
+loadable (killed, a non-zero exit, an unpicklable result) is rerun here.
+With one CPU (e.g. under `taskset -c 0`) everything runs serially.
 """
 
 from __future__ import annotations
@@ -258,28 +257,17 @@ SEEDED_SUITES = ("equivalence",)
 
 
 def run_suites(names: list[str], rng: random.Random, truncation: int) -> list[Report]:
-    """The reports of SUITES[name](rng, truncation) for each name in turn.  With
-    suites on both sides of SEEDED_SUITES, the unseeded ones run in a forked child."""
+    """The reports of SUITES[name](rng, truncation) for each name in turn.  When
+    SEEDED_SUITES lead `names` and others follow, the others run in a forked
+    child if _may_fork(), under the failure rule of the module docstring."""
+
+    def run(suites: list[str]) -> list[Report]:
+        return [report for name in suites for report in SUITES[name](rng, truncation)]
+
     seeded = [name for name in names if name in SEEDED_SUITES]
-    unseeded = [name for name in names if name not in SEEDED_SUITES]
-    if seeded and unseeded:
-        state = rng.getstate()
-        halves = _forked(lambda: [SUITES[name](rng, truncation) for name in seeded],
-                         lambda: [SUITES[name](rng, truncation) for name in unseeded])
-        if halves is not None:
-            seeded_reports, unseeded_reports = map(iter, halves)
-            return [report for name in names for report in next(seeded_reports if name in SEEDED_SUITES else unseeded_reports)]
-        rng.setstate(state)
-    return [report for name in names for report in SUITES[name](rng, truncation)]
-
-
-def _forked(here: Callable[[], object], there: Callable[[], object]) -> tuple | None:
-    """(here(), there()), with there() run in a forked child while this process
-    runs here(), or None when the caller must run both serially instead: no
-    fork was allowed or made, or here() raised an Exception.  A child that
-    fails has its half run here, so that it reports or raises as serially."""
-    if not _may_fork():
-        return None
+    rest = names[len(seeded):]
+    if not (seeded and rest and names[: len(seeded)] == seeded and _may_fork()):
+        return run(names)
     import pickle
     import signal
 
@@ -289,16 +277,19 @@ def _forked(here: Callable[[], object], there: Callable[[], object]) -> tuple | 
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return None
+        return run(names)
     if pid == 0:
         # The child never returns into the caller: it runs no atexit handler,
         # flushes no inherited stdio buffer, and on failure writes nothing.
         status = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(there(), pickle.HIGHEST_PROTOCOL)
+            try:
+                result = run(rest)
+            except Exception as error:
+                result = error
             with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
+                pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
             status = 0
         finally:
             os._exit(status)
@@ -306,20 +297,19 @@ def _forked(here: Callable[[], object], there: Callable[[], object]) -> tuple | 
     payload = None
     try:
         with open(read_fd, "rb") as pipe:
-            mine = here()
+            mine = run(seeded)
             payload = pipe.read()
-    except Exception:
-        return None
     finally:
         if payload is None:
             os.kill(pid, signal.SIGKILL)
         status = os.waitpid(pid, 0)[1]
-    if status == 0:
-        try:
-            return mine, pickle.loads(payload)
-        except Exception:
-            pass
-    return mine, there()
+    try:
+        theirs = pickle.loads(payload) if status == 0 else None
+    except Exception:
+        theirs = None
+    if isinstance(theirs, Exception):
+        raise theirs
+    return mine + (run(rest) if theirs is None else theirs)
 
 
 def _may_fork() -> bool:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -763,10 +764,32 @@ def test_specialize_row_60_is_the_per_row_sieve(family):
     assert row == esp_extraction_all(roots) == esp_all(roots)
 
 
-def test_triangle_stride_is_the_direct_bound_in_whole_bytes():
+def test_direct_stride_is_the_bound_in_whole_bytes():
     # the bound leaves about b spare bits on the triangles, so no value test
-    # sees a stride a byte short: the bound itself is checked
+    # sees a stride a byte short: the bound itself is checked, for the one
+    # layout that every direct fill takes
     for top in range(1, 41):
         for b in range(1, 80):
-            size, bound = esp._stride_bytes(top, b), b * (2 * top + 2) + 1
-            assert 8 * (size - 1) < bound <= 8 * size, (top, b)
+            stride, keep, row = esp._direct_layout.__wrapped__(top, b)
+            bound = b * (2 * top + 2) + 1
+            assert stride % 8 == 0 and stride - 8 < bound <= stride, (top, b)
+            assert row == (1 << (b * (top + 1))) - 1, (top, b)
+            assert keep == sum(row << (stride * s) for s in range(top)), (top, b)
+
+
+@pytest.mark.parametrize("family, rows", [("pascal", 80), ("stirling1", 40)])
+def test_the_triangle_drops_each_cut_before_the_next_product(monkeypatch, family, rows):
+    # The traced peak is the mask, the table and the update's temporaries,
+    # about 5.5 tables here; a cut kept across the next product adds one more
+    # (6.5).  _weights runs uncached, so no cache grows inside the trace.
+    monkeypatch.setattr(esp, "_weights", esp._weights.__wrapped__)
+    elements = (1,) * rows if family == "pascal" else tuple(range(1, rows + 1))
+    stride = esp._direct_layout.__wrapped__(rows, esp._table_width(elements, rows))[0]
+    tracemalloc.start()
+    try:
+        for _ in specialize(family, rows):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * rows * stride // 8

@@ -1,5 +1,6 @@
 """The shared verify checks must report failures when a route is wrong."""
 
+import functools
 import itertools
 import math
 import os
@@ -459,13 +460,12 @@ def plant_direct_factor_defect(monkeypatch):
 
 
 def plant_direct_stride_defect(monkeypatch):
-    layout = esp._direct_layout
-
+    @functools.lru_cache
     def narrow(top, b):
-        # room for one slot above a row, not top + 1 and a guard bit
-        _, _, row = layout(top, b)
-        stride = b * (top + 2) + 1
-        return stride, sum(row << (stride * s) for s in range(top)), row
+        # room for one slot above a row, not top + 1 and a guard bit, still
+        # in whole bytes; cached like the layout, whose __wrapped__ the triangle calls
+        size, row = (b * (top + 2) + 8) // 8, (1 << (b * (top + 1))) - 1
+        return 8 * size, int.from_bytes(row.to_bytes(size, "little") * top, "little"), row
 
     monkeypatch.setattr(esp, "_direct_layout", narrow)
 
@@ -484,6 +484,17 @@ def test_verify_fails_when_the_direct_table_route_is_wrong(monkeypatch, capsys, 
     # observed is (per order, all orders, recurrence): each sieve fails, the recurrence never
     assert all(check.observed[2] == check.expected[0] for check in wrong)
     assert all(any(check.observed[route] != check.expected[0] for check in wrong) for route in (0, 1))
+
+
+def test_the_narrowed_direct_layout_also_fails_the_triangle(monkeypatch, capsys):
+    # The triangle takes the same layout.  Pascal's factors 1 + z fit the
+    # narrowed stride, but stirling1's products carry past it, so the cut
+    # after root 5 overflows and the command exits 1 after four rows.
+    plant_direct_stride_defect(monkeypatch)
+    assert main(["specialize", "--family", "stirling1", "--rows", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [" ".join(map(str, esp.esp_all(RootSet(tuple(range(1, n + 1)))))) for n in range(1, 5)]
+    assert err == "error: int too big to convert\n"
 
 
 def plant_newton_defect(monkeypatch):
@@ -669,13 +680,14 @@ def planted_error(side):
 
 
 def test_a_child_suite_that_raises_gives_the_serial_error(monkeypatch, capsys):
-    # The child's failed half is rerun here, where it raises as serially.
+    # The child sends its exception back, and it is raised here after this
+    # process's half, as serially.
     Site(monkeypatch).plant("child", planted_error("child"))
     (serial, forked), forks = serial_and_forked(monkeypatch, capsys, Site.argv)
     assert forks == 1 and forked == serial == (1, "", "error: planted on the child's side\n")
 
 
-def test_a_parent_half_that_raises_reruns_serially(monkeypatch, capsys):
+def test_a_parent_half_that_raises_gives_the_serial_error(monkeypatch, capsys):
     # Alone or beside a raise on the child's side, the raise in this process's
     # half is the serial run's error: the seeded suite runs first.
     for sides in (["parent"], ["parent", "child"]):
@@ -687,27 +699,37 @@ def test_a_parent_half_that_raises_reruns_serially(monkeypatch, capsys):
         monkeypatch.undo()
 
 
-def test_a_parent_half_that_fails_once_reruns_from_the_same_draws(monkeypatch):
-    # The seeded suites have drawn from the rng when they raise, so the serial
-    # rerun starts from the state the split started from.
-    site = Site(monkeypatch)
-    set_cpus(monkeypatch, 1)
-    rng = random.Random(42)
-    serial = verify.run_suites(list(verify.SUITES), rng, 30), rng.getstate()
-    raised = []
+@pytest.mark.parametrize("side", ["parent", "child"])
+def test_a_suite_that_raises_once_fails_as_serially(monkeypatch, capsys, tmp_path, side):
+    # A file marks the raise, so the planted half raises once across processes
+    # and would pass if run again: no half that raised is retried.
+    raised = tmp_path / "raised"
 
     def once():
-        if not raised:
-            raised.append(None)
-            raise ArithmeticError("transient")
+        if not raised.exists():
+            raised.touch()
+            raise ArithmeticError(f"planted once on the {side}'s side")
 
-    site.plant("parent", once)
-    set_cpus(monkeypatch, 2)
+    Site(monkeypatch).plant(side, once)
     forks = count_forks(monkeypatch)
-    rng = random.Random(42)
-    assert (verify.run_suites(list(verify.SUITES), rng, 30), rng.getstate()) == serial
-    assert raised and len(forks) == 1
-    assert_no_child_left()
+    runs = []
+    for cpus in (1, 2):
+        raised.unlink(missing_ok=True)
+        set_cpus(monkeypatch, cpus)
+        runs.append((main(Site.argv), *capsys.readouterr()))
+        assert_no_child_left()
+    assert len(forks) == 1 and runs[0] == runs[1] == (1, "", f"error: planted once on the {side}'s side\n")
+
+
+def test_a_seeded_suite_after_another_runs_in_this_process(monkeypatch):
+    # Serially convolution runs first, so it must raise first: no split.
+    Site(monkeypatch)
+    names = ["convolution", "equivalence"]
+    set_cpus(monkeypatch, 1)
+    serial = verify.run_suites(names, random.Random(42), 30)
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    assert verify.run_suites(names, random.Random(42), 30) == serial
 
 
 def test_an_interrupted_parent_kills_and_reaps_the_child(monkeypatch):
