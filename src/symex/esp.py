@@ -320,7 +320,10 @@ def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
     docstring, top!/r! * P_r = sum_a S(a, r) p_a U_a, where U_a packs
     s(k, a) * top!/k! for k <= top: every sum is exact in integers, so the
     division by top!/r! is exact too.  A slot of P_r may exceed 2^b; the
-    value is still sum_k P_r[k] 2^(b(k-r))."""
+    value is still sum_k P_r[k] 2^(b(k-r)).  Two zero triangles are skipped:
+    s(k, a) = 0 for k < a, so U_a packs slots a..top only, shifted down a
+    slots; and S(a, r) = 0 for a < r, so P_r sums a = r..top only, each term
+    shifted up a - r slots."""
     sums, powers = [len(elements), sum(elements)], elements
     for _ in range(1, top):
         powers = list(map(mul, powers, elements))
@@ -330,9 +333,9 @@ def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
     shifts = range(0, b * (top + 1), b)
     # zip_longest turns the cached rows into columns s(0..top, a) and S(0..top, r)
     falling = zip_longest(*map(_stirling_row, range(top + 1)), fillvalue=0)
-    weighted = [p * sum(map(lshift, map(mul, column, ratios), shifts)) for p, column in zip(sums, falling)]
+    weighted = [p * sum(map(lshift, map(mul, column[a:], ratios[a:]), shifts)) for a, (p, column) in enumerate(zip(sums, falling))]
     second = zip_longest(*map(_stirling_second_row, range(top + 1)), fillvalue=0)
-    return [sum(map(mul, column, weighted)) // ratios[r] >> (b * r) if r else 0 for r, column in zip(range(top), second)]
+    return [sum(map(lshift, map(mul, column[r:], weighted[r:]), shifts)) // ratios[r] if r else 0 for r, column in zip(range(top), second)]
 
 
 # Below this b * top, b the slot width of a table with that top, both

@@ -266,6 +266,58 @@ def test_compute_method_all(capsys):
     assert out == "direct 26\ndp 26\nextraction 26\nagree yes\n"
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WIDE = (10**299 + 7, 3**629, 2**995 - 1, 10**299 + 1, 5**429)
+
+
+def compute_payload(roots, i, method):
+    """The dict that `compute --json` once built and passed to json.dumps."""
+    if method == "all":
+        values = esp.esp_compare(roots, i)
+        by_method = {name: str(value) for name, value in values.items()}
+        return {"value": by_method["direct"], "method": "all", "values": by_method, "agree": len(set(by_method.values())) == 1}
+    if method != "extraction":
+        return {"value": str(esp.METHODS[method](roots, i)), "method": method}
+    value, breakdown = esp.esp_extraction(roots, i, explain_limit=0)
+    terms = [{"h": t.h, "weight": str(t.coefficient), "bracket_total": str(t.bracket_total)} for t in breakdown.terms]
+    return {"value": str(value), "method": method, "breakdown": {"head": str(breakdown.head), "terms": terms}}
+
+
+@pytest.mark.parametrize(
+    "elements, i",
+    [((2, 3, 4), 3), ((2, 3, 4), 0), ((2, 3, 4), 1), ((7,), 1), ((3, 1, 4, 1, 5, 9, 2, 6), 6), (WIDE, 2), (WIDE, 4), (WIDE, 5)],
+)
+@pytest.mark.parametrize("method", ["extraction", "direct", "dp", "all"])
+def test_compute_json_is_the_bytes_of_json_dumps(capsys, elements, i, method):
+    # The writer spells each line itself; every shape must stay json.dumps'
+    # default text, including 300-digit values and negative weights.
+    roots = RootSet(elements)
+    if method == "all" and i == 0:
+        i = 1  # method all refuses i = 0 with exit 3
+    expected = json.dumps(compute_payload(roots, i, method)) + "\n"
+    code, out, err = run(capsys, "compute", "--roots", ",".join(map(str, elements)), "--i", str(i), "--method", method, "--json")
+    assert (code, out, err) == (0, expected, "")
+    if elements == WIDE:
+        assert len(json.loads(out)["value"]) > 300
+    if method == "extraction" and i > 2:
+        assert any(t["weight"].startswith("-") for t in json.loads(out)["breakdown"]["terms"])
+
+
+def test_compute_json_of_disagreeing_routes(capsys, monkeypatch):
+    monkeypatch.setitem(esp.METHODS, "dp", lambda roots, i: esp.esp_all(roots)[i] + 1)
+    roots = RootSet((2, 3, 4))
+    expected = json.dumps(compute_payload(roots, 2, "all")) + "\n"
+    assert '"agree": false' in expected
+    assert run(capsys, "compute", "--roots", "2,3,4", "--i", "2", "--method", "all", "--json") == (1, expected, "")
+
+
+def test_compute_json_golden_bytes(capsys):
+    # The installed console script is compared with this same file.
+    golden = (GOLDEN / "compute_2_3_4_i3.json").read_text()
+    assert golden == json.dumps(compute_payload(RootSet((2, 3, 4)), 3, "extraction")) + "\n"
+    assert run(capsys, "compute", "--roots", "2,3,4", "--i", "3", "--json") == (0, golden, "")
+
+
 def test_compute_method_all_runs_each_route_once(capsys, monkeypatch):
     calls = Counter()
 
@@ -515,6 +567,17 @@ def test_specialize_json(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["rows"] == [["1", "1"], ["1", "2", "1"], ["1", "3", "3", "1"]]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 12])
+@pytest.mark.parametrize("family", ["pascal", "stirling1"])
+def test_specialize_json_is_the_bytes_of_json_dumps(capsys, family, rows):
+    # The rows are written one at a time, yet the line is json.dumps' text of
+    # the whole payload; each row here is e_0..e_n by the product recurrence.
+    prefixes = [(1,) * n if family == "pascal" else tuple(range(1, n + 1)) for n in range(1, rows + 1)]
+    payload = {"family": family, "rows": [[str(e) for e in esp.esp_all(RootSet(prefix))] for prefix in prefixes]}
+    expected = json.dumps(payload) + "\n"
+    assert run(capsys, "specialize", "--family", family, "--rows", str(rows), "--json") == (0, expected, "")
 
 
 # ---------------------------------------------------------------------------

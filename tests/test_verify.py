@@ -687,6 +687,28 @@ def test_a_child_suite_that_raises_gives_the_serial_error(monkeypatch, capsys):
     assert forks == 1 and forked == serial == (1, "", "error: planted on the child's side\n")
 
 
+def raise_planted_assertion():
+    raise AssertionError("planted")
+
+
+def test_a_child_suite_error_keeps_the_suite_frames(monkeypatch):
+    # An error cli.main does not catch prints its traceback: raised here from
+    # the child's, that traceback must still reach the function that raised.
+    Site(monkeypatch).plant("child", raise_planted_assertion)
+    forks = count_forks(monkeypatch)
+    raised = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(AssertionError) as excinfo:
+            main(Site.argv)
+        assert_no_child_left()
+        raised.append(excinfo.value)
+    serial, forked = raised
+    assert len(forks) == 1 and (type(forked), forked.args) == (type(serial), serial.args) == (AssertionError, ("planted",))
+    cause = str(forked.__cause__)
+    assert "in raise_planted_assertion\n" in cause and cause.endswith("AssertionError: planted\n")
+
+
 def test_a_parent_half_that_raises_gives_the_serial_error(monkeypatch, capsys):
     # Alone or beside a raise on the child's side, the raise in this process's
     # half is the serial run's error: the seeded suite runs first.
