@@ -35,6 +35,8 @@ ArithmeticError, which exits 1 after the rows before it are written.
 
 A reader that closes stdout early (`symex ... | head`) ends the command
 with exit 1 and no message; the rest of the output goes to os.devnull.
+An allocation that fails (MemoryError) ends it with exit 1 and the one
+line `error: out of memory` on stderr, after the output already written.
 
 `main(argv)` may be called repeatedly in one process: it builds its parser
 on the first call and reuses it.  The parser holds only what is fixed at
@@ -405,6 +407,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # Python's MemoryError usually carries no message of its own.
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -43,7 +43,9 @@ sum_q (-1)^(r-q) C(r, q) q^a = r! S(a, r) with S those of the second kind, so
 
     P_r[k] = (r!/k!) sum_{a=r..k} S(a, r) s(k, a) p_a,
 
-zero for k < r, so P_r is kept shifted down r slots as well.
+zero for k < r, so P_r is kept shifted down r slots as well.  All of it
+but the p_a depends on top alone: the columns s(k, a) * top!/k! and
+S(a, r) and the ratios top!/k! are built once per top (_power_sum_table).
 
 Slot widths.  All terms of F are nonnegative and sum_t F[t][k] = C(N, k)
 where N = m_1+...+m_n, so F[t][k] <= C(N, k), and B[s][k] <= C(n, s) * C(N, k).
@@ -58,9 +60,12 @@ polynomial evaluated at 2^w, exactly, whatever the size of its slots; so the
 alternating sum of the cut products is congruent mod M to the slots of
 t * F_t, and those lie in [0, t * 2^b).  With w = b + bitlen(top-1) every
 such slot is < 2^w, so the sum reduced mod M is exactly t * F_t packed, and
-dividing it by t is exact, for any nonnegative roots.  _newton_rows returns w
-beside the rows; _bracket_table converts in w-bit slots, which hold every
-B[s][k] < 2^b, so the conversion needs no repacking.
+dividing it by t is exact, for any nonnegative roots.  The modulus of row r
+is a multiple of that of every row t >= r, so each signed (-1)^(r-1) P_r is
+reduced once, mod 2^(w * (top-r+1)), and every row is one sum of
+nonnegative products.  _newton_rows returns w beside the rows;
+_bracket_table converts in w-bit slots, which hold every B[s][k] < 2^b, so
+the conversion needs no repacking.
 
 The rows cost polynomially many big-int products instead of
 sum_s C(n, s) binomials.  From them esp_extraction reads the top slot
@@ -283,16 +288,17 @@ def _binomial_factor(m: int, top: int, b: int) -> int:
     above top are multiples of 2^(b(top+1)), so no carry reaches a kept
     slot, and one pow masked to slots 0..top builds the factor.  That pow makes a b * m-bit integer, so it
     serves roots below 64 only; wider roots are built slot by slot, at
-    min(m, top) binomials whatever m is.  Timed on the factors of one
-    sieve_compact round (CPython 3.11, 2-core x86-64 VM), pow with its bound
-    anywhere in 16..64 summed below the loop alone, and above it from 96 on
-    (x3.4 at 256).  No cache: verify's sweeps alone ask for over a thousand
-    distinct (m, top, b)."""
+    min(m, top) binomials whatever m is, each one math.comb: there m >= 64
+    and 1 <= k <= m, where binomial_first is math.comb.  Timed on the
+    factors of one sieve_compact round (CPython 3.11, 2-core x86-64 VM), pow
+    with its bound anywhere in 16..64 summed below the loop alone, and above
+    it from 96 on (x3.4 at 256).  No cache: verify's sweeps alone ask for
+    over a thousand distinct (m, top, b)."""
     if m < 64:
         return pow((1 << b) + 1, m) & ((1 << (b * (top + 1))) - 1)
     factor = 0
     for k in range(min(m, top), 0, -1):
-        factor = factor << b | binomial_first(m, k)
+        factor = factor << b | comb(m, k)
     return factor << b | 1
 
 
@@ -302,15 +308,16 @@ def _newton_rows(elements: Sequence[int], top: int, b: int) -> tuple[list[int], 
     w = b + bitlen(top-1) they are packed in.  By the Newton-Girard
     identities, t * F_t = sum_{r=1..t} (-1)^(r-1) P_r * F_{t-r}, each operand
     cut to the top-t+1 slots row t keeps, the sum reduced mod 2^(w*(top-t+1))
-    and divided by t.  Exact when every F[t][k] < 2^b, which needs
-    nonnegative elements."""
+    and divided by t.  Each (-1)^(r-1) P_r is stored once, as its residue
+    mod 2^(w*(top-r+1)): that modulus is a multiple of row t's for every
+    t >= r, so every operand is nonnegative and a row is one sum of products.
+    Exact when every F[t][k] < 2^b, which needs nonnegative elements."""
     w = b + (top - 1).bit_length()
-    power_sums = _power_sums(elements, top, w)
+    signed = [(p if r % 2 else -p) & ((1 << (w * (top - r + 1))) - 1) for r, p in enumerate(_power_sums(elements, top, w))]
     rows = [1]
     for t in range(1, top):
         keep = (1 << (w * (top - t + 1))) - 1
-        products = list(map(mul, map(and_, power_sums[1 : t + 1], repeat(keep)), map(and_, reversed(rows), repeat(keep))))
-        rows.append((sum(products[::2]) - sum(products[1::2]) & keep) // t)
+        rows.append((sum(map(mul, map(and_, signed[1 : t + 1], repeat(keep)), map(and_, reversed(rows), repeat(keep)))) & keep) // t)
     return rows, w
 
 
@@ -323,19 +330,36 @@ def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
     value is still sum_k P_r[k] 2^(b(k-r)).  Two zero triangles are skipped:
     s(k, a) = 0 for k < a, so U_a packs slots a..top only, shifted down a
     slots; and S(a, r) = 0 for a < r, so P_r sums a = r..top only, each term
-    shifted up a - r slots."""
-    sums, powers = [len(elements), sum(elements)], elements
+    shifted up a - r slots.  Everything but the roots and b comes from
+    _power_sum_table(top)."""
+    sums, powers = [sum(elements)], elements
     for _ in range(1, top):
         powers = list(map(mul, powers, elements))
         sums.append(sum(powers))
-    factorials = list(accumulate(range(1, top + 1), mul, initial=1))
-    ratios = [factorials[top] // f for f in factorials]
+    falling, second, ratios = _power_sum_table(top)
     shifts = range(0, b * (top + 1), b)
-    # zip_longest turns the cached rows into columns s(0..top, a) and S(0..top, r)
+    weighted = [p * sum(map(lshift, column, shifts)) for p, column in zip(sums, falling)]
+    return [0, *(sum(map(lshift, map(mul, column, weighted[r - 1 :]), shifts)) // ratio for r, column, ratio in zip(range(1, top), second, ratios[1:]))]
+
+
+@lru_cache(maxsize=32)
+def _power_sum_table(top: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """What _power_sums needs of order top alone: for a = 1..top the column
+    s(k, a) * top!/k!, k = a..top; for r = 1..top-1 the column S(a, r),
+    a = r..top; and top!/k! for k = 0..top.  The Stirling numbers come from
+    the cached rows of bigcomb, transposed here once per top.  Cached for at
+    most 32 orders, bounded by entries like _conversion: an entry takes
+    13 KB at top = 17, sieve_compact's largest support order, and 2.2 MB at
+    top = 150."""
+    ratios = tuple(accumulate(range(top, 0, -1), mul, initial=1))[::-1]
+    # zip_longest turns the rows into columns s(0..top, a) and S(0..top, r)
     falling = zip_longest(*map(_stirling_row, range(top + 1)), fillvalue=0)
-    weighted = [p * sum(map(lshift, map(mul, column[a:], ratios[a:]), shifts)) for a, (p, column) in enumerate(zip(sums, falling))]
     second = zip_longest(*map(_stirling_second_row, range(top + 1)), fillvalue=0)
-    return [sum(map(lshift, map(mul, column[r:], weighted[r:]), shifts)) // ratios[r] if r else 0 for r, column in zip(range(top), second)]
+    return (
+        tuple(tuple(map(mul, column[a:], ratios[a:])) for a, column in enumerate(falling) if a),
+        tuple(column[r:] for r, column in zip(range(top), second) if r),
+        ratios,
+    )
 
 
 # Below this b * top, b the slot width of a table with that top, both

@@ -556,6 +556,29 @@ def test_specialize_disagreement_exits_one(capsys, monkeypatch):
     assert err.startswith("error: stirling1 row 2 disagrees") and "Traceback" not in err
 
 
+def test_a_failed_allocation_exits_one_with_one_error_line(capsys, monkeypatch):
+    # A route that cannot allocate, planted rather than provoked: the
+    # triangle's second root and the per-order brackets raise MemoryError.
+    factor = esp._binomial_factor
+
+    def second_root_out_of_memory(m, top, b):
+        if m == 2:
+            raise MemoryError
+        return factor(m, top, b)
+
+    monkeypatch.setattr(esp, "_binomial_factor", second_root_out_of_memory)
+    code, out, err = run(capsys, "specialize", "--family", "stirling1", "--rows", "3")
+    # row 1 was written before the failed allocation, and stays written
+    assert (code, out, err) == (1, "1 1\n", "error: out of memory\n")
+
+    def out_of_memory(*args):
+        raise MemoryError("planted")
+
+    monkeypatch.setattr(esp, "_bracket_totals", out_of_memory)
+    for extra in ((), ("--json",), ("--explain",)):
+        assert run(capsys, "compute", "--roots", "2,3,4", "--i", "3", *extra) == (1, "", "error: out of memory\n")
+
+
 def test_specialize_unknown_family_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["specialize", "--family", "nosuch", "--rows", "2"])

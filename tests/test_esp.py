@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symex import esp
-from symex.bigcomb import binomial_first
+from symex.bigcomb import binomial_first, stirling_first_signed
 from symex.cli import main
 from symex.coeffs import coeff_closed
 from symex.esp import (
@@ -619,6 +619,80 @@ def test_newton_route_at_the_slot_width_edges():
     # P_r's slots may exceed 2^b: each product and the sum are reduced mod
     # 2^(b(top-t+1)), so only t * F_t must fit, and these cases show it
     assert overflowed > 0
+
+
+@given(elements=st.lists(mixed_roots, min_size=1, max_size=7))
+@example(elements=[1, 1, 2, 3, (1 << 80) - 1])
+@settings(max_examples=40, deadline=None)
+def test_power_sums_are_their_closed_form(elements):
+    elements = tuple(elements)
+    # P_r[k] for k <= top is the same sum for every top, so one closed form
+    # at top = n + 1 serves each smaller top
+    closed_form = _power_sum_slots(elements, len(elements) + 1)
+    for top in range(1, len(elements) + 2):
+        # in the slots of F, of a table of B, and of a table with 7 spare bits
+        for b in (_support_width(elements, top), _table_width(elements, top), _table_width(elements, top) + 7):
+            power_sums = esp._power_sums(elements, top, b)
+            assert len(power_sums) == top and power_sums[0] == 0
+            for r in range(1, top):
+                assert power_sums[r] == sum(value << (b * (k - r)) for k, value in enumerate(closed_form[r][r : top + 1], start=r))
+
+
+def test_power_sum_table_is_built_once_per_order_in_a_bounded_cache():
+    table = esp._power_sum_table
+    table.cache_clear()
+    for elements in ((1,) * 12, (3, 1, 4, 1, 5, 9, 2, 6), ((1 << 60) - 1,) * 9, (1 << 80, 7)):
+        for top in range(1, 10):
+            esp._newton_rows(elements, top, _table_width(elements, top))
+    # four root sets, nine orders: one table per order, every other call a hit
+    assert table.cache_info()[:2] == (27, 9)
+    # the table at top = 5 holds s(k, a) * 5!/k!, S(a, r) and 5!/k!
+    falling, second, ratios = esp._power_sum_table(5)
+    assert ratios == (120, 120, 60, 20, 5, 1)
+    assert falling == tuple(tuple(stirling_first_signed(k, a) * ratios[k] for k in range(a, 6)) for a in range(1, 6))
+    assert second == tuple(tuple(_stirling_second(a, r) for a in range(r, 6)) for r in range(1, 5))
+    # bounded by entries: one more order than it keeps evicts the oldest
+    size = table.cache_info().maxsize
+    assert size == 32
+    for top in range(1, size + 2):
+        table(top)
+    assert table.cache_info().currsize == size
+    table.cache_clear()
+
+
+def _stirling_second(a, r):
+    # S(a, r) by inclusion-exclusion over the empty blocks
+    return sum((-1) ** j * math.comb(r, j) * (r - j) ** a for j in range(r + 1)) // math.factorial(r)
+
+
+@given(elements=st.lists(mixed_roots, min_size=1, max_size=8))
+@example(elements=[(1 << 60) - 1] * 20)
+@settings(max_examples=60, deadline=None)
+def test_newton_rows_hold_e_t_in_slot_zero(elements):
+    # F[t][t] = e_t(m): each term of g_m starts at m * z, so the lowest slot
+    # of row t multiplies t of the roots' lowest coefficients
+    elements = tuple(elements)
+    values = esp_all(RootSet(elements))
+    for top in range(1, len(elements) + 2):
+        for b in (_support_width(elements, top), _table_width(elements, top)):
+            rows, width = esp._newton_rows(elements, top, b)
+            assert [row & ((1 << width) - 1) for row in rows] == values[:top]
+
+
+def test_sieve_weights_cancel_every_support_term_for_n_up_to_20():
+    # sieve - e_i = sum_{t=1..i-1} c_t F[t][i] with c_t = 1 + sum_h w_h C(n-t, i-t-h),
+    # w = _weights(n, i), and the F[t][i] are nonzero polynomials in the
+    # roots: so the sieve holds for every root set of size n at order i if
+    # and only if every c_t is 0
+    count = 0
+    for n in range(21):
+        for i in range(n + 1):
+            weights = esp._weights(n, i)
+            for t in range(1, i):
+                c = 1 + sum(w * math.comb(n - t, i - t - h) for h, w in enumerate(weights[: i - t], start=1))
+                assert c == 0, (n, i, t)
+                count += 1
+    assert count == 1330
 
 
 def _random_roots(rng, n, bits):
