@@ -97,10 +97,13 @@ X, also below that, gives less than 2^stride, so nothing carries into the
 next row.  In the low b(top+1) bits of each row, the new slots k <= top are
 sums of nonnegative terms below 2^b, so no carry reaches them from below
 and the mask leaves exactly the new B[s][0..top].  Every fill takes its
-stride from _direct_layout: that bound rounded up to whole bytes, whose
-spare bits only widen the gap between rows, so every row starts on a byte
-and keep is one row's mask bytes repeated every stride.  The route never calls
-_newton_rows, so it keeps the b of the table.  At top = i the brackets of
+factors from one generator, _binomial_factors, which builds 2^b + 1 and
+the mask of slots 0..top once per fill: f_m is (2^b + 1)^m masked to those
+slots for a root below 64, and built slot by slot from 64 on.  Every fill
+takes its stride from _direct_layout: that bound rounded up to whole bytes,
+whose spare bits only widen the gap between rows, so every row starts on a
+byte and keep is one row's mask bytes repeated every stride.  The route
+never calls _newton_rows, so it keeps the b of the table.  At top = i the brackets of
 order i are slot i of each row, the row shifted down b * i bits: the mask
 leaves nothing above it.
 
@@ -123,7 +126,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, repeat, zip_longest
 from math import comb, prod
 from operator import and_, lshift, mul
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import coeffs
 from .bigcomb import _stirling_row, _stirling_second_row, binomial_first, binomial_second, stirling_first_signed
@@ -231,14 +234,16 @@ def esp_extraction(
         raise ExtractionDomainError(f"order {i} exceeds root set size {n}; use the direct route")
 
     elements = roots.elements
-    head = binomial_first(roots.total, i)
-    totals = _bracket_totals(elements, i) if i > 1 else []
+    head = comb(roots.total, i)
+    weights = _weights(n, i)
+    # bracket h is B[i-h][i], so the terms read the totals down from s = i-1
+    brackets = _bracket_totals(elements, i)[i - 1 : 0 : -1] if i > 1 else []
 
-    def detail(s: int) -> tuple[tuple[IndexSubset, int], ...] | None:
-        return tuple(zip(k_subsets(n, s), map(comb, map(sum, combinations(elements, s)), repeat(i)))) if n <= explain_limit else None
-
-    terms = tuple(BreakdownTerm(h, w, totals[i - h], detail(i - h)) for h, w in enumerate(_weights(n, i), start=1))
-    value = head + sum(term.coefficient * term.bracket_total for term in terms)
+    details: Iterator[tuple[tuple[IndexSubset, int], ...] | None] = repeat(None)
+    if n <= explain_limit:
+        details = (tuple(zip(k_subsets(n, s), map(comb, map(sum, combinations(elements, s)), repeat(i)))) for s in range(i - 1, 0, -1))
+    terms = tuple(map(BreakdownTerm, range(1, i), weights, brackets, details))
+    value = head + sum(map(mul, weights, brackets))
     return value, ExtractionBreakdown(i, head, terms, value)
 
 
@@ -256,7 +261,7 @@ def _read_orders(rows: Sequence[int], b: int, n: int, total: int) -> list[int]:
     slot = (1 << b) - 1
     values = [1]
     for i in range(1, n + 1):
-        value, shift = binomial_first(total, i), b * i
+        value, shift = comb(total, i), b * i
         for weight, row in zip(_weights(n, i), rows[i - 1:0:-1]):
             value += weight * (row >> shift & slot)
         values.append(value)
@@ -280,26 +285,32 @@ def _conversion(n: int, top: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(comb(n - t, s - t) for t in range(s + 1)) for s in range(top))
 
 
-def _binomial_factor(m: int, top: int, b: int) -> int:
-    """(1+z)^m cut after z^top, C(m, k) in b-bit slot k for k <= min(m, top).
-    Exact when every such C(m, k) < 2^b, as the slot width of each direct
-    fill ensures (C(m, k) <= C(N, k)).  Then
+def _binomial_factors(elements: Iterable[int], top: int, b: int) -> Iterator[int]:
+    """The factors of one direct fill, one per root m in turn: (1+z)^m cut
+    after z^top, C(m, k) in b-bit slot k for k <= min(m, top).  The
+    constants 2^b + 1 and the mask of slots 0..top are built once per fill,
+    not once per root.  Exact when every such C(m, k) < 2^b, as the slot
+    width of each direct fill ensures (C(m, k) <= C(N, k)).  Then
     (2^b + 1)^m = sum_k C(m, k) 2^(bk) has slots 0..top exact: the terms
     above top are multiples of 2^(b(top+1)), so no carry reaches a kept
-    slot, and one pow masked to slots 0..top builds the factor.  That pow makes a b * m-bit integer, so it
-    serves roots below 64 only; wider roots are built slot by slot, at
-    min(m, top) binomials whatever m is, each one math.comb: there m >= 64
-    and 1 <= k <= m, where binomial_first is math.comb.  Timed on the
-    factors of one sieve_compact round (CPython 3.11, 2-core x86-64 VM), pow
-    with its bound anywhere in 16..64 summed below the loop alone, and above
-    it from 96 on (x3.4 at 256).  No cache: verify's sweeps alone ask for
-    over a thousand distinct (m, top, b)."""
-    if m < 64:
-        return pow((1 << b) + 1, m) & ((1 << (b * (top + 1))) - 1)
-    factor = 0
-    for k in range(min(m, top), 0, -1):
-        factor = factor << b | comb(m, k)
-    return factor << b | 1
+    slot, and one pow masked to slots 0..top builds the factor.  That pow
+    makes a b * m-bit integer, so it serves roots below 64 only; wider roots
+    are built slot by slot, at min(m, top) binomials whatever m is, each one
+    math.comb of m >= 64 and 1 <= k <= m.  Timed on the factors of one
+    sieve_compact round (CPython 3.11, 2-core x86-64 VM), pow with its bound
+    anywhere in 16..64 summed below the loop alone, and above it from 96 on
+    (x3.4 at 256).  A generator, so a fill holds one factor at a time.  No
+    cache: verify's sweeps alone ask for over a thousand distinct
+    (m, top, b)."""
+    base, slots = (1 << b) + 1, (1 << (b * (top + 1))) - 1
+    for m in elements:
+        if m < 64:
+            yield pow(base, m) & slots
+            continue
+        factor = 0
+        for k in range(min(m, top), 0, -1):
+            factor = factor << b | comb(m, k)
+        yield factor << b | 1
 
 
 def _newton_rows(elements: Sequence[int], top: int, b: int) -> tuple[list[int], int]:
@@ -313,10 +324,12 @@ def _newton_rows(elements: Sequence[int], top: int, b: int) -> tuple[list[int], 
     t >= r, so every operand is nonnegative and a row is one sum of products.
     Exact when every F[t][k] < 2^b, which needs nonnegative elements."""
     w = b + (top - 1).bit_length()
-    signed = [(p if r % 2 else -p) & ((1 << (w * (top - r + 1))) - 1) for r, p in enumerate(_power_sums(elements, top, w))]
+    # keeps[t], slots 0..top-t, is the modulus of row t and of P_t
+    keeps = [(1 << (w * (top - t + 1))) - 1 for t in range(top)]
+    signed = [(p if r % 2 else -p) & keep for r, p, keep in zip(range(top), _power_sums(elements, top, w), keeps)]
     rows = [1]
     for t in range(1, top):
-        keep = (1 << (w * (top - t + 1))) - 1
+        keep = keeps[t]
         rows.append((sum(map(mul, map(and_, signed[1 : t + 1], repeat(keep)), map(and_, reversed(rows), repeat(keep)))) & keep) // t)
     return rows, w
 
@@ -403,12 +416,13 @@ def _table_width(elements: Sequence[int], top: int) -> int:
 def _direct_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
     """B[s][0..top] for s < top in b-bit slots, by B_s += (1+z)^m B_{s-1} for
     each root m and every s at once: the rows sit in one integer, row s from
-    bit s * stride on, so one product with _binomial_factor(m, top, b) moves
-    every row's update up one row.  Exact when every B[s][k] < 2^b."""
+    bit s * stride on, so one product with each factor of
+    _binomial_factors(elements, top, b) moves every row's update up one row.
+    Exact when every B[s][k] < 2^b."""
     stride, keep, row = _direct_layout(top, b)
     table = 1
-    for m in elements:
-        table = (table + (table * _binomial_factor(m, top, b) << stride)) & keep
+    for factor in _binomial_factors(elements, top, b):
+        table = (table + (table * factor << stride)) & keep
     return [table >> (stride * s) & row for s in range(top)]
 
 
@@ -431,11 +445,11 @@ def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
     b = _table_width(elements, i)
     if b * i < _DIRECT_BELOW:
         return [row >> (b * i) for row in _direct_rows(elements, i, b)]
-    total = sum(elements)
-    b = comb(total, min(i, total // 2)).bit_length()
-    support, b = _newton_rows(elements, i, b)
+    # F's own bound: the table width less C(n, floor(n/2))'s bits and the guard bit
+    n = len(elements)
+    support, b = _newton_rows(elements, i, b - comb(n, n // 2).bit_length() - 1)
     tops = [row >> (b * (i - t)) for t, row in enumerate(support)]
-    return [sum(map(mul, coefficients, tops)) for coefficients in _conversion(len(elements), i)]
+    return [sum(map(mul, coefficients, tops)) for coefficients in _conversion(n, i)]
 
 
 def esp_loworder(roots: RootSet, i: int) -> int:
@@ -539,8 +553,8 @@ def _triangle_rows(elements: Sequence[int], stirling: bool) -> Iterator[list[int
     stride, keep, _ = _direct_layout.__wrapped__(top, b)
     size = stride // 8
     table, total = 1, 0
-    for n, m in enumerate(elements, start=1):
-        table = (table + (table * _binomial_factor(m, top, b) << stride)) & keep
+    for n, (m, factor) in enumerate(zip(elements, _binomial_factors(elements, top, b)), start=1):
+        table = (table + (table * factor << stride)) & keep
         total += m
         data = table.to_bytes(size * (n + 1), "little")
         row = _read_orders([int.from_bytes(data[size * s : size * (s + 1)], "little") for s in range(n)], b, n, total)

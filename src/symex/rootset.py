@@ -5,10 +5,12 @@ from __future__ import annotations
 
 class RootSet:
     """Ordered multiset m_1..m_n of positive integers (repeats allowed).
-    Immutable, compared and hashed by its elements."""
+    Immutable, compared and hashed by its elements.  Its size n is stored
+    beside them when built, since the routes read it on every call."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "n")
     elements: tuple[int, ...]
+    n: int
 
     def __init__(self, elements: tuple[int, ...]) -> None:
         elements = tuple(elements)
@@ -18,6 +20,7 @@ class RootSet:
             if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(f"root set elements must be positive integers, got {m!r}")
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "n", len(elements))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -48,16 +51,12 @@ class RootSet:
     def parse(cls, text: str) -> "RootSet":
         """Build from a comma-separated list such as "2,3,4"."""
         try:
-            values = tuple(int(part) for part in text.split(","))
+            values = tuple(map(int, text.split(",")))
         except ValueError:
             raise ValueError(
                 f"cannot parse roots {text!r}: expected comma-separated integers"
             ) from None
         return cls(values)
-
-    @property
-    def n(self) -> int:
-        return len(self.elements)
 
     @property
     def total(self) -> int:

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import pickle
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,7 @@ def test_every_name_the_benchmark_tracer_binds_resolves():
 def test_frozen_types_refuse_assignment_to_every_field():
     _, breakdown = esp_extraction(RootSet((2, 3, 4)), 3)
     instances = {
-        RootSet((2, 3)): ("elements",),
+        RootSet((2, 3)): ("elements", "n"),
         breakdown: ("i", "head", "terms", "total"),
         breakdown.terms[0]: ("h", "coefficient", "bracket_total", "bracket"),
         Check("x", 1, 1): ("label", "expected", "observed"),
@@ -78,6 +79,14 @@ def test_rootset_equality_and_hash_follow_its_elements():
     assert roots != RootSet((3, 2, 3)) and roots != (2, 3, 3)
     assert len({roots, RootSet((2, 3, 3)), RootSet((3, 3, 2))}) == 2
     assert RootSet(elements=(1,)) == RootSet((1,))
+
+
+def test_rootset_stores_its_size_however_it_is_built():
+    # a slot set in __init__, not a property recomputed on each read
+    assert isinstance(RootSet.n, types.MemberDescriptorType)
+    built = [RootSet([2, 3, 3]), RootSet.of(2, 3, 3), RootSet.parse("2,3,3"), RootSet.of(7)]
+    for roots in built + [copy.copy(roots) for roots in built] + [pickle.loads(pickle.dumps(roots)) for roots in built]:
+        assert roots.n == len(roots.elements)
 
 
 def test_value_types_survive_copy_and_pickle():

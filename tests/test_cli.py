@@ -465,49 +465,15 @@ def test_verify_json(capsys):
 
 
 def test_verify_all_stdout_is_pinned(serial_verify):
-    # the serial run; the two-CPU runs must print the same bytes (tests/test_verify.py)
+    # the serial run; the two-CPU runs must print the same bytes
+    # (tests/test_verify.py), and CI compares both with the same file
     code, out, err = serial_verify("verify", "--suite", "all", "--seed", "42")
-    assert code == 0 and err == ""
-    assert out.splitlines() == [
-        "verify suite=all seed=42 truncation=30 rng=mersenne-twister",
-        "PASS equivalence multisets n<=6 m<=7, proves n<=6, 3 wide sets (9025 instances)",
-        "PASS equivalence 300 random sets n<=10 m<=9, 3 wide sets (1725 instances)",
-        "PASS spelled-out e2..e5 forms, 20 random sets n in 4..8 (80 instances)",
-        "PASS recurrence equals closed form (210 (n,i) pairs, h<=12)",
-        "PASS convolution sums = 1 (recurrence route) (210 (n,i) pairs, h<=12)",
-        "PASS convolution sums = 1 (closed route) (210 (n,i) pairs, h<=12)",
-        "PASS vandermonde degeneration sum and term identification (210 (n,i) pairs, h=12)",
-        "PASS series identity in powers of x/(1-x) (78 (n,i) pairs, T=30)",
-        "PASS substituted series matches closed coefficients (78 (n,i) pairs, T=30)",
-        "PASS order-4 two-element coefficients 22,18,4,6 over 4! (4 values)",
-        "PASS all-ones exponent coefficient = 1 for i<=8 (8 values)",
-        "PASS layer decomposition multisets n<=5 m<=6, proves n<=5 (1980 instances)",
-        "PASS superset counts match C(n-t, s-t), n<=8 exhaustive (2303 instances)",
-        "result: PASS (13/13 checks)",
-    ]
+    assert (code, out, err) == (0, (GOLDEN / "verify_all_seed42.txt").read_text(), "")
 
 
 def test_verify_all_json_is_pinned(serial_verify):
     code, out, err = serial_verify("verify", "--suite", "all", "--seed", "42", "--json")
-    assert code == 0 and err == ""
-    assert out == (
-        '{"suite": "all", "seed": 42, "truncation": 30, "rng": "mersenne-twister", "checks": ['
-        '{"name": "equivalence multisets n<=6 m<=7, proves n<=6, 3 wide sets", "passed": true, "detail": "9025 instances"}, '
-        '{"name": "equivalence 300 random sets n<=10 m<=9, 3 wide sets", "passed": true, "detail": "1725 instances"}, '
-        '{"name": "spelled-out e2..e5 forms, 20 random sets n in 4..8", "passed": true, "detail": "80 instances"}, '
-        '{"name": "recurrence equals closed form", "passed": true, "detail": "210 (n,i) pairs, h<=12"}, '
-        '{"name": "convolution sums = 1 (recurrence route)", "passed": true, "detail": "210 (n,i) pairs, h<=12"}, '
-        '{"name": "convolution sums = 1 (closed route)", "passed": true, "detail": "210 (n,i) pairs, h<=12"}, '
-        '{"name": "vandermonde degeneration sum and term identification", "passed": true, '
-        '"detail": "210 (n,i) pairs, h=12"}, '
-        '{"name": "series identity in powers of x/(1-x)", "passed": true, "detail": "78 (n,i) pairs, T=30"}, '
-        '{"name": "substituted series matches closed coefficients", "passed": true, "detail": "78 (n,i) pairs, T=30"}, '
-        '{"name": "order-4 two-element coefficients 22,18,4,6 over 4!", "passed": true, "detail": "4 values"}, '
-        '{"name": "all-ones exponent coefficient = 1 for i<=8", "passed": true, "detail": "8 values"}, '
-        '{"name": "layer decomposition multisets n<=5 m<=6, proves n<=5", "passed": true, "detail": "1980 instances"}, '
-        '{"name": "superset counts match C(n-t, s-t), n<=8 exhaustive", "passed": true, "detail": "2303 instances"}], '
-        '"passed": true}\n'
-    )
+    assert (code, out, err) == (0, (GOLDEN / "verify_all_seed42.json").read_text(), "")
 
 
 def test_bench_single_cell(capsys):
@@ -559,14 +525,13 @@ def test_specialize_disagreement_exits_one(capsys, monkeypatch):
 def test_a_failed_allocation_exits_one_with_one_error_line(capsys, monkeypatch):
     # A route that cannot allocate, planted rather than provoked: the
     # triangle's second root and the per-order brackets raise MemoryError.
-    factor = esp._binomial_factor
+    factors = esp._binomial_factors
 
-    def second_root_out_of_memory(m, top, b):
-        if m == 2:
-            raise MemoryError
-        return factor(m, top, b)
+    def second_root_out_of_memory(elements, top, b):
+        yield next(factors(elements, top, b))
+        raise MemoryError
 
-    monkeypatch.setattr(esp, "_binomial_factor", second_root_out_of_memory)
+    monkeypatch.setattr(esp, "_binomial_factors", second_root_out_of_memory)
     code, out, err = run(capsys, "specialize", "--family", "stirling1", "--rows", "3")
     # row 1 was written before the failed allocation, and stays written
     assert (code, out, err) == (1, "1 1\n", "error: out of memory\n")

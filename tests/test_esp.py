@@ -33,6 +33,7 @@ def bypass_rootset(elements):
     # skips validation; only the extraction-on-zeros probe is allowed to do this
     roots = object.__new__(RootSet)
     object.__setattr__(roots, "elements", tuple(elements))
+    object.__setattr__(roots, "n", len(roots.elements))
     return roots
 
 
@@ -323,10 +324,14 @@ def _slot_by_slot_factor(m, top, b):
 @pytest.mark.parametrize("slack", [0, 3, 17])
 def test_binomial_factor_is_the_slot_by_slot_packing(top, slack):
     # either side of the pow rule at 64, a root at and just past top, and a
-    # 40-bit root; b as narrow as the largest kept C(m, k) allows, and wider
-    for m in (top, top + 1, 63, 64, (1 << 40) - 3):
-        b = max(math.comb(m, k).bit_length() for k in range(min(m, top) + 1)) + slack
-        assert esp._binomial_factor(m, top, b) == _slot_by_slot_factor(m, top, b)
+    # 40-bit root; b as narrow as the largest kept C(m, k) allows, and wider,
+    # for each root alone and for all of them in one fill
+    elements = (top, top + 1, 63, 64, (1 << 40) - 3)
+    widths = [max(math.comb(m, k).bit_length() for k in range(min(m, top) + 1)) + slack for m in elements]
+    for m, b in zip(elements, widths):
+        assert list(esp._binomial_factors((m,), top, b)) == [_slot_by_slot_factor(m, top, b)]
+    b = max(widths)
+    assert list(esp._binomial_factors(elements, top, b)) == [_slot_by_slot_factor(m, top, b) for m in elements]
 
 
 def test_bracket_totals_do_not_depend_on_the_calls_before_them():
@@ -808,19 +813,22 @@ def test_specialize_runs_one_direct_fill(monkeypatch):
 
     for name in ("_bracket_table", "_newton_rows", "esp_extraction_all"):
         monkeypatch.setattr(esp, name, refuse)
-    factor, roots = esp._binomial_factor, []
+    factors, fills, yielded = esp._binomial_factors, [], []
 
-    def counted(m, top, b):
-        roots.append(m)
-        return factor(m, top, b)
+    def counted(elements, top, b):
+        fills.append(len(elements))
+        for factor in factors(elements, top, b):
+            yielded.append(factor)
+            yield factor
 
-    monkeypatch.setattr(esp, "_binomial_factor", counted)
+    monkeypatch.setattr(esp, "_binomial_factors", counted)
     caches = esp._conversion.cache_info(), esp._direct_layout.cache_info()
     for family in ("pascal", "stirling1"):
-        roots.clear()
+        fills.clear()
+        yielded.clear()
         assert list(specialize(family, 24)) == _triangle_prefixes(family, 24)
-        # one packed product per root, for the whole triangle
-        assert len(roots) == 24
+        # one fill with one packed product per root, for the whole triangle
+        assert fills == [24] and len(yielded) == 24
     assert (esp._conversion.cache_info(), esp._direct_layout.cache_info()) == caches
 
 

@@ -1,6 +1,7 @@
-"""The timing scripts under tools/ refuse what they cannot summarise before timing anything."""
+"""The timing scripts under tools/: what they refuse before timing anything, and what they time."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -64,3 +65,28 @@ def test_route_grid_takes_exactly_one_of_probes_and_tables(monkeypatch, capsys, 
     error = capsys.readouterr().err.splitlines()[-1]
     assert error.startswith("route_grid.py: error: ") and "--probes" in error and "--tables" in error
     assert not out.exists()
+
+
+def test_route_grid_probes_time_the_passing_equivalence_half(monkeypatch, tmp_path):
+    grid = load_tool("route_grid")
+    # the sieve and triangle probes take seconds; the equivalence half alone is timed here
+    monkeypatch.setattr(grid, "probe_cells", lambda: [])
+    monkeypatch.setattr(grid, "TRIANGLE_PROBES", ())
+    out = tmp_path / "grid.json"
+    monkeypatch.setattr(sys, "argv", ["route_grid.py", "--probes", "--reps", "1", "--out", str(out)])
+    assert grid.main() == 0
+    section = json.loads(out.read_text())["probes"]
+    assert [probe["probe"] for probe in section["probes"]] == [
+        "equivalence_exhaustive",
+        "equivalence_random seed 42",
+        "loworder_forms seed 42",
+    ]
+    assert all(probe["best_ms"] > 0 for probe in section["probes"])
+
+    # a tree whose sweep fails is not timed
+    from symex import esp
+
+    factors = esp._binomial_factors
+    monkeypatch.setattr(esp, "_binomial_factors", lambda *fill: (factor + 1 for factor in factors(*fill)))
+    with pytest.raises(SystemExit, match="^equivalence_exhaustive failed: "):
+        grid.main()

@@ -450,13 +450,14 @@ def test_multiplicity_check_reports_a_superset_pass_that_drops_one_subset(monkey
 
 
 def plant_direct_factor_defect(monkeypatch):
-    factor = esp._binomial_factor
+    factors = esp._binomial_factors
 
-    def off_by_one(m, top, b):
-        # C(m, 0) read as 2, in the factor that only the direct fill takes
-        return factor(m, top, b) + 1
+    def off_by_one(elements, top, b):
+        # C(m, 0) read as 2, in the factors that only the direct fill takes
+        for factor in factors(elements, top, b):
+            yield factor + 1
 
-    monkeypatch.setattr(esp, "_binomial_factor", off_by_one)
+    monkeypatch.setattr(esp, "_binomial_factors", off_by_one)
 
 
 def plant_direct_stride_defect(monkeypatch):
@@ -484,6 +485,10 @@ def test_verify_fails_when_the_direct_table_route_is_wrong(monkeypatch, capsys, 
     # observed is (per order, all orders, recurrence): each sieve fails, the recurrence never
     assert all(check.observed[2] == check.expected[0] for check in wrong)
     assert all(any(check.observed[route] != check.expected[0] for check in wrong) for route in (0, 1))
+    # the triangle takes the same factors and layout, and fails its recurrence check
+    capsys.readouterr()
+    assert main(["specialize", "--family", "stirling1", "--rows", "12"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_the_narrowed_direct_layout_also_fails_the_triangle(monkeypatch, capsys):

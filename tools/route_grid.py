@@ -7,11 +7,15 @@ One of --probes and --tables is required.  --reps, the timed batches per
 probe or per route and cell, is at least 1.
 
 --probes times whole per-order sieves (esp.esp_extraction with no detail)
-on a few fixed wide inputs, and whole triangles (list(esp.specialize(...)),
+on a few fixed wide inputs, whole triangles (list(esp.specialize(...)),
 so a tree whose specialize returns a list does the same work) for a few
-row counts, best of --reps calls each, and stores a `probes` section.  With
---src it imports symex from another checkout's src/, so an older tree can
-be timed on the same probes.
+row counts, and the three sweeps of verify's equivalence suite, the
+critical path of `verify --suite all` (equivalence_exhaustive, and
+equivalence_random and loworder_forms each on a fresh rng seeded
+EQUIVALENCE_SEED), best of --reps calls each, and stores a `probes`
+section; a sweep that fails stops the run.  With --src it imports symex
+from another checkout's src/, so an older tree can be timed on the same
+probes: run once per tree for parent against change.
 
 --tables times the two routes of esp._bracket_table alone, each forced by
 setting esp._DIRECT_BELOW around its batches: the direct fill
@@ -45,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 esp = None
 
 TRIANGLE_PROBES = (("pascal", 100), ("pascal", 150), ("stirling1", 50), ("stirling1", 70))
+EQUIVALENCE_SEED = 42
 TABLE_N = (*range(1, 17), 18, 20, 24, 30)
 TABLE_WIDTHS = range(1, 13)
 TABLE_BINS = (0, 150, 300, 400, 450, 500, 550, 600, 750, 1000, 1500, 2500, 5000, 10000, 10**9)
@@ -70,6 +75,7 @@ def time_probes(reps: int) -> list[dict]:
 
     runs = [(name, partial(esp.esp_extraction, RootSet(elements), i, explain_limit=0)) for name, elements, i in probe_cells()]
     runs += [(f"specialize {family} {rows}", partial(triangle, family, rows)) for family, rows in TRIANGLE_PROBES]
+    runs += equivalence_runs()
     probes = []
     for name, run in runs:
         best = min(best_call_s(run, (), 1) for _ in range(reps))
@@ -80,6 +86,23 @@ def time_probes(reps: int) -> list[dict]:
 
 def triangle(family: str, rows: int) -> list[list[int]]:
     return list(esp.specialize(family, rows))
+
+
+def equivalence_runs() -> list[tuple[str, partial]]:
+    from symex import verify
+
+    sweeps = [
+        ("equivalence_exhaustive", verify.equivalence_exhaustive),
+        (f"equivalence_random seed {EQUIVALENCE_SEED}", lambda: verify.equivalence_random(random.Random(EQUIVALENCE_SEED))),
+        (f"loworder_forms seed {EQUIVALENCE_SEED}", lambda: verify.loworder_forms(random.Random(EQUIVALENCE_SEED))),
+    ]
+    return [(name, partial(passing, name, sweep)) for name, sweep in sweeps]
+
+
+def passing(name: str, sweep) -> None:
+    failures = sweep().failures()
+    if failures:
+        raise SystemExit(f"{name} failed: {failures[0]}")
 
 
 def best_call_s(run, args, reps: int) -> float:
