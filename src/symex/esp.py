@@ -162,9 +162,8 @@ def esp_direct(roots: RootSet, i: int) -> int:
     product of the selected roots.  e_0 = 1 (empty product); i > n gives 0."""
     if i < 0:
         raise ValueError(f"order must be >= 0, got {i}")
-    if i == 0:
-        return 1
     if i > roots.n:
+        # combinations refuses an order past sys.maxsize
         return 0
     return sum(map(prod, combinations(roots.elements, i)))
 
@@ -228,8 +227,6 @@ def esp_extraction(
     n = roots.n
     if i < 0:
         raise ValueError(f"order must be >= 0, got {i}")
-    if i == 0:
-        return 1, ExtractionBreakdown(0, 1, (), 1)
     if i > n:
         raise ExtractionDomainError(f"order {i} exceeds root set size {n}; use the direct route")
 
@@ -441,7 +438,14 @@ def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
     """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1.  Below b * i = _DIRECT_BELOW,
     b the width of a table with top = i, they are slot i of the rows that
     _direct_rows fills; from there on they are converted from the top slot
-    F[t][i] of each support row alone, in slots as wide as F needs."""
+    F[t][i] of each support row alone, in slots as wide as F needs.
+
+    That width is proven: F[t][k] <= C(N, k), so no slot of t * F_t
+    overflows.  The reads need less: each packed t * F_t only has to stay
+    below its row's modulus 2^(w(i-t+1)).  With one bit less of F's width
+    single slots overflow, but that still held on every cell tried, at most
+    0.986 of the modulus, at roots (2, 2, 2, 3) and i = 4 with this branch
+    forced; two bits less fails there."""
     b = _table_width(elements, i)
     if b * i < _DIRECT_BELOW:
         return [row >> (b * i) for row in _direct_rows(elements, i, b)]

@@ -57,6 +57,8 @@ def monomial_coefficient(i: int, exponents: tuple[int, ...]) -> Fraction:
         raise ValueError(f"exponent vector parts must all be >= 1, got {exponents}")
     p = sum(exponents)
     if p > i:
+        # s(i, p) = 0; returning first skips multinomial's p!, which takes
+        # 20 s at p = 10^6 (CPython 3.11, 2-core x86-64 VM)
         return Fraction(0)
     numerator = stirling_first_signed(i, p) * multinomial(p, exponents)
     return Fraction(numerator, math.factorial(i))

@@ -33,6 +33,14 @@ def test_compute_extraction(capsys):
 def test_compute_empty_product(capsys):
     code, out, _ = run(capsys, "compute", "--roots", "2,3,4", "--i", "0")
     assert code == 0 and out == "1\n"
+    for method in ("extraction", "direct", "dp"):
+        assert run(capsys, "compute", "--roots", "2,3,4", "--i", "0", "--method", method) == (0, "1\n", "")
+        extra = ', "breakdown": {"head": "1", "terms": []}' if method == "extraction" else ""
+        line = f'{{"value": "1", "method": "{method}"{extra}}}\n'
+        assert run(capsys, "compute", "--roots", "2,3,4", "--i", "0", "--method", method, "--json") == (0, line, "")
+    refusal = "error: method 'all' needs 1 <= i <= n, got i=0, n=3\n"
+    for json_flag in ((), ("--json",)):
+        assert run(capsys, "compute", "--roots", "2,3,4", "--i", "0", "--method", "all", *json_flag) == (3, "", refusal)
 
 
 def test_compute_domain_error_exit_code(capsys):
@@ -43,6 +51,10 @@ def test_compute_domain_error_exit_code(capsys):
 def test_compute_direct_allows_large_order(capsys):
     code, out, _ = run(capsys, "compute", "--roots", "2,3", "--i", "5", "--method", "direct")
     assert code == 0 and out == "0\n"
+    # n + 1, and an order past sys.maxsize, which itertools.combinations refuses
+    for method in ("direct", "dp"):
+        for i in ("3", str(2**64)):
+            assert run(capsys, "compute", "--roots", "2,3", "--i", i, "--method", method) == (0, "0\n", "")
 
 
 def test_compute_usage_errors_exit_two(capsys):

@@ -99,7 +99,7 @@ def test_extraction_small_cases():
 def test_extraction_boundaries():
     roots = RootSet.of(2, 3, 4)
     value, breakdown = esp_extraction(roots, 0)
-    assert value == 1 and breakdown.terms == ()
+    assert value == 1 and breakdown == (0, 1, (), 1)
     with pytest.raises(ExtractionDomainError):
         esp_extraction(roots, 4)
     with pytest.raises(ValueError):

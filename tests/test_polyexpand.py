@@ -24,6 +24,15 @@ def test_exponent_vector_validation():
             monomial_coefficient(4, bad)
 
 
+def test_an_absent_power_is_zero_without_its_multinomial(monkeypatch):
+    # s(i, p) = 0 for p > i, so p! is never built, however large p is
+    def refuse(*args):
+        raise AssertionError("multinomial called")
+
+    monkeypatch.setattr(polyexpand, "multinomial", refuse)
+    assert monomial_coefficient(3, (10**6,)) == 0
+
+
 def test_compositions_are_listed_in_lexicographic_order():
     # the layer tables hold their exponent vectors in this order
     assert list(_compositions(5, 3)) == [(1, 1, 3), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)]

@@ -1,7 +1,8 @@
-"""The timing scripts under tools/: what they refuse before timing anything, and what they time."""
+"""The scripts under tools/: what route_grid refuses before timing anything and what it times, and what loc counts."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,28 +18,8 @@ def load_tool(name):
     return module
 
 
-@pytest.mark.parametrize("runs", ["1", "0", "-3"])
-def test_verify_pairs_refuses_fewer_than_two_runs_before_timing(monkeypatch, capsys, tmp_path, runs):
-    pairs = load_tool("verify_pairs")
-
-    def refuse(*args):
-        raise AssertionError("nothing may be timed")
-
-    monkeypatch.setattr(pairs, "Server", refuse)
-    monkeypatch.setattr(pairs, "cold", refuse)
-    out = tmp_path / "pairs.json"
-    monkeypatch.setattr(sys, "argv", ["verify_pairs.py", "--src", str(tmp_path), "--out", str(out), "--runs", runs])
-    with pytest.raises(SystemExit) as stopped:
-        pairs.main()
-    # a usage error, as argparse gives one, and no section written
-    assert stopped.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == f"verify_pairs.py: error: --runs must be at least 2, got {runs}"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("mode", ["--probes", "--tables"])
 @pytest.mark.parametrize("reps", ["0", "-2"])
-def test_route_grid_refuses_fewer_than_one_rep_before_timing(monkeypatch, capsys, tmp_path, mode, reps):
+def test_route_grid_refuses_fewer_than_one_rep_before_timing(monkeypatch, capsys, tmp_path, reps):
     grid = load_tool("route_grid")
 
     def refuse(*args):
@@ -46,7 +27,7 @@ def test_route_grid_refuses_fewer_than_one_rep_before_timing(monkeypatch, capsys
 
     monkeypatch.setattr(grid, "best_call_s", refuse)
     out = tmp_path / "grid.json"
-    monkeypatch.setattr(sys, "argv", ["route_grid.py", mode, "--out", str(out), "--reps", reps])
+    monkeypatch.setattr(sys, "argv", ["route_grid.py", "--out", str(out), "--reps", reps])
     with pytest.raises(SystemExit) as stopped:
         grid.main()
     assert stopped.value.code == 2
@@ -54,16 +35,15 @@ def test_route_grid_refuses_fewer_than_one_rep_before_timing(monkeypatch, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("modes", [[], ["--probes", "--tables"]])
-def test_route_grid_takes_exactly_one_of_probes_and_tables(monkeypatch, capsys, tmp_path, modes):
+@pytest.mark.parametrize("deleted", ["--probes", "--tables", "--seed 19"])
+def test_route_grid_refuses_its_deleted_modes(monkeypatch, capsys, tmp_path, deleted):
     grid = load_tool("route_grid")
     out = tmp_path / "grid.json"
-    monkeypatch.setattr(sys, "argv", ["route_grid.py", *modes, "--out", str(out)])
+    monkeypatch.setattr(sys, "argv", ["route_grid.py", *deleted.split(), "--out", str(out)])
     with pytest.raises(SystemExit) as stopped:
         grid.main()
     assert stopped.value.code == 2
-    error = capsys.readouterr().err.splitlines()[-1]
-    assert error.startswith("route_grid.py: error: ") and "--probes" in error and "--tables" in error
+    assert capsys.readouterr().err.splitlines()[-1] == f"route_grid.py: error: unrecognized arguments: {deleted}"
     assert not out.exists()
 
 
@@ -73,7 +53,7 @@ def test_route_grid_probes_time_the_passing_equivalence_half(monkeypatch, tmp_pa
     monkeypatch.setattr(grid, "probe_cells", lambda: [])
     monkeypatch.setattr(grid, "TRIANGLE_PROBES", ())
     out = tmp_path / "grid.json"
-    monkeypatch.setattr(sys, "argv", ["route_grid.py", "--probes", "--reps", "1", "--out", str(out)])
+    monkeypatch.setattr(sys, "argv", ["route_grid.py", "--reps", "1", "--out", str(out)])
     assert grid.main() == 0
     section = json.loads(out.read_text())["probes"]
     assert [probe["probe"] for probe in section["probes"]] == [
@@ -90,3 +70,44 @@ def test_route_grid_probes_time_the_passing_equivalence_half(monkeypatch, tmp_pa
     monkeypatch.setattr(esp, "_binomial_factors", lambda *fill: (factor + 1 for factor in factors(*fill)))
     with pytest.raises(SystemExit, match="^equivalence_exhaustive failed: "):
         grid.main()
+
+
+# A fixture src/: symex/__init__.py has 7 docstring lines (module, class,
+# method and async function docstrings, the blank line inside one
+# included), 2 comments, 5 code lines (a string after a docstring is code)
+# and 5 blank ones; symex/parts.py a comment and a code line; helper.py
+# lies outside symex/ and is not counted.
+LOC_FIXTURE = {
+    "symex/__init__.py": '''"""A fixture package.
+
+Its blank line above is a docstring line."""
+# a comment
+__all__ = ["Widget", "count"]
+
+
+class Widget:
+    """A class docstring."""
+
+    # an indented comment
+    def size(self):
+        """A method docstring
+        over two lines."""
+        "a later string is code"
+
+
+async def count():
+    """An async function docstring."""
+''',
+    "symex/parts.py": "# only a comment\nVALUE = 1\n",
+    "helper.py": '"""Not symex."""\nVALUE = 2\n',
+}
+
+
+def test_loc_counts_each_kind_of_line_and_the_exports(tmp_path):
+    src = tmp_path / "src"
+    (src / "symex").mkdir(parents=True)
+    for name, text in LOC_FIXTURE.items():
+        (src / name).write_text(text)
+    # symex is imported from the given src/, not from this checkout's
+    out = subprocess.run([sys.executable, str(TOOLS / "loc.py"), str(src)], capture_output=True, text=True, check=True).stdout
+    assert out == "code 6 docstring 7 comment 3 blank 5 total 21 __all__ 2\n"
