@@ -1,9 +1,13 @@
 """Command-line surface: compute, coeffs, verify, bench, specialize.
 
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 failed verification, 2 usage error, 3 domain error (extraction asked
-for i > n).  Big integers are printed as decimal strings in JSON to stay
-exact past 2**53.
+Results go to stdout, diagnostics to stderr.  Big integers are printed as
+decimal strings in JSON to stay exact past 2**53.  Each command checks all
+of its arguments before any route or suite runs, so the exit code says who
+is at fault: 0 success, 2 usage error, 3 domain error (the sieve asked for
+i > n), and 1 a failed verification or any error raised after the checks.
+Such an error is a defect, reported on one line `error: <command>:
+<type>: <message>`; only the cross-checks' ArithmeticError and a
+MemoryError have lines of their own (below).
 
 Every `--json` output is one line whose bytes are those of
 `json.dumps(payload)` with its default separators.  `compute` and
@@ -72,7 +76,6 @@ from .esp import (
     DEFAULT_EXPLAIN_LIMIT,
     METHODS,
     ExtractionBreakdown,
-    ExtractionDomainError,
     esp_compare,
     esp_extraction,
     specialize,
@@ -102,6 +105,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.explain_limit < 0:
         print(f"error: --explain-limit must be >= 0, got {args.explain_limit}", file=sys.stderr)
         return 2
+    if args.method == "extraction" and i > roots.n:
+        print(f"error: order {i} exceeds root set size {roots.n}; use the direct route", file=sys.stderr)
+        return 3
 
     if args.method == "all":
         if not 1 <= i <= roots.n:
@@ -237,7 +243,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     import random
 
-    methods = tuple(part.strip() for part in args.methods.split(",") if part.strip())
+    # each method once, in the order first named: JSON keys its timings by name
+    methods = tuple(dict.fromkeys(part.strip() for part in args.methods.split(",") if part.strip()))
     bad = [m for m in methods if m not in METHODS]
     if bad or not methods:
         print(f"error: unknown methods {bad}; choose from {', '.join(METHODS)}", file=sys.stderr)
@@ -298,6 +305,9 @@ def _median_run(run: Callable[[RootSet, int], int], roots: RootSet, i: int) -> t
 
 
 def cmd_specialize(args: argparse.Namespace) -> int:
+    if args.rows < 1:
+        print(f"error: need rows >= 1, got {args.rows}", file=sys.stderr)
+        return 2
     triangle = specialize(args.family, args.rows)
     write = sys.stdout.write
     if args.json:
@@ -382,10 +392,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # The full parse hands everything after a command name to that command's
-    # subparser, so call it directly and skip the root parser's pass.
+    # subparser, with `command` set, so call it directly and skip the root
+    # parser's pass.
     commands = next(action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction))
     if argv and argv[0] in commands:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     else:
@@ -399,18 +410,16 @@ def main(argv: list[str] | None = None) -> int:
         # that the flush at exit raises nothing either.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ExtractionDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
         # Python's MemoryError usually carries no message of its own.
         print("error: out of memory", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # Every argument was checked before the command ran, so this is a defect.
+        print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

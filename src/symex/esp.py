@@ -136,7 +136,6 @@ from .subsets import IndexSubset, k_subsets
 __all__ = [
     "DEFAULT_EXPLAIN_LIMIT",
     "METHODS",
-    "ExtractionDomainError",
     "BreakdownTerm",
     "ExtractionBreakdown",
     "esp_direct",
@@ -151,10 +150,6 @@ __all__ = [
 # Above this root-set size, breakdowns keep bracket totals only: the number
 # of per-subset lines is C(n, i-h) and blows up.
 DEFAULT_EXPLAIN_LIMIT = 12
-
-
-class ExtractionDomainError(ValueError):
-    """The sieve was asked for an order outside its proven domain (i > n)."""
 
 
 def esp_direct(roots: RootSet, i: int) -> int:
@@ -222,13 +217,13 @@ def esp_extraction(
     each term also keeps its per-subset binomials, each math.comb of a
     nonnegative subset sum; above it no subset is enumerated.
 
-    Orders above n are refused rather than silently extrapolated.
+    An order above n raises ValueError: the identity holds only for i <= n.
     """
     n = roots.n
     if i < 0:
         raise ValueError(f"order must be >= 0, got {i}")
     if i > n:
-        raise ExtractionDomainError(f"order {i} exceeds root set size {n}; use the direct route")
+        raise ValueError(f"order {i} exceeds root set size {n}; use the direct route")
 
     elements = roots.elements
     head = comb(roots.total, i)
@@ -522,7 +517,7 @@ def esp_compare(roots: RootSet, i: int) -> dict[str, int]:
     """Run every method of METHODS once on the same input and return
     {method: value}; callers compare the values for agreement."""
     if not 1 <= i <= roots.n:
-        raise ExtractionDomainError(f"need 1 <= i <= n, got i={i}, n={roots.n}")
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={roots.n}")
     return {method: run(roots, i) for method, run in METHODS.items()}
 
 

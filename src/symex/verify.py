@@ -19,10 +19,8 @@ second thread.  One failure rule keeps every exit code and error message
 the serial run's, which runs the seeded half first: an exception in this
 process's half kills and reaps the child and propagates; the child sends
 back its reports or the exception its suites raised, which this process
-raises after its own half, chained from the child's traceback text so
-that the suite's own frames still print; and the half of a child that
-delivers nothing loadable (killed, a non-zero exit, an unpicklable result)
-is rerun here.
+raises after its own half; and the half of a child that delivers nothing
+loadable (killed, a non-zero exit, an unpicklable result) is rerun here.
 With one CPU (e.g. under `taskset -c 0`) everything runs serially.
 """
 
@@ -272,7 +270,6 @@ def run_suites(names: list[str], rng: random.Random, truncation: int) -> list[Re
         return run(names)
     import pickle
     import signal
-    import traceback
 
     read_fd, write_fd = os.pipe()
     try:
@@ -290,7 +287,7 @@ def run_suites(names: list[str], rng: random.Random, truncation: int) -> list[Re
             try:
                 result = run(rest)
             except Exception as error:
-                result = error, "".join(traceback.format_exception(error))
+                result = error
             with open(write_fd, "wb") as pipe:
                 pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
             status = 0
@@ -310,16 +307,9 @@ def run_suites(names: list[str], rng: random.Random, truncation: int) -> list[Re
         theirs = pickle.loads(payload) if status == 0 else None
     except Exception:
         theirs = None
-    if isinstance(theirs, tuple):
-        error, text = theirs
-        raise error from _ChildTraceback(text)
+    if isinstance(theirs, Exception):
+        raise theirs
     return mine + (run(rest) if theirs is None else theirs)
-
-
-class _ChildTraceback(Exception):
-    """The traceback text of an exception raised in run_suites' child,
-    chained here as the cause of that exception, so that the suite's own
-    frames are printed beside the line in this process that raised it."""
 
 
 def _may_fork() -> bool:

@@ -43,9 +43,14 @@ def test_compute_empty_product(capsys):
         assert run(capsys, "compute", "--roots", "2,3,4", "--i", "0", "--method", "all", *json_flag) == (3, "", refusal)
 
 
-def test_compute_domain_error_exit_code(capsys):
-    code, out, err = run(capsys, "compute", "--roots", "2,3", "--i", "5", "--method", "extraction")
-    assert code == 3 and out == "" and "error" in err
+def test_compute_domain_error_exit_code(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no route may run on an order the sieve refuses")
+
+    monkeypatch.setattr(cli, "esp_extraction", refuse)
+    line = "error: order 5 exceeds root set size 2; use the direct route\n"
+    for extra in ([], ["--method", "extraction"], ["--json"], ["--explain"], ["--explain", "--json"]):
+        assert run(capsys, "compute", "--roots", "2,3", "--i", "5", *extra) == (3, "", line)
 
 
 def test_compute_direct_allows_large_order(capsys):
@@ -507,6 +512,17 @@ def test_bench_json_records(capsys):
     assert record["value"].isdigit()
 
 
+def test_bench_times_each_named_method_once(capsys):
+    # text and JSON name the same methods, each once, in the order first given
+    argv = ["bench", "--n", "2", "--i", "1", "--methods", "dp,extraction,dp"]
+    code, out, _ = run(capsys, *argv)
+    header, cell = out.splitlines()
+    assert code == 0 and " methods=dp,extraction " in header
+    assert re.findall(r"(\w+)=[\d.]+ms", cell) == ["dp", "extraction"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and list(json.loads(out)[0]["timings_ms"]) == ["dp", "extraction"]
+
+
 def test_bench_usage_errors(capsys):
     code, _, err = run(capsys, "bench", "--methods", "warp")
     assert code == 2 and "error" in err
@@ -554,6 +570,47 @@ def test_a_failed_allocation_exits_one_with_one_error_line(capsys, monkeypatch):
     monkeypatch.setattr(esp, "_bracket_totals", out_of_memory)
     for extra in ((), ("--json",), ("--explain",)):
         assert run(capsys, "compute", "--roots", "2,3,4", "--i", "3", *extra) == (1, "", "error: out of memory\n")
+
+
+def test_a_real_failed_allocation_exits_one_with_one_error_line():
+    # The one-pass table of 3,000 rows asks for a 13.5 GB mask before its
+    # first row; the child's address space is capped at 2 GiB, this process's is not.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS here")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", "symex", "specialize", "--family", "pascal", "--rows", "3000"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path}, preexec_fn=cap_address_space,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("error", [ValueError("planted"), KeyError("planted"), AssertionError("planted")])
+def test_a_defect_in_a_route_exits_one_with_one_line_naming_the_command(capsys, monkeypatch, error):
+    # Every argument is checked first, so any error a route raises is a defect.
+    def defect(*args):
+        raise error
+
+    monkeypatch.setattr(esp, "_bracket_totals", defect)
+    line = f"error: compute: {type(error).__name__}: {error}\n"
+    for extra in ((), ("--json",), ("--explain",)):
+        assert run(capsys, "compute", "--roots", "2,3,4", "--i", "3", *extra) == (1, "", line)
+
+
+@pytest.mark.parametrize("rows", ["0", "-5"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_specialize_refuses_fewer_than_one_row_before_any_work(capsys, monkeypatch, rows, json_flag):
+    def refuse(*args):
+        raise AssertionError("no triangle may be built for a rejected --rows")
+
+    monkeypatch.setattr(cli, "specialize", refuse)
+    argv = ["specialize", "--family", "pascal", "--rows", rows, *json_flag]
+    assert run(capsys, *argv) == (2, "", f"error: need rows >= 1, got {rows}\n")
 
 
 def test_specialize_unknown_family_exits_two(capsys):
@@ -677,14 +734,14 @@ def reference_main(argv):
     args = cli.build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except esp.ExtractionDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
@@ -791,6 +848,73 @@ def test_main_reads_sys_argv_when_given_none(monkeypatch):
     for argv in (["compute", "--roots", "2,3,4", "--i", "2", "--json"], ["compute", "--roots", "2,3", "stray"], ["-h"]):
         monkeypatch.setattr(sys, "argv", ["symex", *argv])
         assert answer(lambda _: main(), argv) == answer(reference_main, argv)
+
+
+# ---------------------------------------------------------------------------
+# every argv gets a documented exit code
+
+
+def small_option(draw, name, values):
+    """[name, value] for a value drawn from `values`, or nothing one time in five."""
+    return [] if draw(st.integers(0, 4)) == 0 else [name, str(draw(values))]
+
+
+def small_flag(draw, name):
+    return [name] if draw(st.booleans()) else []
+
+
+# Every command with values valid and not, small enough that each run is quick:
+# at most 8 roots of up to 30 bits, no verify suite above 20 ms.
+SMALL_COMMANDS = {
+    "compute": lambda draw: [
+        *small_option(draw, "--roots", st.lists(st.integers(-1, (1 << 30) - 1), max_size=8).map(lambda r: ",".join(map(str, r)))),
+        *small_option(draw, "--i", st.integers(-2, 10)),
+        *small_option(draw, "--method", st.sampled_from((*esp.METHODS, "all", "nosuch"))),
+        *small_option(draw, "--explain-limit", st.integers(-2, 10)),
+        *small_flag(draw, "--explain"),
+        *small_flag(draw, "--json"),
+    ],
+    "coeffs": lambda draw: [
+        *small_option(draw, "--n", st.integers(-2, 12)),
+        *small_option(draw, "--i", st.integers(-2, 12)),
+        *small_option(draw, "--h-max", st.integers(-2, 12)),
+        *small_flag(draw, "--json"),
+    ],
+    "verify": lambda draw: [
+        *small_option(draw, "--suite", st.sampled_from(("convolution", "vandermonde", "gf", "layers", "multiplicity", "nosuch"))),
+        *small_option(draw, "--seed", st.integers(-5, 5)),
+        *small_option(draw, "--truncation", st.integers(-2, 8)),
+        *small_flag(draw, "--json"),
+    ],
+    "bench": lambda draw: [
+        *small_option(draw, "--n", st.integers(-2, 8)),
+        *small_option(draw, "--i", st.integers(-2, 8)),
+        *small_option(draw, "--methods", st.lists(st.sampled_from((*esp.METHODS, "nosuch", "")), max_size=3).map(",".join)),
+        *small_flag(draw, "--json"),
+    ],
+    "specialize": lambda draw: [
+        *small_option(draw, "--family", st.sampled_from(("pascal", "stirling1", "nosuch"))),
+        *small_option(draw, "--rows", st.integers(-3, 12)),
+        *small_flag(draw, "--json"),
+    ],
+    "nosuch": lambda draw: [],
+}
+
+
+@st.composite
+def small_argv(draw):
+    command = draw(st.sampled_from(sorted(SMALL_COMMANDS)))
+    return [command, *SMALL_COMMANDS[command](draw)]
+
+
+@given(argv=small_argv())
+@example(argv=["compute", "--roots", "2,3,4", "--i", "4", "--explain"])
+@example(argv=["specialize", "--family", "pascal", "--rows", "0"])
+@example(argv=["bench", "--n", "3", "--i", "2", "--methods", "dp,dp", "--json"])
+@settings(deadline=None, max_examples=100)
+def test_every_small_argv_exits_with_a_documented_code_and_no_traceback(argv):
+    code, _, err = answer(main, argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

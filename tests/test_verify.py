@@ -692,26 +692,20 @@ def test_a_child_suite_that_raises_gives_the_serial_error(monkeypatch, capsys):
     assert forks == 1 and forked == serial == (1, "", "error: planted on the child's side\n")
 
 
-def raise_planted_assertion():
-    raise AssertionError("planted")
+def test_a_suite_defect_exits_one_with_one_line_naming_the_command(monkeypatch, capsys):
+    # An error that no cross-check raises is a defect, on either side of the
+    # fork: one line names the command, the error's type and its message.
+    for side in ("parent", "child"):
+        for error in (ValueError("planted"), KeyError("planted"), AssertionError("planted")):
 
+            def defect(error=error):
+                raise error
 
-def test_a_child_suite_error_keeps_the_suite_frames(monkeypatch):
-    # An error cli.main does not catch prints its traceback: raised here from
-    # the child's, that traceback must still reach the function that raised.
-    Site(monkeypatch).plant("child", raise_planted_assertion)
-    forks = count_forks(monkeypatch)
-    raised = []
-    for cpus in (1, 2):
-        set_cpus(monkeypatch, cpus)
-        with pytest.raises(AssertionError) as excinfo:
-            main(Site.argv)
-        assert_no_child_left()
-        raised.append(excinfo.value)
-    serial, forked = raised
-    assert len(forks) == 1 and (type(forked), forked.args) == (type(serial), serial.args) == (AssertionError, ("planted",))
-    cause = str(forked.__cause__)
-    assert "in raise_planted_assertion\n" in cause and cause.endswith("AssertionError: planted\n")
+            Site(monkeypatch).plant(side, defect)
+            (serial, forked), forks = serial_and_forked(monkeypatch, capsys, Site.argv)
+            line = f"error: verify: {type(error).__name__}: {error}\n"
+            assert forks == 1 and forked == serial == (1, "", line)
+            monkeypatch.undo()
 
 
 def test_a_parent_half_that_raises_gives_the_serial_error(monkeypatch, capsys):
