@@ -21,7 +21,7 @@ f-strings, beside a median op of about 0.19 ms (BENCH_30 `json_text`).
 `compute --explain` prints the value, then `head C(N,i) = <head>`, then for
 each h = 1..i-1 the line `h=<h> weight <w> bracket_total <total>` followed
 by the bracket's detail: one line `  {j_1,...,j_s} sum=<sigma_J> C(<sigma_J>,<i>)=<entry>`
-per (i-h)-subset J, in lexicographic order of J, or above the explain limit
+per (i-h)-subset J, in lexicographic order of J, or above `--explain-limit` (12)
 the line `  (per-subset detail omitted: n > explain limit <limit>)`.  The
 last line is `total <e_i>`.  The value, head, weights and bracket totals
 come from esp_extraction without detail (the support-row route `--json`
@@ -73,7 +73,6 @@ from typing import Callable
 
 from .coeffs import coeff_closed_sequence, coeff_recurrence, verify_convolution
 from .esp import (
-    DEFAULT_EXPLAIN_LIMIT,
     METHODS,
     ExtractionBreakdown,
     esp_compare,
@@ -88,6 +87,9 @@ DEFAULT_SEED = 42
 DEFAULT_TRUNCATION = 30
 DEFAULT_BENCH_GRID = ((10, 2), (10, 4), (14, 2), (14, 4), (18, 2), (18, 4))
 BENCH_REPETITIONS = 3
+# Above this root-set size, `compute --explain` prints bracket totals only:
+# the number of per-subset lines is C(n, i-h) and blows up.
+DEFAULT_EXPLAIN_LIMIT = 12
 # Most detail lines --explain renders and writes at once.
 _EXPLAIN_CHUNK = 4096
 
@@ -132,7 +134,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
     breakdown: ExtractionBreakdown | None = None
     if args.method == "extraction":
-        value, breakdown = esp_extraction(roots, i, explain_limit=0)
+        value, breakdown = esp_extraction(roots, i)
     else:
         value = METHODS[args.method](roots, i)
 
@@ -152,7 +154,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def _print_explain(roots: RootSet, i: int, explain_limit: int) -> None:
     """Write the --explain text, each bracket's detail in chunks of at most
     _EXPLAIN_CHUNK lines, and check that each bracket's entries sum to its total."""
-    value, breakdown = esp_extraction(roots, i, explain_limit=0)
+    value, breakdown = esp_extraction(roots, i)
     write = sys.stdout.write
     write(f"{value}\nhead C({roots.total},{i}) = {breakdown.head}\n")
     detail, order = roots.n <= explain_limit, str(i)

@@ -15,7 +15,7 @@ each other.
 
 A bracket total sum_{|J|=s} C(sigma_J, i) comes from support-layer rows or
 from a directly filled table (both below), whether or not the per-subset
-detail (n <= explain limit) enumerates the C(n, s) subsets beside it.  By Vandermonde,
+detail (n <= explain_limit, default 0) enumerates the C(n, s) subsets beside it.  By Vandermonde,
 (1+z)^m = 1 + g_m(z) with g_m(z) = (1+z)^m - 1, so
 
     sum_s y^s sum_k B[s][k] z^k = prod_j (1 + y (1+z)^{m_j})
@@ -52,7 +52,7 @@ where N = m_1+...+m_n, so F[t][k] <= C(N, k), and B[s][k] <= C(n, s) * C(N, k).
 Over k <= top, C(N, k) is largest at k = min(top, floor(N/2)), and C(n, s) is
 largest at s = floor(n/2).  So _bracket_totals, which converts F alone, bounds
 every slot by 2^b with b = bitlen(C(N, min(top, floor(N/2)))), and a table of
-B by 2^b with b = bitlen(C(n, floor(n/2))) + that + 1 (_table_width).  The
+B by 2^b with b = bitlen(C(n, floor(n/2))) + that + 1 (both _slot_widths).  The
 identities have signs and the slots of P_r can exceed any such bound (P_r[k]
 can reach n * C(r * max m, k)), so _newton_rows reasons modulo
 M = 2^(w * (top-t+1)) for row t in w-bit slots.  A packed integer is its slot
@@ -75,7 +75,7 @@ column i of it.
 
 A table of B (_bracket_table, top = n) and the brackets of one order i
 (_bracket_totals, top = i) each take one of two routes, by one rule on
-b * top, b the slot width of a table of B with that top (_table_width).
+b * top, b the slot width of a table of B with that top (_slot_widths).
 From b * top = _DIRECT_BELOW on they convert the support rows as above.  Below
 it, where a table costs more in Python steps than in big-int work, they fill
 B directly (_direct_rows), with Kronecker substitution in both variables
@@ -115,7 +115,7 @@ s < i <= n with the weights and the head C(m_1+...+m_n, i), as
 esp_extraction_all reads its table.  One width serves every prefix: a
 prefix's B[s][k] sums a subset of the nonnegative terms C(sigma_J, k) that
 the whole set's B[s][k] sums, so the slot width b of the whole set
-(_table_width) bounds every slot of every prefix, and every slot of f_m too.
+(_slot_widths) bounds every slot of every prefix, and every slot of f_m too.
 Every row starts on a byte, so one to_bytes cuts every row filled so far out
 of the table after each root.
 """
@@ -134,7 +134,6 @@ from .rootset import RootSet
 from .subsets import IndexSubset, k_subsets
 
 __all__ = [
-    "DEFAULT_EXPLAIN_LIMIT",
     "METHODS",
     "BreakdownTerm",
     "ExtractionBreakdown",
@@ -146,10 +145,6 @@ __all__ = [
     "esp_compare",
     "specialize",
 ]
-
-# Above this root-set size, breakdowns keep bracket totals only: the number
-# of per-subset lines is C(n, i-h) and blows up.
-DEFAULT_EXPLAIN_LIMIT = 12
 
 
 def esp_direct(roots: RootSet, i: int) -> int:
@@ -164,12 +159,15 @@ def esp_direct(roots: RootSet, i: int) -> int:
 
 
 def esp_all(roots: RootSet) -> list[int]:
-    """All of e_0..e_n at once: coefficients of prod_j (1 + m_j x), built by
-    the one-pass recurrence e_i += m_k * e_{i-1}."""
-    values = [0] * (roots.n + 1)
-    values[0] = 1
-    for count, m in enumerate(roots.elements, start=1):
-        for j in range(count, 0, -1):
+    """All of e_0..e_n at once: coefficients of prod_j (1 + m_j x), by the one-pass recurrence e_i += m_k * e_{i-1}."""
+    return _recurrence(roots.elements, roots.n)
+
+
+def _recurrence(elements: Sequence[int], top: int) -> list[int]:
+    """e_0..e_top by esp_all's recurrence, stopped at order top; root k moves orders 1..min(k, top)."""
+    values = [1] + [0] * top
+    for count, m in enumerate(elements, start=1):
+        for j in range(count if count < top else top, 0, -1):
             values[j] += m * values[j - 1]
     return values
 
@@ -180,7 +178,7 @@ class BreakdownTerm(NamedTuple):
     `coefficient` is the additive weight: total = head + sum of
     coefficient * bracket_total over all terms.  `bracket` holds the
     per-subset detail and is None when the root set exceeded the explain
-    limit at construction time.
+    limit at construction time, 0 unless the caller passed one.
     """
 
     h: int
@@ -191,8 +189,7 @@ class BreakdownTerm(NamedTuple):
 
 class ExtractionBreakdown(NamedTuple):
     """The sieve's value term by term: total = head + sum of each term's
-    coefficient * bracket_total.  A named tuple of its four fields, like
-    BreakdownTerm."""
+    coefficient * bracket_total."""
 
     i: int
     head: int
@@ -204,7 +201,7 @@ def esp_extraction(
     roots: RootSet,
     i: int,
     *,
-    explain_limit: int = DEFAULT_EXPLAIN_LIMIT,
+    explain_limit: int = 0,
 ) -> tuple[int, ExtractionBreakdown]:
     """e_i via the binomial-product sieve, with its full term breakdown.
 
@@ -214,8 +211,8 @@ def esp_extraction(
 
     The bracket totals come from the support-layer rows or the direct table
     fill of the module docstring (_bracket_totals) in polynomial time.  Up to n = explain_limit
-    each term also keeps its per-subset binomials, each math.comb of a
-    nonnegative subset sum; above it no subset is enumerated.
+    (default 0) each term also keeps its per-subset binomials, each math.comb
+    of a nonnegative subset sum; above it no subset is enumerated.
 
     An order above n raises ValueError: the identity holds only for i <= n.
     """
@@ -385,12 +382,12 @@ _DIRECT_BELOW = 496
 
 def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
     """Returns rows, rows[s] = B[s][0..top] in w-bit slots for s < top, and
-    w.  Below b * top = _DIRECT_BELOW, b = _table_width, the rows come from
+    w.  Below b * top = _DIRECT_BELOW, b a table's _slot_widths, the rows come from
     _direct_rows and w = b.  From there on each row of _newton_rows, in its
     w-bit slots, is moved back up to slots t..top and summed with the
     coefficients C(n-t, s-t).  Every coefficient is nonnegative and every
     B[s][k] < 2^b <= 2^w, so the packed sums carry nothing between slots."""
-    b = _table_width(elements, top)
+    _, b = _slot_widths(elements, top)
     if b * top < _DIRECT_BELOW:
         return _direct_rows(elements, top, b), b
     support, b = _newton_rows(elements, top, b)
@@ -398,11 +395,12 @@ def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
     return [sum(map(mul, coefficients, rows)) for coefficients in _conversion(len(elements), top)], b
 
 
-def _table_width(elements: Sequence[int], top: int) -> int:
-    """The slot width b of a table of B with slots 0..top, as the module
-    docstring bounds it: bitlen(C(n, floor(n/2))) + bitlen(C(N, min(top, floor(N/2)))) + 1."""
+def _slot_widths(elements: Sequence[int], top: int) -> tuple[int, int]:
+    """The module docstring's slot widths for slots 0..top: F's, f = bitlen(C(N,
+    min(top, floor(N/2)))), and a table of B's, f + bitlen(C(n, floor(n/2))) + 1."""
     n, total = len(elements), sum(elements)
-    return comb(n, n // 2).bit_length() + comb(total, min(top, total // 2)).bit_length() + 1
+    f = comb(total, min(top, total // 2)).bit_length()
+    return f, f + comb(n, n // 2).bit_length() + 1
 
 
 def _direct_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
@@ -441,14 +439,12 @@ def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
     single slots overflow, but that still held on every cell tried, at most
     0.986 of the modulus, at roots (2, 2, 2, 3) and i = 4 with this branch
     forced; two bits less fails there."""
-    b = _table_width(elements, i)
+    f, b = _slot_widths(elements, i)
     if b * i < _DIRECT_BELOW:
         return [row >> (b * i) for row in _direct_rows(elements, i, b)]
-    # F's own bound: the table width less C(n, floor(n/2))'s bits and the guard bit
-    n = len(elements)
-    support, b = _newton_rows(elements, i, b - comb(n, n // 2).bit_length() - 1)
-    tops = [row >> (b * (i - t)) for t, row in enumerate(support)]
-    return [sum(map(mul, coefficients, tops)) for coefficients in _conversion(n, i)]
+    support, w = _newton_rows(elements, i, f)
+    tops = [row >> (w * (i - t)) for t, row in enumerate(support)]
+    return [sum(map(mul, coefficients, tops)) for coefficients in _conversion(len(elements), i)]
 
 
 def esp_loworder(roots: RootSet, i: int) -> int:
@@ -500,7 +496,7 @@ def _esp_dp(roots: RootSet, i: int) -> int:
     # and a negative order is refused like the other routes refuse it.
     if i < 0:
         raise ValueError(f"order must be >= 0, got {i}")
-    return esp_all(roots)[i] if i <= roots.n else 0
+    return _recurrence(roots.elements, i)[i] if i <= roots.n else 0
 
 
 # e_i by each route, for `compute --method` and `bench --methods`.  Every
@@ -508,8 +504,8 @@ def _esp_dp(roots: RootSet, i: int) -> int:
 # each call.
 METHODS: dict[str, Callable[[RootSet, int], int]] = {
     "direct": lambda roots, i: esp_direct(roots, i),
-    "dp": _esp_dp,
-    "extraction": lambda roots, i: esp_extraction(roots, i, explain_limit=0)[0],
+    "dp": lambda roots, i: _esp_dp(roots, i),
+    "extraction": lambda roots, i: esp_extraction(roots, i)[0],
 }
 
 
@@ -548,7 +544,7 @@ def _triangle_rows(elements: Sequence[int], stirling: bool) -> Iterator[list[int
     The cut is released before the next product.  With stirling, row n must
     equal the recurrence's |s(n+1, n+1-i)|."""
     top = len(elements)
-    b = _table_width(elements, top)
+    _, b = _slot_widths(elements, top)
     stride, keep, _ = _direct_layout.__wrapped__(top, b)
     size = stride // 8
     table, total = 1, 0

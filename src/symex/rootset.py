@@ -4,9 +4,10 @@ from __future__ import annotations
 
 
 class RootSet:
-    """Ordered multiset m_1..m_n of positive integers (repeats allowed).
-    Immutable, compared and hashed by its elements.  Its size n is stored
-    beside them when built, since the routes read it on every call."""
+    """Ordered multiset m_1..m_n of positive integers (repeats allowed), as the
+    paper's R.  The sieve and both kernels also hold with zero roots (tests
+    reach them past this check); allowing zeros is an open change of the spec.
+    Immutable, compared and hashed by its elements; n is stored, as every route reads it."""
 
     __slots__ = ("elements", "n")
     elements: tuple[int, ...]

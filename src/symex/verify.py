@@ -141,7 +141,7 @@ def equivalence_random(rng: random.Random) -> Report:
     """Both sieves, per order and all orders, on 300 random sets in the order drawn."""
 
     def per_order(roots):
-        return [1] + [esp.esp_extraction(roots, i, explain_limit=0)[0] for i in range(1, roots.n + 1)]
+        return [1] + [esp.esp_extraction(roots, i)[0] for i in range(1, roots.n + 1)]
 
     drawn = (_random_roots(rng, 1, 10, 9) for _ in range(300))
     return _routes_agree("equivalence 300 random sets n<=10 m<=9", drawn, per_order, esp.esp_extraction_all)

@@ -100,12 +100,12 @@ def test_value_types_survive_copy_and_pickle():
 
 def test_reprs_are_pinned():
     assert repr(RootSet((2, 3, 4))) == "RootSet(elements=(2, 3, 4))"
-    _, breakdown = esp_extraction(RootSet((2, 3, 4)), 3, explain_limit=0)
+    _, breakdown = esp_extraction(RootSet((2, 3, 4)), 3)
     assert repr(breakdown) == (
         "ExtractionBreakdown(i=3, head=84, terms=(BreakdownTerm(h=1, coefficient=-1, bracket_total=65, bracket=None), "
         "BreakdownTerm(h=2, coefficient=1, bracket_total=5, bracket=None)), total=24)"
     )
-    assert repr(esp_extraction(RootSet((2, 3)), 2)[1].terms) == (
+    assert repr(esp_extraction(RootSet((2, 3)), 2, explain_limit=2)[1].terms) == (
         "(BreakdownTerm(h=1, coefficient=-1, bracket_total=4, bracket=(((1,), 1), ((2,), 3))),)"
     )
     report = Report("name", "detail")
@@ -114,9 +114,9 @@ def test_reprs_are_pinned():
 
 
 def test_breakdowns_compare_and_hash_by_their_fields():
-    first, second = esp_extraction(RootSet((2, 3, 4)), 3)[1], esp_extraction(RootSet((2, 3, 4)), 3)[1]
+    first, second = esp_extraction(RootSet((2, 3, 4)), 3, explain_limit=3)[1], esp_extraction(RootSet((2, 3, 4)), 3, explain_limit=3)[1]
     assert first == second and hash(first) == hash(second)
-    assert first != esp_extraction(RootSet((2, 3, 4)), 3, explain_limit=0)[1]
+    assert first != esp_extraction(RootSet((2, 3, 4)), 3)[1]
     assert first.terms[0] == BreakdownTerm(1, -1, 65, first.terms[0].bracket)
     assert ExtractionBreakdown(0, 1, (), 1) == esp_extraction(RootSet((5,)), 0)[1]
 

@@ -295,7 +295,7 @@ def compute_payload(roots, i, method):
         return {"value": by_method["direct"], "method": "all", "values": by_method, "agree": len(set(by_method.values())) == 1}
     if method != "extraction":
         return {"value": str(esp.METHODS[method](roots, i)), "method": method}
-    value, breakdown = esp.esp_extraction(roots, i, explain_limit=0)
+    value, breakdown = esp.esp_extraction(roots, i)
     terms = [{"h": t.h, "weight": str(t.coefficient), "bracket_total": str(t.bracket_total)} for t in breakdown.terms]
     return {"value": str(value), "method": method, "breakdown": {"head": str(breakdown.head), "terms": terms}}
 
@@ -345,11 +345,11 @@ def test_compute_method_all_runs_each_route_once(capsys, monkeypatch):
 
         return wrapper
 
-    for name in ("esp_direct", "esp_all", "esp_extraction"):
+    for name in ("esp_direct", "_esp_dp", "esp_extraction"):
         monkeypatch.setattr(esp, name, counted(name, getattr(esp, name)))
     code, out, _ = run(capsys, "compute", "--roots", "2,3,4,5", "--i", "3", "--method", "all")
     assert code == 0 and out.endswith("agree yes\n")
-    assert calls == Counter({"esp_direct": 1, "esp_all": 1, "esp_extraction": 1})
+    assert calls == Counter({"esp_direct": 1, "_esp_dp": 1, "esp_extraction": 1})
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit here")

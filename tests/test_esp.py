@@ -75,7 +75,7 @@ def test_esp_all_examples():
 
 
 def test_extraction_breakdown_frozen_example():
-    value, breakdown = esp_extraction(RootSet.of(2, 3, 4), 3)
+    value, breakdown = esp_extraction(RootSet.of(2, 3, 4), 3, explain_limit=3)
     assert value == 24 == esp_direct(RootSet.of(2, 3, 4), 3)
     assert breakdown.head == 84
     first, second = breakdown.terms
@@ -87,7 +87,7 @@ def test_extraction_breakdown_frozen_example():
 
 
 def test_extraction_small_cases():
-    value, breakdown = esp_extraction(RootSet.of(2, 3), 2)
+    value, breakdown = esp_extraction(RootSet.of(2, 3), 2, explain_limit=2)
     assert value == 6
     assert breakdown.head == 10
     assert breakdown.terms[0].bracket_total == 4
@@ -126,7 +126,7 @@ def test_oracle_equivalence_exhaustive_small():
             roots = RootSet(tup)
             per_order = esp_all(roots)
             for i in range(1, n + 1):
-                assert esp_extraction(roots, i, explain_limit=0)[0] == esp_direct(roots, i) == per_order[i]
+                assert esp_extraction(roots, i)[0] == esp_direct(roots, i) == per_order[i]
 
 
 def test_boundary_order_equals_size():
@@ -147,7 +147,7 @@ def test_bracket_sizes_and_weights_match_closed_coefficients():
     roots = RootSet.of(3, 1, 4, 1, 5, 9, 2)
     n = roots.n
     for i in range(1, n + 1):
-        _, breakdown = esp_extraction(roots, i)
+        _, breakdown = esp_extraction(roots, i, explain_limit=n)
         for term in breakdown.terms:
             assert len(term.bracket) == binomial_first(n, i - term.h)
             assert term.coefficient == -coeff_closed(n, i, term.h)
@@ -158,7 +158,7 @@ def test_detail_lists_subsets_in_combinations_order():
     # which `compute --explain` makes its own labels, sums and entries.
     roots = RootSet.of(5, 1, 1 << 40, 9, 1, 3, 7)
     for i in range(1, roots.n + 1):
-        _, breakdown = esp_extraction(roots, i)
+        _, breakdown = esp_extraction(roots, i, explain_limit=roots.n)
         for term in breakdown.terms:
             size = i - term.h
             assert [indices for indices, _ in term.bracket] == list(combinations(range(1, roots.n + 1), size))
@@ -169,7 +169,7 @@ def test_detail_lists_subsets_in_combinations_order():
 
 def test_explain_limit_drops_detail_but_not_totals():
     roots = RootSet.of(2, 3, 4)
-    full = esp_extraction(roots, 3)
+    full = esp_extraction(roots, 3, explain_limit=roots.n)
     compact = esp_extraction(roots, 3, explain_limit=2)
     assert compact[0] == full[0]
     assert all(term.bracket is None for term in compact[1].terms)
@@ -189,8 +189,8 @@ def test_extraction_also_holds_with_zero_roots(others, position, data):
     elements.insert(min(position, len(elements)), 0)
     roots = bypass_rootset(elements)
     i = data.draw(st.integers(1, len(elements)))
+    assert esp_extraction(roots, i, explain_limit=roots.n)[0] == esp_direct(roots, i)
     assert esp_extraction(roots, i)[0] == esp_direct(roots, i)
-    assert esp_extraction(roots, i, explain_limit=0)[0] == esp_direct(roots, i)
 
 
 def test_esp_loworder_matches_direct():
@@ -247,7 +247,7 @@ def _compact_matches_detail(roots, i):
     # Both breakdowns take their totals from the support rows; the enumerated
     # detail is the independent side, and its entries must sum to each total.
     detail = esp_extraction(roots, i, explain_limit=roots.n)
-    compact = esp_extraction(roots, i, explain_limit=0)
+    compact = esp_extraction(roots, i)
     assert compact[0] == detail[0]
     assert compact[1].head == detail[1].head
     assert [(t.h, t.coefficient, t.bracket_total) for t in compact[1].terms] == [
@@ -284,7 +284,7 @@ def test_compact_brackets_at_extremes():
     for roots in (RootSet((1,) * 30), RootSet(((1 << 60) - 1,) * 20), RootSet(((1 << 80), *small.elements * 2))):
         per_order = esp_all(roots)
         for i in range(1, roots.n + 1):
-            value, breakdown = esp_extraction(roots, i, explain_limit=0)
+            value, breakdown = esp_extraction(roots, i)
             assert value == per_order[i] == breakdown.head + sum(t.coefficient * t.bracket_total for t in breakdown.terms)
 
 
@@ -294,10 +294,11 @@ def test_compact_path_enumerates_no_subsets(monkeypatch):
 
     monkeypatch.setattr(esp, "combinations", refuse)
     monkeypatch.setattr(esp, "k_subsets", refuse)
-    roots = RootSet.of(9, 4, 7, 1, 1, 8, 3, 12, 5, 6, 2, 10, 11, 4, 9, 7)
-    per_order = esp_all(roots)
-    for i in range(roots.n + 1):
-        assert esp_extraction(roots, i, explain_limit=0)[0] == per_order[i]
+    # with no limit passed nothing is enumerated at any n, 12 roots included
+    for roots in (RootSet.of(9, 4, 7, 1, 1, 8, 3, 12, 5, 6, 2, 10), RootSet.of(9, 4, 7, 1, 1, 8, 3, 12, 5, 6, 2, 10, 11, 4, 9, 7)):
+        per_order = esp_all(roots)
+        for i in range(roots.n + 1):
+            assert esp_extraction(roots, i)[0] == per_order[i]
     with pytest.raises(AssertionError):
         esp_extraction(roots, 3, explain_limit=roots.n)
 
@@ -345,7 +346,7 @@ def test_bracket_totals_do_not_depend_on_the_calls_before_them():
         ((63, 64, 2, 9), 4),
         (((1 << 40) - 1, 5, (1 << 39) + 7, 1, 3), 4),
     ]
-    assert esp._table_width(*cells[-1]) * 4 >= esp._DIRECT_BELOW
+    assert esp._slot_widths(*cells[-1])[1] * 4 >= esp._DIRECT_BELOW
     expected = {
         cell: [sum(math.comb(sum(combo), cell[1]) for combo in combinations(cell[0], s)) for s in range(cell[1])]
         for cell in cells
@@ -464,6 +465,20 @@ def test_per_order_brackets_take_the_direct_rule(monkeypatch):
                 taken.clear()
                 assert esp._bracket_totals(elements, i) == brackets, (elements, i, forced)
                 assert taken == [forced]
+
+
+def test_newton_brackets_build_the_central_binomial_once(monkeypatch):
+    # C(n, floor(n/2)) only sizes the table width, which decides the route;
+    # the Newton rows take F's width, which comes beside it
+    elements = _random_roots(random.Random(5), 20, 40)
+    calls, counted = Counter(), esp.comb
+    monkeypatch.setattr(esp, "comb", lambda *args: calls.update([args]) or counted(*args))
+    taken = []
+    run = esp._newton_rows
+    monkeypatch.setattr(esp, "_newton_rows", lambda *args: taken.append(args[1]) or run(*args))
+    brackets = [sum(math.comb(sum(combo), 4) for combo in combinations(elements, s)) for s in range(4)]
+    assert esp._bracket_totals(elements, 4) == brackets
+    assert taken == [4] and calls[(20, 10)] == 1
 
 
 # Narrow roots put top >= N/2, where C(N, k) peaks inside the kept slots.
@@ -741,15 +756,33 @@ def test_support_rows_and_brackets_hold_just_above_the_direct_rule(monkeypatch):
             assert _table_width(cell, top) * top >= esp._DIRECT_BELOW
             roots = RootSet(cell)
             taken.clear()
-            value, breakdown = esp_extraction(roots, top, explain_limit=0)
+            value, breakdown = esp_extraction(roots, top)
             assert taken == [top]
             brackets = [row[top] for row in _enumerated_table(cell, top)]
             assert [term.bracket_total for term in breakdown.terms] == brackets[top - 1 : 0 : -1]
             assert value == esp_all(roots)[top]
 
 
+@given(n=st.integers(1, 2000), bits=st.sampled_from([4, 40]), i=st.integers(0, 12), seed=st.integers(0, 2**32))
+@example(n=2000, bits=40, i=12, seed=0)
+@example(n=2000, bits=4, i=3, seed=0)
+@settings(max_examples=25, deadline=None)
+def test_one_order_at_large_n_keeps_its_value_widths_and_route(n, bits, i, seed):
+    # bits 4 draws roots <= 9.  esp_all takes 0.9 s at n = 2,000 with those
+    # roots (5.9 s with 40-bit ones), so up to n = 400 it is the reference;
+    # above, the truncated recurrence and the sieve are checked against each
+    # other.  The widths are the ones the route rule reads, so no route moves.
+    rng = random.Random(seed)
+    elements = tuple(rng.randint(1, 9) if bits == 4 else rng.randrange(1 << 39, 1 << 40) for _ in range(n))
+    roots, i = RootSet(elements), min(i, n)
+    expected = esp_all(roots)[i] if n <= 400 else esp._esp_dp(roots, i)
+    assert esp._esp_dp(roots, i) == esp_extraction(roots, i)[0] == expected
+    b = _table_width(elements, i)
+    assert esp._slot_widths(elements, i) == (b - math.comb(n, n // 2).bit_length() - 1, b)
+
+
 def _per_order_sieve(roots):
-    return [esp_extraction(roots, i, explain_limit=0)[0] for i in range(roots.n + 1)]
+    return [esp_extraction(roots, i)[0] for i in range(roots.n + 1)]
 
 
 @given(elements=st.lists(wide_roots, min_size=1, max_size=14))
@@ -865,7 +898,7 @@ def test_the_triangle_drops_each_cut_before_the_next_product(monkeypatch, family
     # (6.5).  _weights runs uncached, so no cache grows inside the trace.
     monkeypatch.setattr(esp, "_weights", esp._weights.__wrapped__)
     elements = (1,) * rows if family == "pascal" else tuple(range(1, rows + 1))
-    stride = esp._direct_layout.__wrapped__(rows, esp._table_width(elements, rows))[0]
+    stride = esp._direct_layout.__wrapped__(rows, esp._slot_widths(elements, rows)[1])[0]
     tracemalloc.start()
     try:
         for _ in specialize(family, rows):
