@@ -24,14 +24,15 @@ by the bracket's detail: one line `  {j_1,...,j_s} sum=<sigma_J> C(<sigma_J>,<i>
 per (i-h)-subset J, in lexicographic order of J, or above `--explain-limit` (12)
 the line `  (per-subset detail omitted: n > explain limit <limit>)`.  The
 last line is `total <e_i>`.  The value, head, weights and bracket totals
-come from esp_extraction without detail (the support-row route `--json`
-takes), and the text is written as it is made: each bracket's detail in
-chunks of at most _EXPLAIN_CHUNK lines, whose subset sums, entries
-math.comb(sigma_J, i) and index labels come from itertools.combinations in
-one order.  So memory stays bounded however long the output is.  Detail
-and totals thus come from two routes, and each bracket checks that its
-entries sum to its printed total: a mismatch raises ArithmeticError, which
-exits 1 after the lines already written.
+come from esp_extraction, the route `--json` takes, which keeps no
+per-subset detail: _print_explain is its one renderer.  It writes the text
+as it is made, each bracket's detail in chunks of at most _EXPLAIN_CHUNK
+lines, whose subset sums, entries math.comb(sigma_J, i) and index labels
+come from itertools.combinations in one order.  So memory stays bounded
+however long the output is.  Detail and totals thus come from two routes,
+and each bracket checks that its entries sum to its printed total: a
+mismatch raises ArithmeticError, which exits 1 after the lines already
+written.
 
 `specialize` writes each triangle row as it is made, in text and `--json`
 alike.  A stirling1 row that disagrees with the recurrence triangle raises

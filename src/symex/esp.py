@@ -8,15 +8,14 @@
 * esp_extraction_all: the same sieve at every order 0..n at once, the
   sieve's counterpart of esp_all.
 
-esp_extraction also returns a term-by-term breakdown so every bracket can
-be inspected.  METHODS names the three per-order routes as e_i functions, and
-esp_compare runs them on one input so their values can be checked against
-each other.
+esp_extraction also returns a term-by-term breakdown: head, weights and
+bracket totals.  METHODS names the three per-order routes as e_i functions,
+and esp_compare runs them on one input so their values can be checked
+against each other.
 
 A bracket total sum_{|J|=s} C(sigma_J, i) comes from support-layer rows or
-from a directly filled table (both below), whether or not the per-subset
-detail (n <= explain_limit, default 0) enumerates the C(n, s) subsets beside it.  By Vandermonde,
-(1+z)^m = 1 + g_m(z) with g_m(z) = (1+z)^m - 1, so
+from a directly filled table (both below); no subset is enumerated.  By
+Vandermonde, (1+z)^m = 1 + g_m(z) with g_m(z) = (1+z)^m - 1, so
 
     sum_s y^s sum_k B[s][k] z^k = prod_j (1 + y (1+z)^{m_j})
                                 = sum_t F_t(z) y^t (1+y)^{n-t},
@@ -131,7 +130,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import coeffs
 from .bigcomb import _stirling_row, _stirling_second_row, binomial_first, binomial_second, stirling_first_signed
 from .rootset import RootSet
-from .subsets import IndexSubset, k_subsets
+# perfbench's tracer patches esp.k_subsets by name; nothing here calls it
+from .subsets import k_subsets
 
 __all__ = [
     "METHODS",
@@ -173,18 +173,16 @@ def _recurrence(elements: Sequence[int], top: int) -> list[int]:
 
 
 class BreakdownTerm(NamedTuple):
-    """One sieve bracket: the (i-h)-subset binomials and their signed weight.
-
-    `coefficient` is the additive weight: total = head + sum of
-    coefficient * bracket_total over all terms.  `bracket` holds the
-    per-subset detail and is None when the root set exceeded the explain
-    limit at construction time, 0 unless the caller passed one.
-    """
+    """One sieve bracket: the total of its (i-h)-subset binomials and its
+    signed weight.  `coefficient` is the additive weight: total = head + sum
+    of coefficient * bracket_total over all terms.  `bracket` is always None;
+    per-subset detail is printed by `compute --explain` alone."""
 
     h: int
     coefficient: int
     bracket_total: int
-    bracket: tuple[tuple[IndexSubset, int], ...] | None
+    # perfbench's tracer reads this field until it stops binding symex names
+    bracket: None = None
 
 
 class ExtractionBreakdown(NamedTuple):
@@ -197,22 +195,16 @@ class ExtractionBreakdown(NamedTuple):
     total: int
 
 
-def esp_extraction(
-    roots: RootSet,
-    i: int,
-    *,
-    explain_limit: int = 0,
-) -> tuple[int, ExtractionBreakdown]:
-    """e_i via the binomial-product sieve, with its full term breakdown.
+def esp_extraction(roots: RootSet, i: int) -> tuple[int, ExtractionBreakdown]:
+    """e_i via the binomial-product sieve, with its term breakdown.
 
     head = C(m_1+...+m_n, i); for each h = 1..i-1 the bracket sums
     C(sum of m_j over J, i) over all (i-h)-subsets J, and is subtracted
     with weight C_h = (-1)^(h-1) * multichoose(n-i+1, h-1).
 
     The bracket totals come from the support-layer rows or the direct table
-    fill of the module docstring (_bracket_totals) in polynomial time.  Up to n = explain_limit
-    (default 0) each term also keeps its per-subset binomials, each math.comb
-    of a nonnegative subset sum; above it no subset is enumerated.
+    fill of the module docstring (_bracket_totals) in polynomial time; no
+    subset is enumerated.
 
     An order above n raises ValueError: the identity holds only for i <= n.
     """
@@ -222,16 +214,11 @@ def esp_extraction(
     if i > n:
         raise ValueError(f"order {i} exceeds root set size {n}; use the direct route")
 
-    elements = roots.elements
     head = comb(roots.total, i)
     weights = _weights(n, i)
     # bracket h is B[i-h][i], so the terms read the totals down from s = i-1
-    brackets = _bracket_totals(elements, i)[i - 1 : 0 : -1] if i > 1 else []
-
-    details: Iterator[tuple[tuple[IndexSubset, int], ...] | None] = repeat(None)
-    if n <= explain_limit:
-        details = (tuple(zip(k_subsets(n, s), map(comb, map(sum, combinations(elements, s)), repeat(i)))) for s in range(i - 1, 0, -1))
-    terms = tuple(map(BreakdownTerm, range(1, i), weights, brackets, details))
+    brackets = _bracket_totals(roots.elements, i)[i - 1 : 0 : -1] if i > 1 else []
+    terms = tuple(map(BreakdownTerm, range(1, i), weights, brackets))
     value = head + sum(map(mul, weights, brackets))
     return value, ExtractionBreakdown(i, head, terms, value)
 

@@ -2,12 +2,14 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from symex import cli, esp, verify
 from symex.cli import main
+from symex.coeffs import coeff_closed
 from symex.rootset import RootSet
 
 
@@ -122,20 +125,24 @@ def test_compute_explain_limit_zero_omits_the_detail(capsys):
 
 
 def reference_explain(roots, i, explain_limit):
-    """The --explain text, rendered one line at a time: each detail line takes
-    its label and its subset sum from the indices its own entry carries."""
-    value, breakdown = esp.esp_extraction(roots, i, explain_limit=explain_limit)
-    lines = [str(value), f"head C({roots.total},{i}) = {breakdown.head}"]
-    for term in breakdown.terms:
-        lines.append(f"h={term.h} weight {term.coefficient} bracket_total {term.bracket_total}")
-        if term.bracket is None:
+    """The --explain text, rendered one line at a time and sieve-free: the value
+    from the product recurrence, each weight from coeff_closed, and each detail
+    line's label, subset sum and C(sigma_J, i) from one (i-h)-subset J of
+    itertools.combinations over 1..n, whose entries sum to the bracket total."""
+    value = esp.esp_all(roots)[i]
+    lines = [str(value), f"head C({roots.total},{i}) = {math.comb(roots.total, i)}"]
+    for h in range(1, i):
+        detail = []
+        for indices in combinations(range(1, roots.n + 1), i - h):
+            subset_sum = sum(roots.elements[j - 1] for j in indices)
+            detail.append((",".join(map(str, indices)), subset_sum, math.comb(subset_sum, i)))
+        total = sum(entry for _, _, entry in detail)
+        lines.append(f"h={h} weight {-coeff_closed(roots.n, i, h)} bracket_total {total}")
+        if roots.n > explain_limit:
             lines.append(f"  (per-subset detail omitted: n > explain limit {explain_limit})")
             continue
-        for indices, entry in term.bracket:
-            subset_sum = sum(roots.elements[j - 1] for j in indices)
-            label = "{" + ",".join(str(j) for j in indices) + "}"
-            lines.append(f"  {label} sum={subset_sum} C({subset_sum},{i})={entry}")
-    lines.append(f"total {breakdown.total}")
+        lines += [f"  {{{label}}} sum={subset_sum} C({subset_sum},{i})={entry}" for label, subset_sum, entry in detail]
+    lines.append(f"total {value}")
     return "".join(line + "\n" for line in lines)
 
 

@@ -74,24 +74,38 @@ def test_esp_all_examples():
     assert esp_all(RootSet.of(5)) == [1, 5]
 
 
-def test_extraction_breakdown_frozen_example():
-    value, breakdown = esp_extraction(RootSet.of(2, 3, 4), 3, explain_limit=3)
+def explained_brackets(capsys, roots, i):
+    """The detail lines `compute --explain` prints, one list per bracket h = 1..i-1."""
+    assert main(["compute", "--roots", ",".join(map(str, roots.elements)), "--i", str(i), "--explain"]) == 0
+    brackets = []
+    for line in capsys.readouterr().out.splitlines()[2:-1]:
+        if line.startswith("h="):
+            brackets.append([])
+        else:
+            brackets[-1].append(line)
+    return brackets
+
+
+def test_extraction_breakdown_frozen_example(capsys):
+    value, breakdown = esp_extraction(RootSet.of(2, 3, 4), 3)
     assert value == 24 == esp_direct(RootSet.of(2, 3, 4), 3)
     assert breakdown.head == 84
     first, second = breakdown.terms
     assert (first.h, first.coefficient, first.bracket_total) == (1, -1, 65)
-    assert tuple(entry for _, entry in first.bracket) == (10, 20, 35)
     assert (second.h, second.coefficient, second.bracket_total) == (2, 1, 5)
-    assert tuple(entry for _, entry in second.bracket) == (0, 1, 4)
     assert breakdown.total == 24 == breakdown.head + sum(t.coefficient * t.bracket_total for t in breakdown.terms)
+    assert explained_brackets(capsys, RootSet.of(2, 3, 4), 3) == [
+        ["  {1,2} sum=5 C(5,3)=10", "  {1,3} sum=6 C(6,3)=20", "  {2,3} sum=7 C(7,3)=35"],
+        ["  {1} sum=2 C(2,3)=0", "  {2} sum=3 C(3,3)=1", "  {3} sum=4 C(4,3)=4"],
+    ]
 
 
-def test_extraction_small_cases():
-    value, breakdown = esp_extraction(RootSet.of(2, 3), 2, explain_limit=2)
+def test_extraction_small_cases(capsys):
+    value, breakdown = esp_extraction(RootSet.of(2, 3), 2)
     assert value == 6
     assert breakdown.head == 10
     assert breakdown.terms[0].bracket_total == 4
-    assert tuple(entry for _, entry in breakdown.terms[0].bracket) == (1, 3)
+    assert explained_brackets(capsys, RootSet.of(2, 3), 2) == [["  {1} sum=2 C(2,2)=1", "  {2} sum=3 C(3,2)=3"]]
     assert esp_extraction(RootSet.of(1, 1, 1, 1, 1), 3)[0] == 10  # C(5,3)
 
 
@@ -143,37 +157,25 @@ def test_permutation_invariance(roots, data):
     assert esp_extraction(roots, i)[0] == esp_extraction(shuffled, i)[0]
 
 
-def test_bracket_sizes_and_weights_match_closed_coefficients():
+def test_bracket_sizes_and_weights_match_closed_coefficients(capsys):
     roots = RootSet.of(3, 1, 4, 1, 5, 9, 2)
     n = roots.n
     for i in range(1, n + 1):
-        _, breakdown = esp_extraction(roots, i, explain_limit=n)
+        _, breakdown = esp_extraction(roots, i)
+        assert [len(lines) for lines in explained_brackets(capsys, roots, i)] == [binomial_first(n, i - h) for h in range(1, i)]
         for term in breakdown.terms:
-            assert len(term.bracket) == binomial_first(n, i - term.h)
             assert term.coefficient == -coeff_closed(n, i, term.h)
 
 
-def test_detail_lists_subsets_in_combinations_order():
-    # The library's detail follows itertools.combinations order, the order in
-    # which `compute --explain` makes its own labels, sums and entries.
+def test_detail_lists_subsets_in_combinations_order(capsys):
+    # `compute --explain` lists each bracket's subsets in itertools.combinations order.
     roots = RootSet.of(5, 1, 1 << 40, 9, 1, 3, 7)
     for i in range(1, roots.n + 1):
-        _, breakdown = esp_extraction(roots, i, explain_limit=roots.n)
-        for term in breakdown.terms:
-            size = i - term.h
-            assert [indices for indices, _ in term.bracket] == list(combinations(range(1, roots.n + 1), size))
-            assert [entry for _, entry in term.bracket] == [
-                math.comb(sum(combo), i) for combo in combinations(roots.elements, size)
-            ]
-
-
-def test_explain_limit_drops_detail_but_not_totals():
-    roots = RootSet.of(2, 3, 4)
-    full = esp_extraction(roots, 3, explain_limit=roots.n)
-    compact = esp_extraction(roots, 3, explain_limit=2)
-    assert compact[0] == full[0]
-    assert all(term.bracket is None for term in compact[1].terms)
-    assert [t.bracket_total for t in compact[1].terms] == [t.bracket_total for t in full[1].terms]
+        for h, lines in enumerate(explained_brackets(capsys, roots, i), start=1):
+            size = i - h
+            labels = [",".join(map(str, indices)) for indices in combinations(range(1, roots.n + 1), size)]
+            sums = [sum(combo) for combo in combinations(roots.elements, size)]
+            assert lines == [f"  {{{label}}} sum={s} C({s},{i})={math.comb(s, i)}" for label, s in zip(labels, sums)]
 
 
 @given(
@@ -189,7 +191,6 @@ def test_extraction_also_holds_with_zero_roots(others, position, data):
     elements.insert(min(position, len(elements)), 0)
     roots = bypass_rootset(elements)
     i = data.draw(st.integers(1, len(elements)))
-    assert esp_extraction(roots, i, explain_limit=roots.n)[0] == esp_direct(roots, i)
     assert esp_extraction(roots, i)[0] == esp_direct(roots, i)
 
 
@@ -244,17 +245,13 @@ def test_specialize_rejects_unknown_family():
 
 
 def _compact_matches_detail(roots, i):
-    # Both breakdowns take their totals from the support rows; the enumerated
-    # detail is the independent side, and its entries must sum to each total.
-    detail = esp_extraction(roots, i, explain_limit=roots.n)
-    compact = esp_extraction(roots, i)
-    assert compact[0] == detail[0]
-    assert compact[1].head == detail[1].head
-    assert [(t.h, t.coefficient, t.bracket_total) for t in compact[1].terms] == [
-        (t.h, t.coefficient, t.bracket_total) for t in detail[1].terms
+    # The sieve takes its totals from the support rows or a direct fill; the
+    # subsets enumerated here are the independent side, summing to each total.
+    _, breakdown = esp_extraction(roots, i)
+    assert [t.bracket_total for t in breakdown.terms] == [
+        sum(math.comb(sum(J), i) for J in combinations(roots.elements, i - h)) for h in range(1, i)
     ]
-    assert all(t.bracket is None for t in compact[1].terms)
-    assert all(t.bracket_total == sum(entry for _, entry in t.bracket) for t in detail[1].terms)
+    assert all(t.bracket is None for t in breakdown.terms)
 
 
 # Each root draws its own bit width in 1..80, so one set mixes slot sizes.
@@ -294,12 +291,15 @@ def test_compact_path_enumerates_no_subsets(monkeypatch):
 
     monkeypatch.setattr(esp, "combinations", refuse)
     monkeypatch.setattr(esp, "k_subsets", refuse)
-    # with no limit passed nothing is enumerated at any n, 12 roots included
+    # nothing is enumerated and no term keeps detail at any n, 12 roots included
     for roots in (RootSet.of(9, 4, 7, 1, 1, 8, 3, 12, 5, 6, 2, 10), RootSet.of(9, 4, 7, 1, 1, 8, 3, 12, 5, 6, 2, 10, 11, 4, 9, 7)):
         per_order = esp_all(roots)
         for i in range(roots.n + 1):
-            assert esp_extraction(roots, i)[0] == per_order[i]
-    with pytest.raises(AssertionError):
+            value, breakdown = esp_extraction(roots, i)
+            assert value == per_order[i]
+            assert all(t.bracket is None for t in breakdown.terms)
+    # per-subset detail is compute --explain's alone; the library takes no limit
+    with pytest.raises(TypeError):
         esp_extraction(roots, 3, explain_limit=roots.n)
 
 

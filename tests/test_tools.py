@@ -72,6 +72,20 @@ def test_route_grid_probes_time_the_passing_equivalence_half(monkeypatch, tmp_pa
         grid.main()
 
 
+def test_route_grid_sieve_and_triangle_probes_run_the_real_partials(monkeypatch, tmp_path):
+    grid = load_tool("route_grid")
+    # one tiny sieve cell and one 3-row triangle, called as the real probes call them
+    monkeypatch.setattr(grid, "probe_cells", lambda: [("3 roots, i=3", (2, 3, 4), 3)])
+    monkeypatch.setattr(grid, "TRIANGLE_PROBES", (("pascal", 3),))
+    monkeypatch.setattr(grid, "equivalence_runs", lambda: [])
+    out = tmp_path / "grid.json"
+    monkeypatch.setattr(sys, "argv", ["route_grid.py", "--reps", "1", "--out", str(out)])
+    assert grid.main() == 0
+    section = json.loads(out.read_text())["probes"]
+    assert [probe["probe"] for probe in section["probes"]] == ["3 roots, i=3", "specialize pascal 3"]
+    assert all(probe["best_ms"] > 0 for probe in section["probes"])
+
+
 # A fixture src/: symex/__init__.py has 7 docstring lines (module, class,
 # method and async function docstrings, the blank line inside one
 # included), 2 comments, 5 code lines (a string after a docstring is code)

@@ -3,10 +3,11 @@
     python3 tools/route_grid.py --src ../parent/src --out parent.json
     python3 tools/route_grid.py --reps 3 --out change.json
 
-It times whole per-order sieves (esp.esp_extraction with no detail) on a
-few fixed wide inputs, whole triangles (list(esp.specialize(...)), so a tree
-whose specialize returns a list does the same work) for a few row counts,
-and the three sweeps of verify's equivalence suite, the critical path of
+It times whole per-order sieves (esp.esp_extraction, which builds no
+per-subset detail; on older trees that still take explain_limit it
+defaults to 0 from 5cf8063 on) on a few fixed wide inputs, whole triangles
+(list(esp.specialize(...)), so a tree whose specialize returns a list does
+the same work) for a few row counts, and the three sweeps of verify's equivalence suite, the critical path of
 `verify --suite all` (equivalence_exhaustive, and equivalence_random and
 loworder_forms each on a fresh rng seeded EQUIVALENCE_SEED).  Each probe
 keeps the best of --reps timed batches, at least 1, and the run stores a
@@ -52,7 +53,7 @@ def probe_cells() -> list[tuple[str, tuple[int, ...], int]]:
 def time_probes(reps: int) -> list[dict]:
     from symex.rootset import RootSet
 
-    runs = [(name, partial(esp.esp_extraction, RootSet(elements), i, explain_limit=0)) for name, elements, i in probe_cells()]
+    runs = [(name, partial(esp.esp_extraction, RootSet(elements), i)) for name, elements, i in probe_cells()]
     runs += [(f"specialize {family} {rows}", partial(triangle, family, rows)) for family, rows in TRIANGLE_PROBES]
     runs += equivalence_runs()
     probes = []
