@@ -7,8 +7,8 @@ is an exact Python int; no floats anywhere.
 _stirling_row and _stirling_second_row are the cached rows s(i, 0..i) and
 S(a, 0..a) of the two Stirling triangles, one tuple per row, so a caller
 that needs rows 0..top holds O(top^2) entries.  They are inverse lower
-triangular matrices: sum_a S(k, a) s(a, r) = [k == r].  The Newton-Girard
-route of symex.esp reads both: x^a = sum_r S(a, r) x(x-1)...(x-r+1) turns
+triangular matrices: sum_a S(k, a) s(a, r) = [k == r].  The support
+columns of symex.esp read both: x^a = sum_r S(a, r) x(x-1)...(x-r+1) turns
 the power sums of the roots into those of (1+z)^m - 1, and s turns powers
 back into binomials.
 """

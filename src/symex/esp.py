@@ -13,69 +13,73 @@ bracket totals.  METHODS names the three per-order routes as e_i functions,
 and esp_compare runs them on one input so their values can be checked
 against each other.
 
-A bracket total sum_{|J|=s} C(sigma_J, i) comes from support-layer rows or
+A bracket total sum_{|J|=s} C(sigma_J, i) comes from support columns or
 from a directly filled table (both below); no subset is enumerated.  By
 Vandermonde, (1+z)^m = 1 + g_m(z) with g_m(z) = (1+z)^m - 1, so
 
     sum_s y^s sum_k B[s][k] z^k = prod_j (1 + y (1+z)^{m_j})
                                 = sum_t F_t(z) y^t (1+y)^{n-t},
 
-where B[s][k] = sum_{|J|=s} C(sigma_J, k) and F_t = [y^t] prod_j (1 + y g_{m_j})
-= e_t(g_{m_1}, ..., g_{m_n}), the t-th elementary symmetric polynomial of
-the series g, groups the terms of B by their support T, |T| = t.  Hence
-B[s][k] = sum_{t<=s} C(n-t, s-t) F[t][k].  g_m has no constant term, so
-F[t][k] = 0 for k < t: _newton_rows keeps row t shifted down t slots, only
-F[t][t..top], and every product is cut to those top-t+1 slots.  Each row is
-returned packed into one integer of w-bit slots.
+where B[s][k] = sum_{|J|=s} C(sigma_J, k) and F_t = [y^t] G with
+G(y, z) = prod_j (1 + y g_{m_j}(z)), so F_t = e_t(g_{m_1}, ..., g_{m_n}), the
+t-th elementary symmetric polynomial of the series g, groups the terms of B
+by their support T, |T| = t.  Hence B[s][k] = sum_{t<=s} C(n-t, s-t) F[t][k].
+g_m has no constant term, so F[t][k] = 0 for k < t, and G(y, 0) = 1.
 
-_newton_rows builds the rows by the Newton-Girard identities
-(I. G. Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., 1995,
-section I.2) on the power sums P_r = sum_j g_{m_j}^r:
+_support_columns builds F column by column, A_k(y) = [z^k] G =
+sum_t F[t][k] y^t, from the logarithmic derivative of G in z, as the
+Newton identities do (I. G. Macdonald, Symmetric Functions and Hall
+Polynomials, 2nd ed., 1995, section I.2): z dG/dz = D G with
+D = z d/dz log G = sum_l D_l z^l, so
 
-    t * F_t = sum_{r=1..t} (-1)^(r-1) P_r F_{t-r},
+    k * A_k = sum_{l=1..k} D_l A_{k-l},    A_0 = 1,
 
-top(top-1)/2 products whatever n is.  P_r has a closed form in the power
-sums of the roots, p_a = sum_j m_j^a.  By the binomial theorem
-[z^k] g_m^r = sum_q (-1)^(r-q) C(r, q) C(qm, k); C(x, k) = sum_a s(k, a) x^a / k!
-with s the signed Stirling numbers of the first kind, and
-sum_q (-1)^(r-q) C(r, q) q^a = r! S(a, r) with S those of the second kind, so
+top(top-1)/2 products whatever n is (D_k A_0 needs none).  D_l has a
+closed form in the power sums of the roots, p_a = sum_j m_j^a.
+log(1 + y g_m) = sum_r (-1)^(r-1) y^r g_m^r / r; by the binomial theorem
+[z^l] g_m^r = sum_q (-1)^(r-q) C(r, q) C(qm, l); C(x, l) = sum_a s(l, a) x^a / l!
+with s the signed Stirling numbers of the first kind; and
+sum_q (-1)^(r-q) C(r, q) q^a = r! S(a, r) with S those of the second kind.
+So
 
-    P_r[k] = (r!/k!) sum_{a=r..k} S(a, r) s(k, a) p_a,
+    (l-1)! D_l = sum_{a=1..l} s(l, a) p_a V_a(y),
+    V_a(y) = sum_{r=1..a} (-1)^(r-1) (r-1)! S(a, r) y^r.
 
-zero for k < r, so P_r is kept shifted down r slots as well.  All of it
-but the p_a depends on top alone: the columns s(k, a) * top!/k! and
-S(a, r) and the ratios top!/k! are built once per top (_power_sum_table).
+All of it but the p_a depends on top alone: the rows s(l, 1..l), the
+coefficients of V_a and the (l-1)! are built once per top
+(_log_derivative_table).
 
-Slot widths.  All terms of F are nonnegative and sum_t F[t][k] = C(N, k)
-where N = m_1+...+m_n, so F[t][k] <= C(N, k), and B[s][k] <= C(n, s) * C(N, k).
-Over k <= top, C(N, k) is largest at k = min(top, floor(N/2)), and C(n, s) is
-largest at s = floor(n/2).  So _bracket_totals, which converts F alone, bounds
-every slot by 2^b with b = bitlen(C(N, min(top, floor(N/2)))), and a table of
-B by 2^b with b = bitlen(C(n, floor(n/2))) + that + 1 (both _slot_widths).  The
-identities have signs and the slots of P_r can exceed any such bound (P_r[k]
-can reach n * C(r * max m, k)), so _newton_rows reasons modulo
-M = 2^(w * (top-t+1)) for row t in w-bit slots.  A packed integer is its slot
-polynomial evaluated at 2^w, exactly, whatever the size of its slots; so the
-alternating sum of the cut products is congruent mod M to the slots of
-t * F_t, and those lie in [0, t * 2^b).  With w = b + bitlen(top-1) every
-such slot is < 2^w, so the sum reduced mod M is exactly t * F_t packed, and
-dividing it by t is exact, for any nonnegative roots.  The modulus of row r
-is a multiple of that of every row t >= r, so each signed (-1)^(r-1) P_r is
-reduced once, mod 2^(w * (top-r+1)), and every row is one sum of
-nonnegative products.  _newton_rows returns w beside the rows;
-_bracket_table converts in w-bit slots, which hold every B[s][k] < 2^b, so
-the conversion needs no repacking.
+Slot widths.  Everything is evaluated at y = 2^f, so each polynomial in y
+is one integer, and every product and sum of the recurrence is exact:
+nothing is cut and nothing is reduced.  Since G(y, 0) = 1, 1/G and so D
+have coefficients in Z[y]: the division of (l-1)! D_l by (l-1)! is exact,
+and so is that of k * A_k by k.  All terms of F are nonnegative and
+sum_t F[t][k] = C(N, k) where N = m_1+...+m_n, so 0 <= F[t][k] <= C(N, k),
+and B[s][k] <= C(n, s) * C(N, k).  Over k <= top, C(N, k) is largest at
+k = min(top, floor(N/2)), so with f = bitlen(C(N, min(top, floor(N/2))))
+every F[t][k] < 2^f: A_k(2^f) holds F[t][k] in its f-bit slot t, and the
+slots are read by shifts and masks.  D_l has signs, but only A_k is read.
+C(n, s) is largest at s = floor(n/2), so a table of B is bounded by 2^b with
+b = bitlen(C(n, floor(n/2))) + f + 1 (both _slot_widths).  Every D_l, and
+every A_k with k > 0, is a multiple of y (V_a is, and F[0][k] = 0), so the
+columns are kept divided by 2^f:
+k A_k/y = D_k/y + y sum_{l<k} (D_l/y)(A_{k-l}/y), each product 2f bits
+shorter.
 
-The rows cost polynomially many big-int products instead of
-sum_s C(n, s) binomials.  From them esp_extraction reads the top slot
-F[t][i] of each row with top = i and converts those few integers; one table
-with top = n holds every order's brackets, and esp_extraction_all reads each
-column i of it.
+The columns cost polynomially many big-int products instead of
+sum_s C(n, s) binomials.  From them esp_extraction reads the slots F[t][i]
+of column i with top = i and converts those few integers; one table with
+top = n, its support rows F[t][0..top] transposed out of the columns into
+the table's b-bit slots, holds every order's brackets, and
+esp_extraction_all reads each column i of it.
 
 A table of B (_bracket_table, top = n) and the brackets of one order i
 (_bracket_totals, top = i) each take one of two routes, by one rule on
 b * top, b the slot width of a table of B with that top (_slot_widths).
-From b * top = _DIRECT_BELOW on they convert the support rows as above.  Below
+From b * top = _DIRECT_BELOW on they convert the support columns as above;
+the brackets of one order need b only for that rule, so they skip building
+C(n, floor(n/2)) whenever b's floor f + n - bitlen(n+1) + 1 already reaches
+it (C(n, floor(n/2)) >= 2^n/(n+1)).  Below
 it, where a table costs more in Python steps than in big-int work, they fill
 B directly (_direct_rows), with Kronecker substitution in both variables
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
@@ -101,10 +105,9 @@ the mask of slots 0..top once per fill: f_m is (2^b + 1)^m masked to those
 slots for a root below 64, and built slot by slot from 64 on.  Every fill
 takes its stride from _direct_layout: that bound rounded up to whole bytes,
 whose spare bits only widen the gap between rows, so every row starts on a
-byte and keep is one row's mask bytes repeated every stride.  The route
-never calls _newton_rows, so it keeps the b of the table.  At top = i the brackets of
-order i are slot i of each row, the row shifted down b * i bits: the mask
-leaves nothing above it.
+byte and keep is one row's mask bytes repeated every stride.  At top = i
+the brackets of order i are slot i of each row, the row shifted down b * i
+bits: the mask leaves nothing above it.
 
 specialize reads a number triangle, e_0..e_n of each prefix m_1..m_n of one
 root sequence, in one pass (_triangle_rows): a single direct fill with
@@ -122,9 +125,9 @@ of the table after each root.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat, zip_longest
+from itertools import accumulate, combinations
 from math import comb, prod
-from operator import and_, lshift, mul
+from operator import lshift, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import coeffs
@@ -289,104 +292,97 @@ def _binomial_factors(elements: Iterable[int], top: int, b: int) -> Iterator[int
         yield factor << b | 1
 
 
-def _newton_rows(elements: Sequence[int], top: int, b: int) -> tuple[list[int], int]:
-    """The support-layer rows of the module docstring, rows[t] = F[t][t..top]
-    for t < top with row t shifted down t slots, and the slot width
-    w = b + bitlen(top-1) they are packed in.  By the Newton-Girard
-    identities, t * F_t = sum_{r=1..t} (-1)^(r-1) P_r * F_{t-r}, each operand
-    cut to the top-t+1 slots row t keeps, the sum reduced mod 2^(w*(top-t+1))
-    and divided by t.  Each (-1)^(r-1) P_r is stored once, as its residue
-    mod 2^(w*(top-r+1)): that modulus is a multiple of row t's for every
-    t >= r, so every operand is nonnegative and a row is one sum of products.
-    Exact when every F[t][k] < 2^b, which needs nonnegative elements."""
-    w = b + (top - 1).bit_length()
-    # keeps[t], slots 0..top-t, is the modulus of row t and of P_t
-    keeps = [(1 << (w * (top - t + 1))) - 1 for t in range(top)]
-    signed = [(p if r % 2 else -p) & keep for r, p, keep in zip(range(top), _power_sums(elements, top, w), keeps)]
-    rows = [1]
-    for t in range(1, top):
-        keep = keeps[t]
-        rows.append((sum(map(mul, map(and_, signed[1 : t + 1], repeat(keep)), map(and_, reversed(rows), repeat(keep)))) & keep) // t)
-    return rows, w
+def _support_columns(elements: Sequence[int], top: int, f: int) -> list[int]:
+    """The support sums of the module docstring column by column: for
+    k = 1..top, columns[k-1] = A_k / 2^f = sum_{t=1..k} F[t][k] 2^(f(t-1)),
+    F[t][k] in slot t-1 (F[0][k] = 0 for k > 0, and A_0 = 1), by
+    k A_k/2^f = D_k/2^f + 2^f sum_{l=1..k-1} D_l/2^f A_{k-l}/2^f with the
+    D_l/2^f of _log_derivative.  Every product is exact and every division
+    by k leaves no remainder.  Slot t-1 holds F[t][k] when every
+    F[t][k] < 2^f, which needs nonnegative elements."""
+    derivative, columns = _log_derivative(elements, top, f), []
+    for k, own in enumerate(derivative, start=1):
+        columns.append(((sum(map(mul, derivative, reversed(columns))) << f) + own) // k)
+    return columns
 
 
-def _power_sums(elements: Sequence[int], top: int, b: int) -> list[int]:
-    """P_r = sum_j g_{m_j}^r for r < top, shifted down r slots, P_r[r..top] packed
-    in b-bit slots, with P_0 = 0.  From the closed form of the module
-    docstring, top!/r! * P_r = sum_a S(a, r) p_a U_a, where U_a packs
-    s(k, a) * top!/k! for k <= top: every sum is exact in integers, so the
-    division by top!/r! is exact too.  A slot of P_r may exceed 2^b; the
-    value is still sum_k P_r[k] 2^(b(k-r)).  Two zero triangles are skipped:
-    s(k, a) = 0 for k < a, so U_a packs slots a..top only, shifted down a
-    slots; and S(a, r) = 0 for a < r, so P_r sums a = r..top only, each term
-    shifted up a - r slots.  Everything but the roots and b comes from
-    _power_sum_table(top)."""
+def _log_derivative(elements: Sequence[int], top: int, f: int) -> list[int]:
+    """D_l / 2^f for l = 1..top, D_l = [z^l] z d/dz log G at y = 2^f, from
+    the closed form of the module docstring: (l-1)! D_l = sum_{a=1..l}
+    s(l, a) p_a V_a(2^f).  Each V_a(y) is y times a polynomial, so packing
+    its coefficient of y^r in slot r-1 divides by 2^f; the division by
+    (l-1)! is exact, as D_l is an integer.  All but the roots' power sums
+    p_a and f comes from _log_derivative_table(top)."""
     sums, powers = [sum(elements)], elements
     for _ in range(1, top):
         powers = list(map(mul, powers, elements))
         sums.append(sum(powers))
-    falling, second, ratios = _power_sum_table(top)
-    shifts = range(0, b * (top + 1), b)
-    weighted = [p * sum(map(lshift, column, shifts)) for p, column in zip(sums, falling)]
-    return [0, *(sum(map(lshift, map(mul, column, weighted[r - 1 :]), shifts)) // ratio for r, column, ratio in zip(range(1, top), second, ratios[1:]))]
+    falling, polynomials, factorials = _log_derivative_table(top)
+    shifts = range(0, f * top, f)
+    weighted = [p * sum(map(lshift, coefficients, shifts)) for p, coefficients in zip(sums, polynomials)]
+    return [sum(map(mul, row, weighted)) // factorial for row, factorial in zip(falling, factorials)]
 
 
 @lru_cache(maxsize=32)
-def _power_sum_table(top: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """What _power_sums needs of order top alone: for a = 1..top the column
-    s(k, a) * top!/k!, k = a..top; for r = 1..top-1 the column S(a, r),
-    a = r..top; and top!/k! for k = 0..top.  The Stirling numbers come from
-    the cached rows of bigcomb, transposed here once per top.  Cached for at
-    most 32 orders, bounded by entries like _conversion: an entry takes
-    13 KB at top = 17, sieve_compact's largest support order, and 2.2 MB at
-    top = 150."""
-    ratios = tuple(accumulate(range(top, 0, -1), mul, initial=1))[::-1]
-    # zip_longest turns the rows into columns s(0..top, a) and S(0..top, r)
-    falling = zip_longest(*map(_stirling_row, range(top + 1)), fillvalue=0)
-    second = zip_longest(*map(_stirling_second_row, range(top + 1)), fillvalue=0)
-    return (
-        tuple(tuple(map(mul, column[a:], ratios[a:])) for a, column in enumerate(falling) if a),
-        tuple(column[r:] for r, column in zip(range(top), second) if r),
-        ratios,
+def _log_derivative_table(top: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """What _log_derivative needs of order top alone: for l = 1..top the row
+    s(l, 1..l); for a = 1..top the coefficients (-1)^(r-1) (r-1)! S(a, r) of
+    V_a(y), r = 1..a; and (l-1)! for l = 1..top.  The Stirling numbers come
+    from the cached rows of bigcomb.  Cached for at most 32 orders, bounded
+    by entries like _conversion."""
+    factorials = tuple(accumulate(range(1, top), mul, initial=1))
+    polynomials = (
+        tuple((-1) ** (r - 1) * factorial * value for r, (factorial, value) in enumerate(zip(factorials, _stirling_second_row(a)[1:]), start=1))
+        for a in range(1, top + 1)
     )
+    return tuple(_stirling_row(l)[1:] for l in range(1, top + 1)), tuple(polynomials), factorials
 
 
 # Below this b * top, b the slot width of a table with that top, both
 # _bracket_table (top = n) and _bracket_totals (top = i) fill their rows
-# directly (_direct_rows).  In the `table_grid` bins of BENCH_29.json (Newton
-# the one support kernel, no factor cache) the direct route takes 0.19-0.35
-# of the support route's summed time per bin below 500, 0.42-0.60 at
-# 500-750, and 1.04 or more from 750 on, so for tables alone the crossover
-# lies near 750.  Per order, on sieve_compact's cells below 496, the direct
-# fill gains below b * i = 300, loses at 300-495 and gains in sum (BENCH_25),
-# so one rule serves both at 496 = 16 * 31, where both edges 495 and 496 are
-# b * top of tables with several rows (499 is prime).  Every table of
-# verify's exhaustive sweep (b * top at most 174) lies below it, and so does
-# every cell of a random set unless n = 10 and N >= 78; every wide set
-# (1,010 and up) lies above it.
+# directly (_direct_rows).  Timed against the support columns (BENCH_38
+# `rule_retime`, each route forced, best of 7 per cell, summed per bin of
+# b * top), the direct fill of tables takes 0.35 of the support route's time
+# below 300, 0.67 at 300-495, 1.08 at 496-749 and 1.59 at 750-999, so for
+# tables the crossover lies near the rule.  Per order, on 1,120
+# sieve_compact cells, it takes 1.63 below b * i = 300, 2.05 at 300-399 and
+# 2.39 at 400-495: there the support route would be faster, but no rule has
+# been measured end to end against this one.  496 = 16 * 31, where both
+# edges 495 and 496 are b * top of tables with several rows (499 is prime).
+# Every table of verify's exhaustive sweep (b * top at most 174) lies below
+# it, and so does every cell of a random set unless n = 10 and N >= 78;
+# every wide set (1,010 and up) lies above it.
 _DIRECT_BELOW = 496
 
 
 def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
-    """Returns rows, rows[s] = B[s][0..top] in w-bit slots for s < top, and
-    w.  Below b * top = _DIRECT_BELOW, b a table's _slot_widths, the rows come from
-    _direct_rows and w = b.  From there on each row of _newton_rows, in its
-    w-bit slots, is moved back up to slots t..top and summed with the
-    coefficients C(n-t, s-t).  Every coefficient is nonnegative and every
-    B[s][k] < 2^b <= 2^w, so the packed sums carry nothing between slots."""
-    _, b = _slot_widths(elements, top)
+    """Returns rows, rows[s] = B[s][0..top] in b-bit slots for s < top, and
+    b, a table's _slot_widths.  Below b * top = _DIRECT_BELOW the rows come
+    from _direct_rows.  From there on the columns of _support_columns, in
+    F's f-bit slots, are transposed into support rows F[t][0..top] in b-bit
+    slots and summed with the coefficients C(n-t, s-t).  Every coefficient
+    is nonnegative and every B[s][k] < 2^b, so the packed sums carry nothing
+    between slots."""
+    f, b = _slot_widths(elements, top)
     if b * top < _DIRECT_BELOW:
         return _direct_rows(elements, top, b), b
-    support, b = _newton_rows(elements, top, b)
-    rows = [row << (b * t) for t, row in enumerate(support)]
+    columns, slot = _support_columns(elements, top, f), (1 << f) - 1
+    # row 0 is F[0] = 1; row t reads slot t-1 of the columns k = t..top
+    rows = [1, *(sum((column >> (f * (t - 1)) & slot) << (b * k) for k, column in enumerate(columns[t - 1 :], start=t)) for t in range(1, top))]
     return [sum(map(mul, coefficients, rows)) for coefficients in _conversion(len(elements), top)], b
 
 
-def _slot_widths(elements: Sequence[int], top: int) -> tuple[int, int]:
+def _slot_widths(elements: Sequence[int], top: int, lower: bool = False) -> tuple[int, int]:
     """The module docstring's slot widths for slots 0..top: F's, f = bitlen(C(N,
-    min(top, floor(N/2)))), and a table of B's, f + bitlen(C(n, floor(n/2))) + 1."""
+    min(top, floor(N/2)))), and a table of B's, f + bitlen(C(n, floor(n/2))) + 1.
+    With lower, a table's width is its floor f + n - bitlen(n+1) + 1 whenever
+    that floor times top reaches _DIRECT_BELOW: C(n, floor(n/2)) >= 2^n/(n+1),
+    so the floor decides the route without building C(n, floor(n/2))."""
     n, total = len(elements), sum(elements)
     f = comb(total, min(top, total // 2)).bit_length()
+    floor = f + n - (n + 1).bit_length() + 1
+    if lower and floor * top >= _DIRECT_BELOW:
+        return f, floor
     return f, f + comb(n, n // 2).bit_length() + 1
 
 
@@ -417,20 +413,15 @@ def _direct_layout(top: int, b: int) -> tuple[int, int, int]:
 def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
     """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1.  Below b * i = _DIRECT_BELOW,
     b the width of a table with top = i, they are slot i of the rows that
-    _direct_rows fills; from there on they are converted from the top slot
-    F[t][i] of each support row alone, in slots as wide as F needs.
-
-    That width is proven: F[t][k] <= C(N, k), so no slot of t * F_t
-    overflows.  The reads need less: each packed t * F_t only has to stay
-    below its row's modulus 2^(w(i-t+1)).  With one bit less of F's width
-    single slots overflow, but that still held on every cell tried, at most
-    0.986 of the modulus, at roots (2, 2, 2, 3) and i = 4 with this branch
-    forced; two bits less fails there."""
-    f, b = _slot_widths(elements, i)
+    _direct_rows fills; from there on they are converted from the slots
+    F[t][i], t < i, of the last column of _support_columns alone, in F's
+    f-bit slots."""
+    f, b = _slot_widths(elements, i, lower=True)
     if b * i < _DIRECT_BELOW:
         return [row >> (b * i) for row in _direct_rows(elements, i, b)]
-    support, w = _newton_rows(elements, i, f)
-    tops = [row >> (w * (i - t)) for t, row in enumerate(support)]
+    column, slot = _support_columns(elements, i, f)[-1], (1 << f) - 1
+    # F[0][i] = 0, and F[t][i] sits in slot t-1
+    tops = [0, *(column >> (f * t) & slot for t in range(i - 1))]
     return [sum(map(mul, coefficients, tops)) for coefficients in _conversion(len(elements), i)]
 
 

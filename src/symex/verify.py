@@ -64,12 +64,12 @@ LAYER_GRID = (5, 6)
 
 # Fixed root sets wide enough that all three tables, and their per-order
 # brackets, lie above esp._DIRECT_BELOW, so both sweeps also check the
-# Newton-Girard support rows and their conversion.  The second set's roots 1
-# and 2 lie below every order from 3 on, so it checks rows whose factors g_m
-# are shorter than a row.  Every multiset's table is filled directly.  So are
+# support columns and their conversion.  The second set's roots 1 and 2 lie
+# below every order from 3 on, so it checks columns whose factors g_m are
+# shorter than the columns.  Every multiset's table is filled directly.  So are
 # a random set's table and its per-order brackets at every order, unless
 # n = 10 and N >= 78 (C(N, 10) >= 2^40), where order 10 and the table convert
-# support rows: the wide sets are where the sweeps check those rows.
+# support columns: the wide sets are where the sweeps check those columns.
 WIDE_SETS = (
     RootSet(((1 << 256) - 1,) * 5),
     RootSet((3**160, 1, 5**110 + 2, 2, 3**160, 7**90)),

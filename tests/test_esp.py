@@ -29,7 +29,7 @@ root_sets = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(lambda ms: R
 
 
 def bypass_rootset(elements):
-    # skips validation; only the extraction-on-zeros probe is allowed to do this
+    # skips validation; only the zero-root probes of the sieve and its kernel may do this
     roots = object.__new__(RootSet)
     object.__setattr__(roots, "elements", tuple(elements))
     object.__setattr__(roots, "n", len(roots.elements))
@@ -415,15 +415,23 @@ def _slots(rows, b, top):
     return [[row >> (b * k) & ((1 << b) - 1) for k in range(top + 1)] for row in rows]
 
 
+# The kernel of each route, by the name a route observer patches.
+ROUTE_KERNELS = {"direct": "_direct_rows", "newton": "_support_columns"}
+
+
+def observe_routes(monkeypatch, taken):
+    # append each route's name to taken whenever its kernel runs
+    for route, name in ROUTE_KERNELS.items():
+        run = getattr(esp, name)
+        monkeypatch.setattr(esp, name, lambda *args, run=run, route=route: taken.append(route) or run(*args))
+
+
 def test_table_routes_agree_at_the_direct_rule(monkeypatch):
     # b * top = _DIRECT_BELOW - 1 is filled directly, _DIRECT_BELOW from the
-    # Newton rows; both routes give the same slot values, the support table's
-    # slots bitlen(top - 1) bits wider than the direct fill's
+    # support columns; both routes give the same rows in the same b-bit slots
     assert esp._DIRECT_BELOW == 496
     taken = []
-    for route in ("direct", "newton"):
-        run = getattr(esp, f"_{route}_rows")
-        monkeypatch.setattr(esp, f"_{route}_rows", lambda *args, run=run, route=route: taken.append(route) or run(*args))
+    observe_routes(monkeypatch, taken)
     rule = esp._DIRECT_BELOW
     for area, route in ((rule - 1, "direct"), (rule, "newton")):
         cells = _tables_of_area(area)
@@ -437,8 +445,9 @@ def test_table_routes_agree_at_the_direct_rule(monkeypatch):
                 tables[forced] = esp._bracket_table(elements, top)
                 assert taken == [forced]
             (direct, b), (newton, w) = tables["direct"], tables["newton"]
-            assert b * top == area and w == b + (top - 1).bit_length()
+            assert b * top == area and w == b
             assert _slots(direct, b, top) == _slots(newton, w, top)
+            assert direct == newton
             monkeypatch.setattr(esp, "_DIRECT_BELOW", rule)
             taken.clear()
             _assert_slots_hold_the_enumerated_table(elements, top)
@@ -448,12 +457,10 @@ def test_table_routes_agree_at_the_direct_rule(monkeypatch):
 def test_per_order_brackets_take_the_direct_rule(monkeypatch):
     # per order the rule reads b * i, b the width of a table with top = i:
     # _DIRECT_BELOW - 1 reads slot i of the direct fill, _DIRECT_BELOW
-    # converts the top slots of the Newton rows; both give the enumerated
+    # converts slots of the last support column; both give the enumerated
     # brackets
     taken = []
-    for route in ("direct", "newton"):
-        run = getattr(esp, f"_{route}_rows")
-        monkeypatch.setattr(esp, f"_{route}_rows", lambda *args, run=run, route=route: taken.append(route) or run(*args))
+    observe_routes(monkeypatch, taken)
     rule = esp._DIRECT_BELOW
     for area, route in ((rule - 1, "direct"), (rule, "newton")):
         cells = _tables_of_area(area)
@@ -469,16 +476,26 @@ def test_per_order_brackets_take_the_direct_rule(monkeypatch):
 
 def test_newton_brackets_build_the_central_binomial_once(monkeypatch):
     # C(n, floor(n/2)) only sizes the table width, which decides the route;
-    # the Newton rows take F's width, which comes beside it
+    # the support columns take F's width, which comes beside it.  Where the
+    # width's floor f + n - bitlen(n+1) + 1 already reaches the rule, the
+    # binomial is not built at all; where only the width itself does, once.
     elements = _random_roots(random.Random(5), 20, 40)
+    floor_elements, floor_i = _tables_of_area(esp._DIRECT_BELOW)[0]
+    n = len(floor_elements)
+    # the conversion table is cached and builds binomials of its own
+    esp._conversion(n, floor_i)
     calls, counted = Counter(), esp.comb
     monkeypatch.setattr(esp, "comb", lambda *args: calls.update([args]) or counted(*args))
     taken = []
-    run = esp._newton_rows
-    monkeypatch.setattr(esp, "_newton_rows", lambda *args: taken.append(args[1]) or run(*args))
+    run = esp._support_columns
+    monkeypatch.setattr(esp, "_support_columns", lambda *args: taken.append(args[1]) or run(*args))
     brackets = [sum(math.comb(sum(combo), 4) for combo in combinations(elements, s)) for s in range(4)]
     assert esp._bracket_totals(elements, 4) == brackets
-    assert taken == [4] and calls[(20, 10)] == 1
+    assert taken == [4] and calls[(20, 10)] == 0
+    taken.clear()
+    brackets = [row[floor_i] for row in _enumerated_table(floor_elements, floor_i)]
+    assert esp._bracket_totals(floor_elements, floor_i) == brackets
+    assert taken == [floor_i] and calls[(n, n // 2)] == 1
 
 
 # Narrow roots put top >= N/2, where C(N, k) peaks inside the kept slots.
@@ -529,14 +546,14 @@ def _enumerated_support(elements, top):
     return rows
 
 
-def _packed_support(support, top, width):
-    # row t of the enumerated support sums, F[t][t..top], moved down t slots
-    # and packed in width-bit slots
-    return [sum(support[t][k] << (width * (k - t)) for k in range(t, top + 1)) for t in range(top)]
+def _packed_columns(support, top, width):
+    # column k = 1..top of the enumerated support sums, F[t][k] for t = 1..k
+    # in slot t - 1 of width bits: A_k / 2^width, as _support_columns packs it
+    return [sum(support[t][k] << (width * (t - 1)) for t in range(1, k + 1)) for k in range(1, top + 1)]
 
 
 def _support_width(elements, top):
-    # the slot width _bracket_totals bounds F by
+    # the slot width F is bounded by, as both sieves take the columns
     total = sum(elements)
     return math.comb(total, min(top, total // 2)).bit_length()
 
@@ -546,38 +563,35 @@ def _support_width(elements, top):
 @settings(max_examples=60, deadline=None)
 def test_support_rows_hold_the_enumerated_support_sums(elements):
     n, total = len(elements), sum(elements)
-    support = _enumerated_support(elements, n + 1)
-    # below slot t row t is zero, and every value is within F[t][k] <= C(N, k)
+    support = _enumerated_support(elements, n + 2)
+    # below slot t row t is zero, so is row n + 1, and every value is within
+    # F[t][k] <= C(N, k)
     assert all(value == 0 for t, row in enumerate(support) for value in row[:t])
+    assert support[n + 1] == [0] * (n + 3)
     assert all(0 <= value <= math.comb(total, k) for row in support for k, value in enumerate(row))
     for top in range(1, n + 2):
-        # the narrowest bound the slots allow, as the per-order sieve takes F
-        b = _support_width(elements, top)
-        rows, width = esp._newton_rows(tuple(elements), top, b)
-        # row t is exactly F[t][t..top], moved down t slots, in slots
-        # bitlen(top - 1) bits wider: no slot overflowed into the next and
-        # nothing is left above slot top - t
-        assert width == b + (top - 1).bit_length()
-        assert rows == _packed_support(support, top, width)
+        # the narrowest width the slots allow, F's, as both sieves take it
+        f = _support_width(elements, top)
+        # column k is exactly F[1..k][k], F[t][k] in slot t - 1: no slot
+        # overflowed into the next and nothing is left above slot k - 1
+        assert esp._support_columns(tuple(elements), top, f) == _packed_columns(support, top, f)
 
 
 @given(elements=st.lists(mixed_roots, min_size=1, max_size=7))
 @settings(max_examples=40, deadline=None)
 def test_newton_rows_hold_the_enumerated_support_sums(elements):
     elements = tuple(elements)
-    # F[t][k] for t < top and k <= top is the same sum for every top, so one
-    # enumeration at top = n + 1 serves each smaller top; here in the slots
-    # of a table of B, as _bracket_table converts them
-    support = _enumerated_support(elements, len(elements) + 1)
+    # F[t][k] for t, k <= top is the same sum for every top, so one
+    # enumeration at top = n + 2 serves each top up to n + 1; here in slots
+    # wider than F's, a table of B's and 7 bits more, which hold them as well
+    support = _enumerated_support(elements, len(elements) + 2)
     for top in range(1, len(elements) + 2):
-        b = _table_width(elements, top)
-        rows, width = esp._newton_rows(elements, top, b)
-        assert width == b + (top - 1).bit_length()
-        assert rows == _packed_support(support, top, width)
+        for width in (_table_width(elements, top), _table_width(elements, top) + 7):
+            assert esp._support_columns(elements, top, width) == _packed_columns(support, top, width)
 
 
 # Roots of 1..600 bits mixed with 1..3, drawn with repeats: a root below top
-# has a factor shorter than the rows.
+# has a factor g_m shorter than the columns.
 kernel_roots = st.one_of(st.integers(1, 3), st.integers(1, 600).flatmap(lambda w: st.integers(1 << (w - 1), (1 << w) - 1)))
 
 
@@ -591,85 +605,81 @@ kernel_roots = st.one_of(st.integers(1, 3), st.integers(1, 600).flatmap(lambda w
 def test_newton_rows_hold_the_enumerated_support_sums_on_kernel_roots(elements):
     elements = tuple(elements)
     n = len(elements)
-    support = _enumerated_support(elements, n + 1)
+    support = _enumerated_support(elements, n + 2)
     for top in range(1, n + 2):
         # short roots below top among wide ones, in the slots of F and then
         # in those of a table of B
-        for b in (_support_width(elements, top), _table_width(elements, top)):
-            rows, width = esp._newton_rows(elements, top, b)
-            assert width == b + (top - 1).bit_length()
-            assert rows == _packed_support(support, top, width)
+        for width in (_support_width(elements, top), _table_width(elements, top)):
+            assert esp._support_columns(elements, top, width) == _packed_columns(support, top, width)
 
 
-def _power_sum_slots(elements, top):
-    # P_r[k] = sum_j [z^k] ((1+z)^m_j - 1)^r for r, k <= top, by the binomial theorem
-    counts = Counter(elements)
-    return [
-        [
-            sum(count * (-1) ** (r - q) * math.comb(r, q) * math.comb(q * m, k) for m, count in counts.items() for q in range(r + 1))
-            for k in range(top + 1)
-        ]
-        for r in range(top + 1)
-    ]
+def _log_derivative_series(elements, top, y):
+    # [z^l] z d/dz log G for l = 1..top at this y, G = prod_j c_j with
+    # c_j = 1 + y g_{m_j}(z): the sum over the roots of the series z c'/c,
+    # by series division, exact in integers as c(0) = 1:
+    # q_l = l c_l - sum_{j=1..l-1} c_j q_{l-j}
+    total = [0] * top
+    for m in elements:
+        c = [1] + [y * math.comb(m, k) for k in range(1, top + 1)]
+        q = [0] * (top + 1)
+        for l in range(1, top + 1):
+            q[l] = l * c[l] - sum(c[j] * q[l - j] for j in range(1, l))
+        total = [a + b for a, b in zip(total, q[1:])]
+    return total
 
 
 def test_newton_route_at_the_slot_width_edges():
     # the cases of test_bracket_table_slot_width_at_its_edges, short roots among them
     small = (3, 1, 4, 1, 5, 9, 2, 6, 5)
-    overflowed = 0
+    negative = 0
     for elements in ((1,) * 12, (1, 1, 2), (1,), (7,), ((1 << 60) - 1,) * 20, (1 << 80, *small), (*small, 1 << 80)):
-        closed_form = _power_sum_slots(elements, len(elements) + 1)
-        support = _enumerated_support(elements, len(elements) + 1)
+        support = _enumerated_support(elements, len(elements) + 2)
         for top in range(1, len(elements) + 2):
-            # in the slots of F, as _bracket_totals takes them, and of a table of B
-            for narrow in (_support_width(elements, top), _table_width(elements, top)):
-                rows, b = esp._newton_rows(elements, top, narrow)
-                assert rows == _packed_support(support, top, b)
-                slot = (1 << b) - 1
-                # the one bound the route needs: every slot of t * F_t fits
-                assert all(t * (rows[t] >> (b * k) & slot) < 1 << b for t in range(top) for k in range(top - t + 1))
-                # P_r is its closed form, slot for slot, shifted down r slots
-                power_sums = esp._power_sums(elements, top, b)
-                for r in range(1, top):
-                    slots = closed_form[r][: top + 1]
-                    assert slots[:r] == [0] * r
-                    assert power_sums[r] == sum(value << (b * (k - r)) for k, value in enumerate(slots) if k >= r)
-                    overflowed += any(value >> b for value in slots)
-    # P_r's slots may exceed 2^b: each product and the sum are reduced mod
-    # 2^(b(top-t+1)), so only t * F_t must fit, and these cases show it
-    assert overflowed > 0
+            # in the slots of F, as both sieves take them, and of a table of B
+            for width in (_support_width(elements, top), _table_width(elements, top)):
+                # the one bound the route needs: every F[t][k], k <= top, fits its slot
+                assert all(support[t][k] < 1 << width for t in range(top + 1) for k in range(top + 1))
+                assert esp._support_columns(elements, top, width) == _packed_columns(support, top, width)
+                # D_l is the brute-force log-derivative series, 2^width taken out
+                derivative = esp._log_derivative(elements, top, width)
+                assert [value << width for value in derivative] == _log_derivative_series(elements, top, 1 << width)
+                negative += sum(value < 0 for value in derivative)
+    # D_l has signs, so the recurrence sums signed products: exactly, as
+    # nothing is cut or reduced, and these cases show the signs
+    assert negative > 0
 
 
-@given(elements=st.lists(mixed_roots, min_size=1, max_size=7))
+@given(elements=st.lists(st.one_of(st.just(0), mixed_roots), min_size=1, max_size=7))
 @example(elements=[1, 1, 2, 3, (1 << 80) - 1])
+@example(elements=[0, 0, 3, 1])
 @settings(max_examples=40, deadline=None)
 def test_power_sums_are_their_closed_form(elements):
-    elements = tuple(elements)
-    # P_r[k] for k <= top is the same sum for every top, so one closed form
-    # at top = n + 1 serves each smaller top
-    closed_form = _power_sum_slots(elements, len(elements) + 1)
+    # D_l, built from the roots' power sums p_a by the closed form, is the
+    # brute-force series [z^l] z d/dz log G; also with zero roots, which only
+    # bypass_rootset lets the sieve take
+    elements = bypass_rootset(elements).elements
     for top in range(1, len(elements) + 2):
         # in the slots of F, of a table of B, and of a table with 7 spare bits
-        for b in (_support_width(elements, top), _table_width(elements, top), _table_width(elements, top) + 7):
-            power_sums = esp._power_sums(elements, top, b)
-            assert len(power_sums) == top and power_sums[0] == 0
-            for r in range(1, top):
-                assert power_sums[r] == sum(value << (b * (k - r)) for k, value in enumerate(closed_form[r][r : top + 1], start=r))
+        for width in (_support_width(elements, top), _table_width(elements, top), _table_width(elements, top) + 7):
+            derivative = esp._log_derivative(elements, top, width)
+            assert len(derivative) == top
+            assert [value << width for value in derivative] == _log_derivative_series(elements, top, 1 << width)
 
 
 def test_power_sum_table_is_built_once_per_order_in_a_bounded_cache():
-    table = esp._power_sum_table
+    table = esp._log_derivative_table
     table.cache_clear()
     for elements in ((1,) * 12, (3, 1, 4, 1, 5, 9, 2, 6), ((1 << 60) - 1,) * 9, (1 << 80, 7)):
         for top in range(1, 10):
-            esp._newton_rows(elements, top, _table_width(elements, top))
+            esp._support_columns(elements, top, _table_width(elements, top))
     # four root sets, nine orders: one table per order, every other call a hit
     assert table.cache_info()[:2] == (27, 9)
-    # the table at top = 5 holds s(k, a) * 5!/k!, S(a, r) and 5!/k!
-    falling, second, ratios = esp._power_sum_table(5)
-    assert ratios == (120, 120, 60, 20, 5, 1)
-    assert falling == tuple(tuple(stirling_first_signed(k, a) * ratios[k] for k in range(a, 6)) for a in range(1, 6))
-    assert second == tuple(tuple(_stirling_second(a, r) for a in range(r, 6)) for r in range(1, 5))
+    # the table at top = 5 holds s(l, 1..l), the coefficients
+    # (-1)^(r-1) (r-1)! S(a, r) of V_a(y), r = 1..a, and (l-1)!
+    falling, polynomials, factorials = esp._log_derivative_table(5)
+    assert factorials == (1, 1, 2, 6, 24)
+    assert falling == tuple(tuple(stirling_first_signed(l, a) for a in range(1, l + 1)) for l in range(1, 6))
+    assert polynomials == tuple(tuple((-1) ** (r - 1) * math.factorial(r - 1) * _stirling_second(a, r) for r in range(1, a + 1)) for a in range(1, 6))
     # bounded by entries: one more order than it keeps evicts the oldest
     size = table.cache_info().maxsize
     assert size == 32
@@ -688,14 +698,14 @@ def _stirling_second(a, r):
 @example(elements=[(1 << 60) - 1] * 20)
 @settings(max_examples=60, deadline=None)
 def test_newton_rows_hold_e_t_in_slot_zero(elements):
-    # F[t][t] = e_t(m): each term of g_m starts at m * z, so the lowest slot
-    # of row t multiplies t of the roots' lowest coefficients
+    # F[t][t] = e_t(m): each term of g_m starts at m * z, so the top slot
+    # t - 1 of column t multiplies t of the roots' lowest coefficients
     elements = tuple(elements)
-    values = esp_all(RootSet(elements))
+    values = [*esp_all(RootSet(elements)), 0]
     for top in range(1, len(elements) + 2):
-        for b in (_support_width(elements, top), _table_width(elements, top)):
-            rows, width = esp._newton_rows(elements, top, b)
-            assert [row & ((1 << width) - 1) for row in rows] == values[:top]
+        for width in (_support_width(elements, top), _table_width(elements, top)):
+            columns = esp._support_columns(elements, top, width)
+            assert [column >> (width * (k - 1)) for k, column in enumerate(columns, start=1)] == values[1 : top + 1]
 
 
 def test_sieve_weights_cancel_every_support_term_for_n_up_to_20():
@@ -738,20 +748,20 @@ def _cells_above_the_direct_rule():
 
 def test_support_rows_and_brackets_hold_just_above_the_direct_rule(monkeypatch):
     # Each cell, and the same cell with one root at top - 1, whose factor is
-    # shorter than the rows: the Newton rows are the enumerated support sums,
-    # and the per-order sieve converts them into the enumerated brackets.
+    # shorter than the columns: the support columns are the enumerated
+    # support sums, and the per-order sieve converts them into the
+    # enumerated brackets.
     taken = []
-    run = esp._newton_rows
-    monkeypatch.setattr(esp, "_newton_rows", lambda *args: taken.append(args[1]) or run(*args))
+    run = esp._support_columns
+    monkeypatch.setattr(esp, "_support_columns", lambda *args: taken.append(args[1]) or run(*args))
     cells = _cells_above_the_direct_rule()
     areas = [_support_width(elements, top) * top for elements, top in cells]
     assert len(cells) == 26 and min(areas) < 500 and max(areas) > 990
     for elements, top in cells:
         for cell in (elements, (top - 1, *elements[1:])):
-            b = _support_width(cell, top)
-            rows, width = esp._newton_rows(cell, top, b)
-            assert width == b + (top - 1).bit_length()
-            assert rows == _packed_support(_enumerated_support(cell, top), top, width), (cell, top)
+            f = _support_width(cell, top)
+            columns = esp._support_columns(cell, top, f)
+            assert columns == _packed_columns(_enumerated_support(cell, top + 1), top, f), (cell, top)
             # the per-order sieve at i = top converts support rows here
             assert _table_width(cell, top) * top >= esp._DIRECT_BELOW
             roots = RootSet(cell)
@@ -779,6 +789,30 @@ def test_one_order_at_large_n_keeps_its_value_widths_and_route(n, bits, i, seed)
     assert esp._esp_dp(roots, i) == esp_extraction(roots, i)[0] == expected
     b = _table_width(elements, i)
     assert esp._slot_widths(elements, i) == (b - math.comb(n, n // 2).bit_length() - 1, b)
+
+
+@given(
+    n=st.one_of(st.integers(1, 60), st.integers(1, 2000)),
+    bits=st.sampled_from([1, 2, 4, 40]),
+    i=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+)
+@example(n=2000, bits=40, i=12, seed=0)
+@settings(max_examples=300, deadline=None)
+def test_the_width_floor_takes_the_route_of_the_width(n, bits, i, seed):
+    # the per-order sieve reads a table's width through its floor
+    # f + n - bitlen(n+1) + 1 when that floor times i already reaches the
+    # rule, C(n, floor(n/2)) >= 2^n/(n+1); the route is the one the exact
+    # width takes, and F's width is the same
+    rng = random.Random(seed)
+    elements = tuple(rng.randint(1 << (bits - 1), (1 << bits) - 1) for _ in range(n))
+    f, b = esp._slot_widths(elements, i)
+    lower_f, lower_b = esp._slot_widths(elements, i, lower=True)
+    assert b == _table_width(elements, i) and lower_f == f
+    assert lower_b in (b, f + n - (n + 1).bit_length() + 1) and lower_b <= b
+    assert (lower_b * i >= esp._DIRECT_BELOW) == (b * i >= esp._DIRECT_BELOW)
+    # the floor sits at least 2 bits below the width
+    assert math.comb(n, n // 2).bit_length() >= n - (n + 1).bit_length() + 2
 
 
 def _per_order_sieve(roots):
@@ -843,7 +877,7 @@ def test_specialize_runs_one_direct_fill(monkeypatch):
     def refuse(*args):
         raise AssertionError("specialize must not build a table per row")
 
-    for name in ("_bracket_table", "_newton_rows", "esp_extraction_all"):
+    for name in ("_bracket_table", "_support_columns", "esp_extraction_all"):
         monkeypatch.setattr(esp, name, refuse)
     factors, fills, yielded = esp._binomial_factors, [], []
 

@@ -334,16 +334,16 @@ def _wide(label):
 
 def test_equivalence_sweeps_convert_support_rows_only_on_the_wide_sets(monkeypatch):
     # the direct fill of small tables and per-order brackets, and the
-    # Newton-Girard support rows of the wide sets.
+    # support columns of the wide sets.
     runs = {"direct": [], "newton": []}
-    for route in runs:
-        kernel = getattr(esp, f"_{route}_rows")
+    for route, name in (("direct", "_direct_rows"), ("newton", "_support_columns")):
+        kernel = getattr(esp, name)
 
         def counted(elements, top, b, kernel=kernel, route=route):
             runs[route].append((tuple(elements), top))
             return kernel(elements, top, b)
 
-        monkeypatch.setattr(esp, f"_{route}_rows", counted)
+        monkeypatch.setattr(esp, name, counted)
     sweeps = (
         # the all-orders table alone, top = n
         (verify.equivalence_exhaustive, swept_multisets(), lambda n: [n]),
@@ -358,8 +358,8 @@ def test_equivalence_sweeps_convert_support_rows_only_on_the_wide_sets(monkeypat
         # every random set's, and every one of its per-order bracket rows; no
         # wide set's is
         assert runs["direct"] == [(elements, top) for elements in swept[:-3] for top in tops(len(elements))]
-        # and support rows are converted for the three wide sets alone, at
-        # every top the direct fill takes for the other sets
+        # and support columns are converted for the three wide sets alone,
+        # at every top the direct fill takes for the other sets
         assert runs["newton"] == [(elements, top) for elements in swept[-3:] for top in tops(len(elements))]
 
 
@@ -503,13 +503,14 @@ def test_the_narrowed_direct_layout_also_fails_the_triangle(monkeypatch, capsys)
 
 
 def plant_newton_defect(monkeypatch):
-    power_sums = esp._power_sums
+    log_derivative = esp._log_derivative
 
-    def shifted(elements, top, b):
-        # every P_r one slot up: P_r[k] where P_r[k-1] belongs
-        return [value << b for value in power_sums(elements, top, b)]
+    def shifted(elements, top, f):
+        # every D_l one slot up: its coefficient of y^r where that of
+        # y^(r-1) belongs
+        return [value << f for value in log_derivative(elements, top, f)]
 
-    monkeypatch.setattr(esp, "_power_sums", shifted)
+    monkeypatch.setattr(esp, "_log_derivative", shifted)
 
 
 def test_verify_fails_when_the_newton_power_sums_are_off_by_one_slot(monkeypatch, capsys):
@@ -517,7 +518,7 @@ def test_verify_fails_when_the_newton_power_sums_are_off_by_one_slot(monkeypatch
     assert main(["verify", "--suite", "equivalence"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ")[0] for line in lines[1:]] == ["FAIL", "FAIL", "PASS", "result:"]
-    # Only the wide sets convert support rows, so only they fail, all three at
+    # Only the wide sets convert support columns, so only they fail, all three at
     # every order from 2 on: WIDE_SETS[1], whose roots 1 and 2 lie below
     # those orders, as well as the two whose roots are all wide.
     for report in (verify.equivalence_exhaustive(), verify.equivalence_random(random.Random(42))):
