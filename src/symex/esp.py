@@ -75,12 +75,14 @@ esp_extraction_all reads each column i of it.
 
 A table of B (_bracket_table, top = n) and the brackets of one order i
 (_bracket_totals, top = i) each take one of two routes, by one rule on
-b * top, b the slot width of a table of B with that top (_slot_widths).
-From b * top = _DIRECT_BELOW on they convert the support columns as above;
-the brackets of one order need b only for that rule, so they skip building
-C(n, floor(n/2)) whenever b's floor f + n - bitlen(n+1) + 1 already reaches
-it (C(n, floor(n/2)) >= 2^n/(n+1)).  Below
-it, where a table costs more in Python steps than in big-int work, they fill
+b * n, b the slot width of a table of B with that top (_slot_widths): the
+direct fill below multiplies in one factor of b-bit slots per root, while
+the support columns take a number of products set by top alone.  From
+b * n = _DIRECT_BELOW on they convert the support columns as above; the
+brackets of one order need b only for that rule, so they skip building
+C(n, floor(n/2)) whenever b's floor f + n - bitlen(n+1) + 1 times n already
+reaches it (C(n, floor(n/2)) >= 2^n/(n+1)).  Below
+it, where a fill costs more in Python steps than in big-int work, they fill
 B directly (_direct_rows), with Kronecker substitution in both variables
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44, 2009).  The product in the first
@@ -338,33 +340,36 @@ def _log_derivative_table(top: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     return tuple(_stirling_row(l)[1:] for l in range(1, top + 1)), tuple(polynomials), factorials
 
 
-# Below this b * top, b the slot width of a table with that top, both
+# Below this b * n, b the slot width of a table with top slots, both
 # _bracket_table (top = n) and _bracket_totals (top = i) fill their rows
-# directly (_direct_rows).  Timed against the support columns (BENCH_38
-# `rule_retime`, each route forced, best of 7 per cell, summed per bin of
-# b * top), the direct fill of tables takes 0.35 of the support route's time
-# below 300, 0.67 at 300-495, 1.08 at 496-749 and 1.59 at 750-999, so for
-# tables the crossover lies near the rule.  Per order, on 1,120
-# sieve_compact cells, it takes 1.63 below b * i = 300, 2.05 at 300-399 and
-# 2.39 at 400-495: there the support route would be faster, but no rule has
-# been measured end to end against this one.  496 = 16 * 31, where both
-# edges 495 and 496 are b * top of tables with several rows (499 is prime).
-# Every table of verify's exhaustive sweep (b * top at most 174) lies below
-# it, and so does every cell of a random set unless n = 10 and N >= 78;
-# every wide set (1,010 and up) lies above it.
+# directly (_direct_rows), one product per root on b-bit slots.  Timed
+# against the support columns (each route forced, summed per bin of b * n),
+# the direct fill of tables takes 0.35 of the support route's time below
+# 300, 0.67 at 300-495, 1.08 at 496-749 and 1.59 at 750-999 (BENCH_38
+# `rule_retime`, best of 7 per cell).  Per order, on every cell below
+# b * i = 496 of each workload at seed 11 (BENCH_39 `rule_retime`, best of
+# 5 per cell), it takes 0.58 (sieve_compact, 29 cells), 0.73
+# (cli_interactive, 793) and 0.53 (verify's random sets, 1,448) below
+# b * n = 496, 1.36 and 1.55 at 496-999 (118 and 155 cells), and 2.90 and
+# 2.28 from 1,000 on (151 and 9): per order too the crossover lies near the
+# rule.  496 = 16 * 31, where both edges 495 and 496 are b * n of tables
+# with several rows (499 is prime).  Every table of verify's exhaustive
+# sweep (b * n at most 174) lies below it, and so does every cell of a
+# random set unless n = 10 and N >= 78; every wide set (1,010 and up) lies
+# above it.
 _DIRECT_BELOW = 496
 
 
 def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
     """Returns rows, rows[s] = B[s][0..top] in b-bit slots for s < top, and
-    b, a table's _slot_widths.  Below b * top = _DIRECT_BELOW the rows come
+    b, a table's _slot_widths.  Below b * n = _DIRECT_BELOW the rows come
     from _direct_rows.  From there on the columns of _support_columns, in
     F's f-bit slots, are transposed into support rows F[t][0..top] in b-bit
     slots and summed with the coefficients C(n-t, s-t).  Every coefficient
     is nonnegative and every B[s][k] < 2^b, so the packed sums carry nothing
     between slots."""
     f, b = _slot_widths(elements, top)
-    if b * top < _DIRECT_BELOW:
+    if b * len(elements) < _DIRECT_BELOW:
         return _direct_rows(elements, top, b), b
     columns, slot = _support_columns(elements, top, f), (1 << f) - 1
     # row 0 is F[0] = 1; row t reads slot t-1 of the columns k = t..top
@@ -376,12 +381,12 @@ def _slot_widths(elements: Sequence[int], top: int, lower: bool = False) -> tupl
     """The module docstring's slot widths for slots 0..top: F's, f = bitlen(C(N,
     min(top, floor(N/2)))), and a table of B's, f + bitlen(C(n, floor(n/2))) + 1.
     With lower, a table's width is its floor f + n - bitlen(n+1) + 1 whenever
-    that floor times top reaches _DIRECT_BELOW: C(n, floor(n/2)) >= 2^n/(n+1),
+    that floor times n reaches _DIRECT_BELOW: C(n, floor(n/2)) >= 2^n/(n+1),
     so the floor decides the route without building C(n, floor(n/2))."""
     n, total = len(elements), sum(elements)
     f = comb(total, min(top, total // 2)).bit_length()
     floor = f + n - (n + 1).bit_length() + 1
-    if lower and floor * top >= _DIRECT_BELOW:
+    if lower and floor * n >= _DIRECT_BELOW:
         return f, floor
     return f, f + comb(n, n // 2).bit_length() + 1
 
@@ -411,13 +416,13 @@ def _direct_layout(top: int, b: int) -> tuple[int, int, int]:
 
 
 def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
-    """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1.  Below b * i = _DIRECT_BELOW,
+    """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1.  Below b * n = _DIRECT_BELOW,
     b the width of a table with top = i, they are slot i of the rows that
     _direct_rows fills; from there on they are converted from the slots
     F[t][i], t < i, of the last column of _support_columns alone, in F's
     f-bit slots."""
     f, b = _slot_widths(elements, i, lower=True)
-    if b * i < _DIRECT_BELOW:
+    if b * len(elements) < _DIRECT_BELOW:
         return [row >> (b * i) for row in _direct_rows(elements, i, b)]
     column, slot = _support_columns(elements, i, f)[-1], (1 << f) - 1
     # F[0][i] = 0, and F[t][i] sits in slot t-1

@@ -69,7 +69,9 @@ LAYER_GRID = (5, 6)
 # shorter than the columns.  Every multiset's table is filled directly.  So are
 # a random set's table and its per-order brackets at every order, unless
 # n = 10 and N >= 78 (C(N, 10) >= 2^40), where order 10 and the table convert
-# support columns: the wide sets are where the sweeps check those columns.
+# support columns; the rule reads b * n at every order, but order 9 would
+# need C(N, 9) >= 2^40, beyond N <= 90.  The wide sets are where the sweeps
+# check those columns.
 WIDE_SETS = (
     RootSet(((1 << 256) - 1,) * 5),
     RootSet((3**160, 1, 5**110 + 2, 2, 3**160, 7**90)),

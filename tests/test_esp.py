@@ -389,25 +389,34 @@ def _table_width(elements, top):
     return math.comb(n, n // 2).bit_length() + math.comb(total, min(top, total // 2)).bit_length() + 1
 
 
+def _narrowest_cell(n, top, width):
+    # n roots (m, 1, ..., 1) with the smallest m whose table width up to slot
+    # top is at least width bits (the width never falls as m grows)
+    wide = lambda m: _table_width((m,) + (1,) * (n - 1), top) >= width  # noqa: E731
+    low, high = 0, 1
+    while not wide(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if wide(middle) else (middle, high)
+    return (high,) + (1,) * (n - 1)
+
+
 def _tables_of_area(area):
-    # (elements, top) with b * top == area: for each top in 2..16 dividing area,
-    # top = n roots (m, 1, ..., 1) with the smallest m whose slots are area / top
-    # bits wide, where one is (the width never falls as m grows)
-    cells = []
-    for top in range(2, 17):
-        if area % top:
-            continue
-        wide = lambda m: _table_width((m,) + (1,) * (top - 1), top) >= area // top  # noqa: E731
-        low, high = 0, 1
-        while not wide(high):
-            low, high = high, 2 * high
-        while high - low > 1:
-            middle = (low + high) // 2
-            low, high = (low, middle) if wide(middle) else (middle, high)
-        elements = (high,) + (1,) * (top - 1)
-        if _table_width(elements, top) * top == area:
-            cells.append((elements, top))
-    return cells
+    # (elements, top) with b * top == area: for each top in 2..16 dividing
+    # area, the narrowest cell of top = n roots whose slots are area / top
+    # bits wide, where one is
+    cells = [(_narrowest_cell(top, top, area // top), top) for top in range(2, 17) if area % top == 0]
+    return [(elements, top) for elements, top in cells if _table_width(elements, top) * top == area]
+
+
+def _orders_of_area(area):
+    # (elements, i) with 2 <= i < n and b * n == area, b the width of a table
+    # with top = i, so b * i < area: for each n in 3..24 dividing area and i
+    # in 2, n // 2 and n - 1, the narrowest cell of n roots whose slots are
+    # area / n bits wide, where one is
+    cells = [(_narrowest_cell(n, i, area // n), i) for n in range(3, 25) if area % n == 0 for i in sorted({2, n // 2, n - 1} - {1})]
+    return [(elements, i) for elements, i in cells if _table_width(elements, i) * len(elements) == area]
 
 
 def _slots(rows, b, top):
@@ -455,17 +464,19 @@ def test_table_routes_agree_at_the_direct_rule(monkeypatch):
 
 
 def test_per_order_brackets_take_the_direct_rule(monkeypatch):
-    # per order the rule reads b * i, b the width of a table with top = i:
-    # _DIRECT_BELOW - 1 reads slot i of the direct fill, _DIRECT_BELOW
-    # converts slots of the last support column; both give the enumerated
-    # brackets
+    # per order the rule reads b * n, as for a table, b the width of a table
+    # with top = i: at b * n = _DIRECT_BELOW - 1 the brackets are slot i of
+    # the direct fill, at _DIRECT_BELOW they are converted from slots of the
+    # last support column, on cells with i < n, where b * i lies below the
+    # rule on both sides, and on cells with i = n; both routes give the
+    # enumerated brackets
     taken = []
     observe_routes(monkeypatch, taken)
     rule = esp._DIRECT_BELOW
     for area, route in ((rule - 1, "direct"), (rule, "newton")):
-        cells = _tables_of_area(area)
-        assert len(cells) >= 3, area
-        for elements, i in cells:
+        cells = _orders_of_area(area)
+        assert len(cells) >= 3 and all(_table_width(elements, i) * i < rule for elements, i in cells), area
+        for elements, i in cells + _tables_of_area(area):
             brackets = [row[i] for row in _enumerated_table(elements, i)]
             for forced, below in (("direct", math.inf), ("newton", 0), (route, rule)):
                 monkeypatch.setattr(esp, "_DIRECT_BELOW", below)
@@ -475,11 +486,16 @@ def test_per_order_brackets_take_the_direct_rule(monkeypatch):
 
 
 def test_newton_brackets_build_the_central_binomial_once(monkeypatch):
-    # C(n, floor(n/2)) only sizes the table width, which decides the route;
-    # the support columns take F's width, which comes beside it.  Where the
-    # width's floor f + n - bitlen(n+1) + 1 already reaches the rule, the
-    # binomial is not built at all; where only the width itself does, once.
+    # C(n, floor(n/2)) only sizes the table width b, whose b * n decides the
+    # route; the support columns take F's width, which comes beside it.
+    # Where the width's floor f + n - bitlen(n+1) + 1 times n already
+    # reaches the rule, the binomial is not built at all, even where the
+    # floor times i does not; where only the width itself does, once.
     elements = _random_roots(random.Random(5), 20, 40)
+    narrow = _random_roots(random.Random(5), 18, 8)
+    f, _ = esp._slot_widths(narrow, 5)
+    floor = f + 18 - (19).bit_length() + 1
+    assert floor * 5 < esp._DIRECT_BELOW <= floor * 18
     floor_elements, floor_i = _tables_of_area(esp._DIRECT_BELOW)[0]
     n = len(floor_elements)
     # the conversion table is cached and builds binomials of its own
@@ -492,6 +508,10 @@ def test_newton_brackets_build_the_central_binomial_once(monkeypatch):
     brackets = [sum(math.comb(sum(combo), 4) for combo in combinations(elements, s)) for s in range(4)]
     assert esp._bracket_totals(elements, 4) == brackets
     assert taken == [4] and calls[(20, 10)] == 0
+    taken.clear()
+    brackets = [sum(math.comb(sum(combo), 5) for combo in combinations(narrow, s)) for s in range(5)]
+    assert esp._bracket_totals(narrow, 5) == brackets
+    assert taken == [5] and calls[(18, 9)] == 0
     taken.clear()
     brackets = [row[floor_i] for row in _enumerated_table(floor_elements, floor_i)]
     assert esp._bracket_totals(floor_elements, floor_i) == brackets
@@ -801,18 +821,45 @@ def test_one_order_at_large_n_keeps_its_value_widths_and_route(n, bits, i, seed)
 @settings(max_examples=300, deadline=None)
 def test_the_width_floor_takes_the_route_of_the_width(n, bits, i, seed):
     # the per-order sieve reads a table's width through its floor
-    # f + n - bitlen(n+1) + 1 when that floor times i already reaches the
-    # rule, C(n, floor(n/2)) >= 2^n/(n+1); the route is the one the exact
-    # width takes, and F's width is the same
+    # f + n - bitlen(n+1) + 1 when that floor times n already reaches the
+    # rule, C(n, floor(n/2)) >= 2^n/(n+1); the route, read on b * n, is the
+    # one the exact width takes, and F's width is the same
     rng = random.Random(seed)
     elements = tuple(rng.randint(1 << (bits - 1), (1 << bits) - 1) for _ in range(n))
     f, b = esp._slot_widths(elements, i)
     lower_f, lower_b = esp._slot_widths(elements, i, lower=True)
+    floor = f + n - (n + 1).bit_length() + 1
     assert b == _table_width(elements, i) and lower_f == f
-    assert lower_b in (b, f + n - (n + 1).bit_length() + 1) and lower_b <= b
-    assert (lower_b * i >= esp._DIRECT_BELOW) == (b * i >= esp._DIRECT_BELOW)
+    assert lower_b == (floor if floor * n >= esp._DIRECT_BELOW else b) and lower_b <= b
+    assert (lower_b * n >= esp._DIRECT_BELOW) == (b * n >= esp._DIRECT_BELOW)
     # the floor sits at least 2 bits below the width
     assert math.comb(n, n // 2).bit_length() >= n - (n + 1).bit_length() + 2
+
+
+# Roots of 1 to 40 bits, as sieve_compact draws them.
+roots_to_40_bits = st.integers(1, 40).flatmap(lambda width: st.integers(1 << (width - 1), (1 << width) - 1))
+
+
+@given(cell=st.lists(roots_to_40_bits, min_size=2, max_size=24).flatmap(lambda elements: st.tuples(st.just(tuple(elements)), st.integers(2, len(elements)))))
+# b * n at the rule with b * i below it, and one below the rule
+@example(cell=((3,) + (1,) * 15, 8))
+@example(cell=((10,) + (1,) * 14, 7))
+@settings(max_examples=150, deadline=None)
+def test_per_order_brackets_fill_directly_exactly_below_the_rule_on_n(cell):
+    # the per-order sieve fills directly exactly when b * n < _DIRECT_BELOW,
+    # b the width of a table with top = i, and both forced routes give the
+    # same brackets
+    elements, i = cell
+    taken = []
+    with pytest.MonkeyPatch.context() as patch:
+        observe_routes(patch, taken)
+        brackets = esp._bracket_totals(elements, i)
+        assert taken == ["direct" if _table_width(elements, i) * len(elements) < esp._DIRECT_BELOW else "newton"]
+        forced = []
+        for below in (math.inf, 0):
+            patch.setattr(esp, "_DIRECT_BELOW", below)
+            forced.append(esp._bracket_totals(elements, i))
+    assert forced == [brackets, brackets]
 
 
 def _per_order_sieve(roots):

@@ -73,16 +73,22 @@ def test_route_grid_probes_time_the_passing_equivalence_half(monkeypatch, tmp_pa
 
 
 def test_route_grid_sieve_and_triangle_probes_run_the_real_partials(monkeypatch, tmp_path):
+    from symex import esp
+
     grid = load_tool("route_grid")
-    # one tiny sieve cell and one 3-row triangle, called as the real probes call them
-    monkeypatch.setattr(grid, "probe_cells", lambda: [("3 roots, i=3", (2, 3, 4), 3)])
+    # the one real sieve probe with b * i < 496 <= b * n, b a table's width
+    # up to slot i, which converts support columns by the rule on b * n
+    band = [(name, elements, i) for name, elements, i in grid.probe_cells() if (b := esp._slot_widths(elements, i)[1]) * i < esp._DIRECT_BELOW <= b * len(elements)]
+    assert [name for name, _, _ in band] == ["18 random 8-bit roots, i=5"]
+    # that probe, one tiny sieve cell and one 3-row triangle, called as the real probes call them
+    monkeypatch.setattr(grid, "probe_cells", lambda: [("3 roots, i=3", (2, 3, 4), 3), *band])
     monkeypatch.setattr(grid, "TRIANGLE_PROBES", (("pascal", 3),))
     monkeypatch.setattr(grid, "equivalence_runs", lambda: [])
     out = tmp_path / "grid.json"
     monkeypatch.setattr(sys, "argv", ["route_grid.py", "--reps", "1", "--out", str(out)])
     assert grid.main() == 0
     section = json.loads(out.read_text())["probes"]
-    assert [probe["probe"] for probe in section["probes"]] == ["3 roots, i=3", "specialize pascal 3"]
+    assert [probe["probe"] for probe in section["probes"]] == ["3 roots, i=3", "18 random 8-bit roots, i=5", "specialize pascal 3"]
     assert all(probe["best_ms"] > 0 for probe in section["probes"])
 
 

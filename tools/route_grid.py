@@ -5,7 +5,8 @@
 
 It times whole per-order sieves (esp.esp_extraction, which builds no
 per-subset detail; on older trees that still take explain_limit it
-defaults to 0 from 5cf8063 on) on a few fixed wide inputs, whole triangles
+defaults to 0 from 5cf8063 on) on a few fixed wide inputs and one narrow
+one whose route the rule on b * n moved, whole triangles
 (list(esp.specialize(...)), so a tree whose specialize returns a list does
 the same work) for a few row counts, and the three sweeps of verify's equivalence suite, the critical path of
 `verify --suite all` (equivalence_exhaustive, and equivalence_random and
@@ -47,6 +48,9 @@ def probe_cells() -> list[tuple[str, tuple[int, ...], int]]:
         ("40 x (2^500-1), i=20", ((1 << 500) - 1,) * 40, 20),
         ("8 roots 1..3 and 8 random 160-bit roots, i=16",
          tuple(rng.randint(1, 3) for _ in range(8)) + tuple(rng.randrange(1 << 159, 1 << 160) for _ in range(8)), 16),
+        # b * i < 496 <= b * n, b a table's width up to slot i: support
+        # columns since the route rule reads b * n, a direct fill before
+        ("18 random 8-bit roots, i=5", tuple(rng.randrange(1 << 7, 1 << 8) for _ in range(18)), 5),
     ]
 
 
