@@ -59,8 +59,8 @@ and B[s][k] <= C(n, s) * C(N, k).  Over k <= top, C(N, k) is largest at
 k = min(top, floor(N/2)), so with f = bitlen(C(N, min(top, floor(N/2))))
 every F[t][k] < 2^f: A_k(2^f) holds F[t][k] in its f-bit slot t, and the
 slots are read by shifts and masks.  D_l has signs, but only A_k is read.
-C(n, s) is largest at s = floor(n/2), so a table of B is bounded by 2^b with
-b = bitlen(C(n, floor(n/2))) + f + 1 (both _slot_widths).  Every D_l, and
+C(n, s) < 2^n, so every B[s][k] < 2^(f+n): a table of B takes b = f + n
+(both _slot_widths), and no binomial sizes it but F's.  Every D_l, and
 every A_k with k > 0, is a multiple of y (V_a is, and F[0][k] = 0), so the
 columns are kept divided by 2^f:
 k A_k/y = D_k/y + y sum_{l<k} (D_l/y)(A_{k-l}/y), each product 2f bits
@@ -78,10 +78,7 @@ A table of B (_bracket_table, top = n) and the brackets of one order i
 b * n, b the slot width of a table of B with that top (_slot_widths): the
 direct fill below multiplies in one factor of b-bit slots per root, while
 the support columns take a number of products set by top alone.  From
-b * n = _DIRECT_BELOW on they convert the support columns as above; the
-brackets of one order need b only for that rule, so they skip building
-C(n, floor(n/2)) whenever b's floor f + n - bitlen(n+1) + 1 times n already
-reaches it (C(n, floor(n/2)) >= 2^n/(n+1)).  Below
+b * n = _DIRECT_BELOW on they convert the support columns as above.  Below
 it, where a fill costs more in Python steps than in big-int work, they fill
 B directly (_direct_rows), with Kronecker substitution in both variables
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
@@ -352,11 +349,13 @@ def _log_derivative_table(top: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
 # (cli_interactive, 793) and 0.53 (verify's random sets, 1,448) below
 # b * n = 496, 1.36 and 1.55 at 496-999 (118 and 155 cells), and 2.90 and
 # 2.28 from 1,000 on (151 and 9): per order too the crossover lies near the
-# rule.  496 = 16 * 31, where both edges 495 and 496 are b * n of tables
+# rule.  Those bins were timed on the exact width
+# f + bitlen(C(n, floor(n/2))) + 1, which lies within 1 bit of f + n for
+# n <= 40.  496 = 16 * 31, where both edges 495 and 496 are b * n of tables
 # with several rows (499 is prime).  Every table of verify's exhaustive
 # sweep (b * n at most 174) lies below it, and so does every cell of a
-# random set unless n = 10 and N >= 78; every wide set (1,010 and up) lies
-# above it.
+# random set unless n = 10 and N >= 73 at order 10 or N >= 88 at order 9;
+# every cell of a wide set (b * n 2,525 and up) lies above it.
 _DIRECT_BELOW = 496
 
 
@@ -377,18 +376,12 @@ def _bracket_table(elements: Sequence[int], top: int) -> tuple[list[int], int]:
     return [sum(map(mul, coefficients, rows)) for coefficients in _conversion(len(elements), top)], b
 
 
-def _slot_widths(elements: Sequence[int], top: int, lower: bool = False) -> tuple[int, int]:
+def _slot_widths(elements: Sequence[int], top: int) -> tuple[int, int]:
     """The module docstring's slot widths for slots 0..top: F's, f = bitlen(C(N,
-    min(top, floor(N/2)))), and a table of B's, f + bitlen(C(n, floor(n/2))) + 1.
-    With lower, a table's width is its floor f + n - bitlen(n+1) + 1 whenever
-    that floor times n reaches _DIRECT_BELOW: C(n, floor(n/2)) >= 2^n/(n+1),
-    so the floor decides the route without building C(n, floor(n/2))."""
-    n, total = len(elements), sum(elements)
+    min(top, floor(N/2)))), and a table of B's, f + n."""
+    total = sum(elements)
     f = comb(total, min(top, total // 2)).bit_length()
-    floor = f + n - (n + 1).bit_length() + 1
-    if lower and floor * n >= _DIRECT_BELOW:
-        return f, floor
-    return f, f + comb(n, n // 2).bit_length() + 1
+    return f, f + len(elements)
 
 
 def _direct_rows(elements: Sequence[int], top: int, b: int) -> list[int]:
@@ -417,11 +410,11 @@ def _direct_layout(top: int, b: int) -> tuple[int, int, int]:
 
 def _bracket_totals(elements: Sequence[int], i: int) -> list[int]:
     """sum_{|J|=s} C(sigma_J, i) for s = 0..i-1.  Below b * n = _DIRECT_BELOW,
-    b the width of a table with top = i, they are slot i of the rows that
-    _direct_rows fills; from there on they are converted from the slots
-    F[t][i], t < i, of the last column of _support_columns alone, in F's
-    f-bit slots."""
-    f, b = _slot_widths(elements, i, lower=True)
+    b = f + n the width of a table with top = i (_slot_widths), they are
+    slot i of the rows that _direct_rows fills; from there on they are
+    converted from the slots F[t][i], t < i, of the last column of
+    _support_columns alone, in F's f-bit slots."""
+    f, b = _slot_widths(elements, i)
     if b * len(elements) < _DIRECT_BELOW:
         return [row >> (b * i) for row in _direct_rows(elements, i, b)]
     column, slot = _support_columns(elements, i, f)[-1], (1 << f) - 1

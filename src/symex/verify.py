@@ -68,10 +68,10 @@ LAYER_GRID = (5, 6)
 # below every order from 3 on, so it checks columns whose factors g_m are
 # shorter than the columns.  Every multiset's table is filled directly.  So are
 # a random set's table and its per-order brackets at every order, unless
-# n = 10 and N >= 78 (C(N, 10) >= 2^40), where order 10 and the table convert
-# support columns; the rule reads b * n at every order, but order 9 would
-# need C(N, 9) >= 2^40, beyond N <= 90.  The wide sets are where the sweeps
-# check those columns.
+# n = 10 and b = f + 10 reaches 50 bits: from N = 73 (C(N, 10) >= 2^39)
+# order 10 and the table convert support columns, and from N = 88
+# (C(N, 9) >= 2^39) order 9 does too.  The wide sets are where the sweeps
+# check those columns at every order.
 WIDE_SETS = (
     RootSet(((1 << 256) - 1,) * 5),
     RootSet((3**160, 1, 5**110 + 2, 2, 3**160, 7**90)),

@@ -384,9 +384,9 @@ def _assert_slots_hold_the_enumerated_table(elements, top):
 
 
 def _table_width(elements, top):
-    # the slot width _bracket_table packs B in
+    # the slot width _bracket_table packs B in: B[s][k] <= C(n, s) C(N, k) < 2^n C(N, k)
     n, total = len(elements), sum(elements)
-    return math.comb(n, n // 2).bit_length() + math.comb(total, min(top, total // 2)).bit_length() + 1
+    return math.comb(total, min(top, total // 2)).bit_length() + n
 
 
 def _narrowest_cell(n, top, width):
@@ -485,37 +485,28 @@ def test_per_order_brackets_take_the_direct_rule(monkeypatch):
                 assert taken == [forced]
 
 
-def test_newton_brackets_build_the_central_binomial_once(monkeypatch):
-    # C(n, floor(n/2)) only sizes the table width b, whose b * n decides the
-    # route; the support columns take F's width, which comes beside it.
-    # Where the width's floor f + n - bitlen(n+1) + 1 times n already
-    # reaches the rule, the binomial is not built at all, even where the
-    # floor times i does not; where only the width itself does, once.
-    elements = _random_roots(random.Random(5), 20, 40)
-    narrow = _random_roots(random.Random(5), 18, 8)
-    f, _ = esp._slot_widths(narrow, 5)
-    floor = f + 18 - (19).bit_length() + 1
-    assert floor * 5 < esp._DIRECT_BELOW <= floor * 18
-    floor_elements, floor_i = _tables_of_area(esp._DIRECT_BELOW)[0]
-    n = len(floor_elements)
-    # the conversion table is cached and builds binomials of its own
-    esp._conversion(n, floor_i)
-    calls, counted = Counter(), esp.comb
-    monkeypatch.setattr(esp, "comb", lambda *args: calls.update([args]) or counted(*args))
-    taken = []
-    run = esp._support_columns
-    monkeypatch.setattr(esp, "_support_columns", lambda *args: taken.append(args[1]) or run(*args))
-    brackets = [sum(math.comb(sum(combo), 4) for combo in combinations(elements, s)) for s in range(4)]
-    assert esp._bracket_totals(elements, 4) == brackets
-    assert taken == [4] and calls[(20, 10)] == 0
-    taken.clear()
-    brackets = [sum(math.comb(sum(combo), 5) for combo in combinations(narrow, s)) for s in range(5)]
-    assert esp._bracket_totals(narrow, 5) == brackets
-    assert taken == [5] and calls[(18, 9)] == 0
-    taken.clear()
-    brackets = [row[floor_i] for row in _enumerated_table(floor_elements, floor_i)]
-    assert esp._bracket_totals(floor_elements, floor_i) == brackets
-    assert taken == [floor_i] and calls[(n, n // 2)] == 1
+def test_slot_widths_build_one_binomial(monkeypatch):
+    # a table's width b = f + n needs no binomial of n: _slot_widths builds
+    # F's C(N, min(top, floor(N/2))) and nothing else.  It is called
+    # directly, as _conversion and the head of an all-ones set build
+    # C(n, floor(n/2)) of their own.
+    calls, counted = [], esp.comb
+    monkeypatch.setattr(esp, "comb", lambda *args: calls.append(args) or counted(*args))
+    rng = random.Random(40)
+    for n in (1, 2, 3, 18, 2000, 100000):
+        elements = tuple(rng.randint(1, 9) for _ in range(n))
+        total = sum(elements)
+        # C(N, top) with N near 500,000 takes seconds at top = n = 100,000
+        for top in sorted({0, 1, 2, 3, 12} | ({n // 2, n, n + 1} if n <= 2000 else set())):
+            calls.clear()
+            f, b = esp._slot_widths(elements, top)
+            assert calls == [(total, min(top, total // 2))], (n, top)
+            assert (f, b) == (_support_width(elements, top), f + n)
+    # nor does the per-order sieve at n = 100,000
+    roots = RootSet(elements)
+    calls.clear()
+    assert esp_extraction(roots, 3)[0] == esp._esp_dp(roots, 3)
+    assert (n, n // 2) not in calls
 
 
 # Narrow roots put top >= N/2, where C(N, k) peaks inside the kept slots.
@@ -536,6 +527,8 @@ def test_bracket_table_slot_width_at_its_edges():
         (1, 1, 2),
         (1,),  # N = 1
         (7,),  # a single root
+        (1, 1),
+        ((1 << 40) - 1,) * 2,
         ((1 << 60) - 1,) * 20,
         (1 << 80, *small),
         (*small, 1 << 80),
@@ -543,8 +536,13 @@ def test_bracket_table_slot_width_at_its_edges():
     for elements in cases:
         for top in range(1, len(elements) + 2):
             _assert_slots_hold_the_enumerated_table(elements, top)
-    # all-ones at top = n: slots of C(12, 6) * C(12, 6) < 2^20, against 61 bits before
-    assert esp._bracket_table((1,) * 12, 12)[1] == 21
+    # b = f + n.  All-ones at top = n: slots of C(12, s) * C(12, k) < 2^12 * 2^10
+    assert esp._bracket_table((1,) * 12, 12)[1] == 22
+    # one and two roots, where C(n, floor(n/2)) comes closest to 2^n:
+    # f = 3, 2 and bitlen(C(2^41 - 2, 2)) = 81
+    assert esp._bracket_table((7,), 1)[1] == 4
+    assert esp._bracket_table((1, 1), 2)[1] == 4
+    assert esp._bracket_table(((1 << 40) - 1,) * 2, 2)[1] == 83
 
 
 def _enumerated_support(elements, top):
@@ -652,7 +650,8 @@ def test_newton_route_at_the_slot_width_edges():
     # the cases of test_bracket_table_slot_width_at_its_edges, short roots among them
     small = (3, 1, 4, 1, 5, 9, 2, 6, 5)
     negative = 0
-    for elements in ((1,) * 12, (1, 1, 2), (1,), (7,), ((1 << 60) - 1,) * 20, (1 << 80, *small), (*small, 1 << 80)):
+    cases = ((1,) * 12, (1, 1, 2), (1,), (7,), (1, 1), ((1 << 40) - 1,) * 2, ((1 << 60) - 1,) * 20, (1 << 80, *small), (*small, 1 << 80))
+    for elements in cases:
         support = _enumerated_support(elements, len(elements) + 2)
         for top in range(1, len(elements) + 2):
             # in the slots of F, as both sieves take them, and of a table of B
@@ -801,39 +800,14 @@ def test_one_order_at_large_n_keeps_its_value_widths_and_route(n, bits, i, seed)
     # bits 4 draws roots <= 9.  esp_all takes 0.9 s at n = 2,000 with those
     # roots (5.9 s with 40-bit ones), so up to n = 400 it is the reference;
     # above, the truncated recurrence and the sieve are checked against each
-    # other.  The widths are the ones the route rule reads, so no route moves.
+    # other.  The widths are F's f and a table's f + n, which the route rule reads.
     rng = random.Random(seed)
     elements = tuple(rng.randint(1, 9) if bits == 4 else rng.randrange(1 << 39, 1 << 40) for _ in range(n))
     roots, i = RootSet(elements), min(i, n)
     expected = esp_all(roots)[i] if n <= 400 else esp._esp_dp(roots, i)
     assert esp._esp_dp(roots, i) == esp_extraction(roots, i)[0] == expected
-    b = _table_width(elements, i)
-    assert esp._slot_widths(elements, i) == (b - math.comb(n, n // 2).bit_length() - 1, b)
-
-
-@given(
-    n=st.one_of(st.integers(1, 60), st.integers(1, 2000)),
-    bits=st.sampled_from([1, 2, 4, 40]),
-    i=st.integers(1, 12),
-    seed=st.integers(0, 2**32),
-)
-@example(n=2000, bits=40, i=12, seed=0)
-@settings(max_examples=300, deadline=None)
-def test_the_width_floor_takes_the_route_of_the_width(n, bits, i, seed):
-    # the per-order sieve reads a table's width through its floor
-    # f + n - bitlen(n+1) + 1 when that floor times n already reaches the
-    # rule, C(n, floor(n/2)) >= 2^n/(n+1); the route, read on b * n, is the
-    # one the exact width takes, and F's width is the same
-    rng = random.Random(seed)
-    elements = tuple(rng.randint(1 << (bits - 1), (1 << bits) - 1) for _ in range(n))
-    f, b = esp._slot_widths(elements, i)
-    lower_f, lower_b = esp._slot_widths(elements, i, lower=True)
-    floor = f + n - (n + 1).bit_length() + 1
-    assert b == _table_width(elements, i) and lower_f == f
-    assert lower_b == (floor if floor * n >= esp._DIRECT_BELOW else b) and lower_b <= b
-    assert (lower_b * n >= esp._DIRECT_BELOW) == (b * n >= esp._DIRECT_BELOW)
-    # the floor sits at least 2 bits below the width
-    assert math.comb(n, n // 2).bit_length() >= n - (n + 1).bit_length() + 2
+    f = _support_width(elements, i)
+    assert esp._slot_widths(elements, i) == (f, f + n) == (f, _table_width(elements, i))
 
 
 # Roots of 1 to 40 bits, as sieve_compact draws them.
@@ -842,8 +816,8 @@ roots_to_40_bits = st.integers(1, 40).flatmap(lambda width: st.integers(1 << (wi
 
 @given(cell=st.lists(roots_to_40_bits, min_size=2, max_size=24).flatmap(lambda elements: st.tuples(st.just(tuple(elements)), st.integers(2, len(elements)))))
 # b * n at the rule with b * i below it, and one below the rule
-@example(cell=((3,) + (1,) * 15, 8))
-@example(cell=((10,) + (1,) * 14, 7))
+@example(cell=((2,) + (1,) * 15, 8))
+@example(cell=((8,) + (1,) * 14, 7))
 @settings(max_examples=150, deadline=None)
 def test_per_order_brackets_fill_directly_exactly_below_the_rule_on_n(cell):
     # the per-order sieve fills directly exactly when b * n < _DIRECT_BELOW,

@@ -334,10 +334,11 @@ def _wide(label):
 
 def test_equivalence_sweeps_convert_support_rows_only_on_the_wide_sets(monkeypatch):
     # the direct fill of small tables and per-order brackets, and the
-    # support columns of the wide sets.  Both routes follow b * n < 496, b
-    # a table's width up to the order; below it lie every multiset and,
-    # at this seed, every random set at every order (a ten-root set with
-    # N >= 78 would convert its table and order 10 alone).
+    # support columns of the wide sets.  Both routes follow b * n < 496,
+    # b = f + n a table's width up to the order; below it lie every multiset
+    # and, at this seed, every random set at every order (a ten-root set
+    # would convert its table and order 10 from N = 73, and order 9 from
+    # N = 88).
     runs = {"direct": [], "newton": []}
     for route, name in (("direct", "_direct_rows"), ("newton", "_support_columns")):
         kernel = getattr(esp, name)
